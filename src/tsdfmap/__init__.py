@@ -8,17 +8,16 @@ extracts/evaluates triangle meshes.
 
 __version__ = "0.1.0"
 
-from .config import RunConfig, load_config, to_train_config  # noqa: E402
+from .config import RunConfig, load_config  # noqa: E402
 from .mesher import TriMesh, extract_map_mesh, load_mesh, write_mesh  # noqa: E402
 from .metrics import EvalConfig, EvalResult, evaluate  # noqa: E402
 from .sampler import Scan  # noqa: E402
-from .trainer import Mapper, TrainConfig, run_sequence  # noqa: E402
+from .trainer import Mapper, TrainConfig  # noqa: E402
 
 __all__ = [
     "__version__",
     "RunConfig",
     "load_config",
-    "to_train_config",
     "TriMesh",
     "extract_map_mesh",
     "load_mesh",
@@ -29,5 +28,4 @@ __all__ = [
     "Scan",
     "Mapper",
     "TrainConfig",
-    "run_sequence",
 ]

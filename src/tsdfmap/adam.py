@@ -2,8 +2,8 @@
 
 Grid vertices keep per-row first/second moment buffers; a step only
 touches rows that received gradient, everything else stays bitwise
-unchanged. One global step counter drives bias correction for both the
-decoder and the grid.
+unchanged. One global step counter, held by the caller, drives bias
+correction for both the decoder and the grid.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +20,6 @@ class AdamConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    step: int = 0
 
     def __post_init__(self):
         if not self.lr > 0:
@@ -45,11 +44,10 @@ class GradientStore:
     level_grads: list = field(default_factory=list)
 
 
-def adam_step(grads: GradientStore, grid, decoder, cfg: AdamConfig):
-    """Apply one Adam update in place; advances cfg.step."""
-    cfg.step += 1
-    bc1 = 1.0 - cfg.beta1 ** cfg.step
-    bc2 = 1.0 - cfg.beta2 ** cfg.step
+def adam_step(grads: GradientStore, grid, decoder, cfg: AdamConfig, step: int):
+    """Apply the Adam update numbered `step` (1-based) in place."""
+    bc1 = 1.0 - cfg.beta1 ** step
+    bc2 = 1.0 - cfg.beta2 ** step
 
     for name in PARAM_NAMES:
         g = grads.decoder[name]

@@ -4,30 +4,32 @@ Saves everything needed to resume mid-sequence and produce bitwise
 identical results vs. the uninterrupted run: grid vertex keys +
 features + Adam moments per level, decoder weights + moments, Fisher
 accumulators, the replay pool columns, and the step/frame counters.
-The config rides along as JSON so a checkpoint is self-describing.
+The `TrainConfig` fields of the mapper's config ride along as JSON, so a
+checkpoint is self-describing.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 
-from .config import config_to_dict, train_config_from_dict
+from .config import build_dataclass, config_to_dict
 from .decoder import PARAM_NAMES
 from .errors import UnsupportedFormat
 from .hashmap import VoxelHash
-from .trainer import Mapper
+from .trainer import Mapper, TrainConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(path, mapper: Mapper) -> None:
+    cfg = config_to_dict(mapper.cfg)
+    train_cfg = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)}
     arrays = {
         "version": np.int64(FORMAT_VERSION),
-        "config_json": np.frombuffer(
-            json.dumps(config_to_dict(mapper.cfg)).encode(), dtype=np.uint8
-        ),
+        "config_json": np.frombuffer(json.dumps(train_cfg).encode(), dtype=np.uint8),
         "frames_done": np.int64(mapper.frames_done),
-        "adam_step": np.int64(mapper.adam.step),
+        "adam_step": np.int64(mapper.adam_steps),
         "pool_next_seq": np.int64(mapper.pool._next_seq),
     }
     for name in PARAM_NAMES:
@@ -60,10 +62,10 @@ def load_checkpoint(path) -> Mapper:
             raise UnsupportedFormat(
                 f"checkpoint format version {version} (reader supports {FORMAT_VERSION})"
             )
-        cfg = train_config_from_dict(json.loads(bytes(data["config_json"]).decode()))
+        cfg = build_dataclass(TrainConfig, json.loads(bytes(data["config_json"]).decode()))
         mapper = Mapper(cfg)
         mapper.frames_done = int(data["frames_done"])
-        mapper.adam.step = int(data["adam_step"])
+        mapper.adam_steps = int(data["adam_step"])
         for name in PARAM_NAMES:
             mapper.decoder.params[name] = data[f"dec_{name}"].copy()
             mapper.decoder.adam_m[name] = data[f"dec_m_{name}"].copy()

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, config_to_dict, load_config, to_train_config
+from .config import RunConfig, config_to_dict, load_config
 from .errors import MappingError, PoseCountMismatch
 from .mesher import extract_map_mesh, write_mesh
 from .metrics import evaluate, write_eval_csv, write_eval_json
@@ -32,6 +32,8 @@ def _load_run_config(args) -> RunConfig:
         cfg.seed = args.seed
     if getattr(args, "threshold", None) is not None:
         cfg.eval = dataclasses.replace(cfg.eval, threshold=args.threshold)
+    if getattr(args, "eval_seed", None) is not None:
+        cfg.eval = dataclasses.replace(cfg.eval, seed=args.eval_seed)
     return cfg
 
 
@@ -67,7 +69,7 @@ def cmd_map(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out, cfg, {"command": "map", "n_scans": len(scan_paths)})
 
-    mapper = Mapper(to_train_config(cfg))
+    mapper = Mapper(cfg)
     with open(out / "reports.jsonl", "w") as log:
         for i, (path, pose) in enumerate(zip(scan_paths, poses)):
             points, dropped = load_scan(path)
@@ -183,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="YAML config file")
     p.add_argument("--threshold", type=float, metavar="M",
                    help="precision/recall distance threshold in meters")
-    p.add_argument("--seed", type=int, help="override config seed")
+    p.add_argument("--seed", type=int, dest="eval_seed",
+                   help="override eval.seed (surface point sampling)")
     p.add_argument("--out", help="directory for eval.json / eval.csv")
     p.set_defaults(func=cmd_eval)
 

@@ -1,9 +1,12 @@
 """Run configuration: a YAML file of nested sections, strictly parsed.
 
-Unknown keys are rejected (typos should fail loudly, not silently run
-defaults), every omitted field takes its documented default, and
-serializing a parsed config materializes all defaults, so a dumped
-config reproduces the run exactly.
+The mapping settings are the trainer's own `TrainConfig` fields at the
+top level of the file; `RunConfig` adds only the `mesh`, `eval` and
+`sim` sections, so every setting is declared once. Unknown keys are
+rejected (typos should fail loudly, not silently run defaults), value
+ranges are checked while parsing, every omitted field takes its
+documented default, and serializing a parsed config materializes all
+defaults, so a dumped config reproduces the run exactly.
 """
 
 import dataclasses
@@ -12,27 +15,8 @@ from typing import get_type_hints
 
 import yaml
 
-from .adam import AdamConfig
 from .metrics import EvalConfig
-from .pool import PoolConfig
-from .sampler import SamplerConfig
 from .trainer import TrainConfig
-from .uncertainty import UncertaintyConfig
-
-
-@dataclass
-class FieldConfig:
-    voxel_sizes: tuple = (0.3, 0.45)
-    feature_dim: int = 8
-    hidden_units: int = 32
-
-
-@dataclass
-class LoopConfig:
-    iterations: int = 15
-    batch_size: int = 16384
-    n_uncertain: int = 1000
-    active_sampling: bool = True
 
 
 @dataclass
@@ -58,14 +42,7 @@ class SimConfig:
 
 
 @dataclass
-class RunConfig:
-    seed: int = 0
-    field: FieldConfig = dc_field(default_factory=FieldConfig)
-    train: LoopConfig = dc_field(default_factory=LoopConfig)
-    sampler: SamplerConfig = dc_field(default_factory=SamplerConfig)
-    pool: PoolConfig = dc_field(default_factory=PoolConfig)
-    uncertainty: UncertaintyConfig = dc_field(default_factory=UncertaintyConfig)
-    adam: AdamConfig = dc_field(default_factory=AdamConfig)
+class RunConfig(TrainConfig):
     mesh: MeshConfig = dc_field(default_factory=MeshConfig)
     eval: EvalConfig = dc_field(default_factory=EvalConfig)
     sim: SimConfig = dc_field(default_factory=SimConfig)
@@ -141,26 +118,3 @@ def load_config(path) -> RunConfig:
 
 def dump_config(cfg: RunConfig) -> str:
     return yaml.safe_dump(config_to_dict(cfg), sort_keys=False)
-
-
-def to_train_config(run: RunConfig) -> TrainConfig:
-    """Flatten a RunConfig into the trainer's bundle (fresh Adam state)."""
-    a = run.adam
-    return TrainConfig(
-        iterations=run.train.iterations,
-        batch_size=run.train.batch_size,
-        n_uncertain=run.train.n_uncertain,
-        active_sampling=run.train.active_sampling,
-        seed=run.seed,
-        voxel_sizes=tuple(run.field.voxel_sizes),
-        feature_dim=run.field.feature_dim,
-        hidden_units=run.field.hidden_units,
-        sampler=dataclasses.replace(run.sampler),
-        pool=dataclasses.replace(run.pool),
-        uncertainty=dataclasses.replace(run.uncertainty),
-        adam=AdamConfig(a.lr, a.beta1, a.beta2, a.eps),
-    )
-
-
-def train_config_from_dict(data) -> TrainConfig:
-    return build_dataclass(TrainConfig, data)

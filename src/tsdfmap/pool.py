@@ -1,6 +1,8 @@
 """Replay pool: window-pruned, voxel-bucketed sample store.
 
-Samples are bucketed by the coarsest map level's voxel lattice. Each
+Samples are bucketed on the coarsest grid level's voxel lattice; the
+Mapper derives that spacing from `max(voxel_sizes)` and hands it to the
+pool, so the pool and the perturbation field share one lattice. Each
 frame the pool drops samples outside a sliding window around the sensor
 and caps every bucket at `capacity` samples, keeping the lowest expected
 squared error (bias^2 + variance, from incidence angle and range). Old,
@@ -16,41 +18,27 @@ from .hashmap import pack_coords, unpack_key
 
 
 @dataclass
-class ReliabilityParams:
-    alpha: float = 1.0  # range-variance scale
+class PoolConfig:
+    capacity: int = 256  # max samples per bucket
     prune_radius: float = 50.0  # window radius, also normalizes range
+    alpha: float = 1.0  # range-variance scale
 
     def __post_init__(self):
+        if self.capacity < 1:
+            raise ValueError("capacity must be at least 1")
         if not (self.alpha > 0 and self.prune_radius > 0):
             raise ValueError("alpha and prune_radius must be positive")
 
 
-def reliability_mse(ray_len, cos_incidence, params: ReliabilityParams):
+def reliability_mse(ray_len, cos_incidence, cfg: PoolConfig):
     """Expected squared error of a sample: bias^2 + variance.
 
     bias = 1 - cos(theta) (projective-distance overshoot, depth term
     dropped), std = alpha * range / prune_radius.
     """
     bias = 1.0 - np.asarray(cos_incidence, dtype=np.float64)
-    sigma = params.alpha * np.asarray(ray_len, dtype=np.float64) / params.prune_radius
+    sigma = cfg.alpha * np.asarray(ray_len, dtype=np.float64) / cfg.prune_radius
     return bias * bias + sigma * sigma
-
-
-@dataclass
-class PoolConfig:
-    voxel_size: float = 0.45  # bucket lattice = coarsest grid level
-    capacity: int = 256  # max samples per bucket
-    prune_radius: float = 50.0
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if not self.voxel_size > 0:
-            raise ValueError("voxel_size must be positive")
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
-
-    def reliability(self) -> ReliabilityParams:
-        return ReliabilityParams(alpha=self.alpha, prune_radius=self.prune_radius)
 
 
 _COLUMNS = ("pos", "label", "ray_len", "cos_inc", "mse", "frame_id", "seq", "bucket")
@@ -73,10 +61,6 @@ class ReplayPool:
         self.seq = np.zeros(0, dtype=np.int64)
         self.bucket = np.zeros(0, dtype=np.int64)  # packed bucket key
         self._next_seq = 0
-
-    @classmethod
-    def from_config(cls, cfg: PoolConfig):
-        return cls(cfg.voxel_size, cfg.capacity, cfg.prune_radius)
 
     @property
     def n(self) -> int:
@@ -161,9 +145,3 @@ class ReplayPool:
     def bucket_sizes(self):
         """(keys, counts) over occupied buckets."""
         return np.unique(self.bucket, return_counts=True)
-
-    def dump_ply(self, path, binary: bool = True):
-        """Debug dump: pool positions with their mse as a scalar property."""
-        from .plyio import write_points_ply
-
-        write_points_ply(path, self.pos, scalars={"mse": self.mse}, binary=binary)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyScan
-from .pool import ReliabilityParams, reliability_mse
+from .pool import PoolConfig, reliability_mse
 
 # eigenvalue ratio below which a PCA neighborhood counts as degenerate
 # (collinear or coincident points: the normal direction is ambiguous)
@@ -126,7 +126,7 @@ def compute_incidence(rays, normals, cos_eps: float = 1e-3):
 
 
 def generate_samples(
-    scan: Scan, normals, cfg: SamplerConfig, rel: ReliabilityParams, rng
+    scan: Scan, normals, cfg: SamplerConfig, pool_cfg: PoolConfig, rng
 ) -> SampleBatch:
     """Emit supervision samples for every ray of a scan.
 
@@ -174,4 +174,4 @@ def generate_samples(
     label[: n] = 0.0  # surface block: exact zeros, no roundoff residue
     rl = ray_len[ray_idx]
     ci = cos[ray_idx]
-    return SampleBatch(pos, label, rl, ci, reliability_mse(rl, ci, rel))
+    return SampleBatch(pos, label, rl, ci, reliability_mse(rl, ci, pool_cfg))

@@ -49,6 +49,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        sizes = self.voxel_sizes
+        if not (sizes and all(isinstance(v, (int, float)) and v > 0 for v in sizes)):
+            raise ValueError("voxel_sizes must be a non-empty list of positive numbers")
         if not 0 <= self.n_uncertain <= self.batch_size:
             raise ValueError("need 0 <= n_uncertain <= batch_size")
 
@@ -95,10 +98,12 @@ class Mapper:
             rng=self._rng(_DECODER_STREAM),
         )
         self.field = NeuralSdfField(self.grid, self.decoder)
-        self.pool = ReplayPool.from_config(c.pool)
-        self.perturb = PerturbField(c.uncertainty.grid_size, c.uncertainty.gamma)
-        self.adam = AdamConfig(c.adam.lr, c.adam.beta1, c.adam.beta2, c.adam.eps, c.adam.step)
+        # pool buckets and Fisher vertices share the coarsest level's lattice
+        lattice = max(c.voxel_sizes)
+        self.pool = ReplayPool(lattice, c.pool.capacity, c.pool.prune_radius)
+        self.perturb = PerturbField(lattice, c.uncertainty.gamma)
         self.plan = BatchPlan(c.batch_size, c.n_uncertain)
+        self.adam_steps = 0  # Adam updates applied so far (bias correction)
         self.frames_done = 0
 
     def _rng(self, *words):
@@ -123,7 +128,7 @@ class Mapper:
         normals, degenerate = estimate_normals(scan, k=cfg.sampler.normal_k)
         report.degenerate_normals = int(degenerate.sum())
         rng_s = self._rng(scan.frame_id, _TAG_SAMPLER)
-        batch = generate_samples(scan, normals, cfg.sampler, cfg.pool.reliability(), rng_s)
+        batch = generate_samples(scan, normals, cfg.sampler, cfg.pool, rng_s)
         t1 = time.perf_counter()
         report.stage_ms["sample"] = 1e3 * (t1 - t0)
 
@@ -157,7 +162,8 @@ class Mapper:
                     f"non-finite loss {loss} at frame {scan.frame_id}, "
                     f"iteration {len(report.losses)}"
                 )
-            adam_step(store, self.grid, self.decoder, self.adam)
+            self.adam_steps += 1
+            adam_step(store, self.grid, self.decoder, cfg.adam, self.adam_steps)
             report.losses.append(loss)
             drawn.append(rows)
         t5 = time.perf_counter()
@@ -191,10 +197,3 @@ class Mapper:
             scan = Scan(origin=pose[:, 3], points=world, frame_id=self.frames_done)
             reports.append(self.process_frame(scan))
         return reports
-
-
-def run_sequence(point_clouds, poses, cfg: TrainConfig = None):
-    """Convenience wrapper: fresh Mapper folded over a sequence."""
-    mapper = Mapper(cfg)
-    reports = mapper.run_sequence(point_clouds, poses)
-    return mapper, reports

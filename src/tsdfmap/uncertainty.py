@@ -1,14 +1,16 @@
 """Epistemic uncertainty via a zero-valued perturbation field.
 
-A virtual 3-vector displacement field sits on a coarse vertex lattice;
-it is never trained or applied, it only defines Jacobians. For a sample
-at u with trilinear weight w_v at vertex v, the output Jacobian w.r.t.
-that vertex's displacement is w_v * grad_x s(u), so the diagonal Fisher
-accumulates w_v^2 * grad^2 per component. Vertex variance is the
-Laplace-approximation diagonal 1 / (fisher + gamma^-2); a fresh vertex
-has prior variance gamma^2 per component. Query sigma is the norm of the
-trilinearly interpolated variance vector; supervision can only shrink
-it, so high sigma marks poorly constrained map regions.
+A virtual 3-vector displacement field sits on the vertices of the
+coarsest grid level's lattice; the Mapper derives that spacing from
+`max(voxel_sizes)`, so the field shares its lattice with the replay
+pool's buckets. It is never trained or applied, it only defines
+Jacobians. For a sample at u with trilinear weight w_v at vertex v, the
+output Jacobian w.r.t. that vertex's displacement is w_v * grad_x s(u),
+so the diagonal Fisher accumulates w_v^2 * grad^2 per component. Vertex
+variance is the Laplace-approximation diagonal 1 / (fisher + gamma^-2);
+a fresh vertex has prior variance gamma^2 per component. Query sigma is
+the norm of the trilinearly interpolated variance vector; supervision
+can only shrink it, so high sigma marks poorly constrained map regions.
 
 Batches then mix `n_uncertain` draws from the uncertain buckets with
 bulk draws from the certain ones, focusing optimization on regions the
@@ -27,13 +29,12 @@ from .kernels.scatter import scatter_add_rows
 
 @dataclass
 class UncertaintyConfig:
-    grid_size: float = 0.45  # perturbation lattice spacing (= pool voxels)
     gamma: float = 1.0  # prior std of the virtual displacement
     threshold: float = 0.98  # on per-frame min-max normalized sigma
 
     def __post_init__(self):
-        if not (self.grid_size > 0 and self.gamma > 0):
-            raise ValueError("grid_size and gamma must be positive")
+        if not self.gamma > 0:
+            raise ValueError("gamma must be positive")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
 
@@ -185,16 +186,3 @@ def _bucket_member(buckets, sorted_keys):
     pos = np.searchsorted(sorted_keys, buckets)
     pos = np.minimum(pos, sorted_keys.size - 1)
     return sorted_keys[pos] == buckets
-
-
-def dump_partition_csv(partition: VoxelPartition, pool, path):
-    """Per-bucket sigma snapshot: center, raw, normalized, set label."""
-    centers = pool.bucket_centers(partition.keys)
-    unc = _bucket_member(partition.keys, partition.uncertain)
-    with open(path, "w") as fh:
-        fh.write("x,y,z,sigma,normalized,set\n")
-        for c, s, nrm, u in zip(centers, partition.sigma, partition.normalized, unc):
-            fh.write(
-                f"{c[0]:.6f},{c[1]:.6f},{c[2]:.6f},{s:.9g},{nrm:.9g},"
-                f"{'uncertain' if u else 'certain'}\n"
-            )

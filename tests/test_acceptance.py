@@ -129,7 +129,7 @@ def test_02_projective_label_bias_law(capsys):
     scan = Scan(origin=origin, points=origin + t[:, None] * dirs, frame_id=0)
     normals, _ = estimate_normals(scan)
     batch = generate_samples(scan, normals, SamplerConfig(),
-                             PoolConfig().reliability(), np.random.default_rng(0))
+                             PoolConfig(), np.random.default_rng(0))
 
     trunc = SamplerConfig().trunc_dist
     sel = (np.abs(batch.label) > 0) & (np.abs(batch.label) < trunc)
@@ -206,7 +206,7 @@ def test_04_replay_memory_plateaus(capsys):
     scan, _ = simulate_scan(pose, model, scene, frame_id=0)
     normals, _ = estimate_normals(scan)
     batch = generate_samples(scan, normals, SamplerConfig(),
-                             PoolConfig().reliability(), np.random.default_rng(99))
+                             PoolConfig(), np.random.default_rng(99))
 
     tau = 32
     pool = ReplayPool(voxel_size=0.45, capacity=tau, prune_radius=50.0)
@@ -473,7 +473,8 @@ def test_10_external_dataset_benchmark(capsys):
         pytest.skip("external dataset not configured")
 
     from tsdfmap.cli import _scan_paths
-    from tsdfmap.plyio import load_poses, load_scan
+    from tsdfmap.plyio import load_scan
+    from tsdfmap.poses import load_poses
     from tsdfmap.mesher import load_mesh
 
     scans = [load_scan(p)[0] for p in _scan_paths(os.path.join(root, "scans"))]

@@ -22,7 +22,7 @@ def make_scan(frame, seed=0):
 
 def assert_mappers_equal(a: Mapper, b: Mapper):
     assert a.frames_done == b.frames_done
-    assert a.adam.step == b.adam.step
+    assert a.adam_steps == b.adam_steps
     for n in PARAM_NAMES:
         np.testing.assert_array_equal(a.decoder.params[n], b.decoder.params[n])
         np.testing.assert_array_equal(a.decoder.adam_m[n], b.decoder.adam_m[n])

@@ -8,12 +8,10 @@ from tsdfmap.plyio import load_ply
 
 RUN_YAML = """\
 seed: 3
-field:
-  voxel_sizes: [0.3, 0.45]
-train:
-  iterations: 10
-  batch_size: 1024
-  n_uncertain: 256
+voxel_sizes: [0.3, 0.45]
+iterations: 10
+batch_size: 1024
+n_uncertain: 256
 sampler:
   normal_k: 12
 mesh:
@@ -88,7 +86,7 @@ def test_map_outputs(map_dir):
     assert (map_dir / "mesh_00006.ply").exists()
     manifest = json.loads((map_dir / "manifest.json").read_text())
     assert manifest["n_scans"] == 6
-    assert manifest["config"]["train"]["iterations"] == 10
+    assert manifest["config"]["iterations"] == 10
 
 
 def test_mesh_command(workdir, map_dir):
@@ -128,6 +126,20 @@ def test_eval_threshold_flag(workdir, map_dir, capsys):
     rc = main(["eval", str(mesh), str(mesh), "--threshold", "0.05"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["f1_pct"] == 100.0
+
+
+def test_eval_seed_flag_sets_eval_seed(workdir, map_dir, capsys):
+    cfg = workdir / "eval.yaml"
+    cfg.write_text("eval:\n  n_points: 2000\n  seed: 2\n")
+    meshes = [str(map_dir / "mesh_00003.ply"), str(map_dir / "mesh_00006.ply")]
+
+    def accuracy(*flags):
+        assert main(["eval", *meshes, "--config", str(cfg), *flags]) == 0
+        return json.loads(capsys.readouterr().out)["accuracy_cm"]
+
+    from_file = accuracy()
+    assert accuracy("--seed", "2") == from_file
+    assert accuracy("--seed", "1") != from_file
 
 
 def test_map_pose_count_mismatch(workdir, sim_dir, capsys):

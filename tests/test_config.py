@@ -1,4 +1,5 @@
-import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -9,19 +10,20 @@ from tsdfmap.config import (
     config_to_dict,
     dump_config,
     load_config,
-    to_train_config,
-    train_config_from_dict,
 )
+from tsdfmap.trainer import TrainConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_defaults_match_engine_settings():
     cfg = RunConfig()
     assert cfg.seed == 0
-    assert tuple(cfg.field.voxel_sizes) == (0.3, 0.45)
-    assert cfg.field.feature_dim == 8
-    assert cfg.train.iterations == 15
-    assert cfg.train.batch_size == 16384
-    assert cfg.train.n_uncertain == 1000
+    assert tuple(cfg.voxel_sizes) == (0.3, 0.45)
+    assert cfg.feature_dim == 8
+    assert cfg.iterations == 15
+    assert cfg.batch_size == 16384
+    assert cfg.n_uncertain == 1000
     assert cfg.sampler.trunc_dist == 0.3
     assert cfg.sampler.n_front == 3
     assert cfg.sampler.n_behind == 1
@@ -36,10 +38,10 @@ def test_defaults_match_engine_settings():
 
 def test_yaml_roundtrip_is_semantically_identical(tmp_path):
     path = tmp_path / "run.yaml"
-    path.write_text("seed: 7\ntrain:\n  iterations: 5\npool:\n  capacity: 64\n")
+    path.write_text("seed: 7\niterations: 5\npool:\n  capacity: 64\n")
     cfg = load_config(path)
     assert cfg.seed == 7
-    assert cfg.train.iterations == 5
+    assert cfg.iterations == 5
     assert cfg.pool.capacity == 64
     # untouched sections keep defaults
     assert cfg.adam.lr == 0.01
@@ -51,15 +53,25 @@ def test_yaml_roundtrip_is_semantically_identical(tmp_path):
     assert config_to_dict(cfg) == config_to_dict(cfg2)
     # serialization materializes every default
     data = yaml.safe_load(text)
-    assert data["train"]["batch_size"] == 16384
+    assert data["batch_size"] == 16384
     assert data["uncertainty"]["gamma"] == 1.0
 
 
 def test_unknown_key_rejected_with_path(tmp_path):
     path = tmp_path / "bad.yaml"
-    path.write_text("train:\n  iterationz: 5\n")
-    with pytest.raises(ValueError, match="train.iterationz"):
-        load_config(path)
+    cases = [
+        ("sampler:\n  n_frontz: 5\n", "sampler.n_frontz"),
+        # keys of the former nested layout and of copies now derived
+        ("field:\n  feature_dim: 4\n", "field"),
+        ("train:\n  iterations: 5\n", "train"),
+        ("pool:\n  voxel_size: 0.45\n", "pool.voxel_size"),
+        ("uncertainty:\n  grid_size: 0.45\n", "uncertainty.grid_size"),
+        ("adam:\n  step: 500\n", "adam.step"),
+    ]
+    for text, key in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"unknown config key {re.escape(key)}$"):
+            load_config(path)
 
 
 def test_unknown_top_level_key_rejected(tmp_path):
@@ -75,9 +87,9 @@ def test_type_errors_are_loud():
     with pytest.raises(ValueError, match="expected a number"):
         build_dataclass(RunConfig, {"pool": {"capacity": 4, "alpha": "x"}})
     with pytest.raises(ValueError, match="expected true/false"):
-        build_dataclass(RunConfig, {"train": {"active_sampling": 1}})
+        build_dataclass(RunConfig, {"active_sampling": 1})
     with pytest.raises(ValueError, match="expected a mapping"):
-        build_dataclass(RunConfig, {"train": [1, 2]})
+        build_dataclass(RunConfig, {"pool": [1, 2]})
 
 
 def test_bool_not_accepted_as_int():
@@ -98,41 +110,30 @@ def test_empty_file_gives_defaults(tmp_path):
     assert config_to_dict(cfg) == config_to_dict(RunConfig())
 
 
-def test_to_train_config_flattens():
-    run = RunConfig()
-    run.seed = 5
-    run.train.iterations = 7
-    run.field.feature_dim = 4
-    tc = to_train_config(run)
-    assert tc.seed == 5
-    assert tc.iterations == 7
-    assert tc.feature_dim == 4
-    assert tc.adam.lr == run.adam.lr
-
-
-def test_to_train_config_copies_nested_state():
-    run = RunConfig()
-    tc = to_train_config(run)
-    tc.adam.step = 99
-    tc.pool.capacity = 1
-    assert run.adam.step == 0
-    assert run.pool.capacity == 256
-
-
 def test_train_config_dict_roundtrip():
-    run = RunConfig()
-    run.train.batch_size = 512
-    run.train.n_uncertain = 128
-    tc = to_train_config(run)
-    tc.adam.step = 42
-    back = train_config_from_dict(config_to_dict(tc))
-    assert back == dataclasses.replace(tc, voxel_sizes=tuple(tc.voxel_sizes))
-    assert back.adam.step == 42
+    tc = TrainConfig(batch_size=512, n_uncertain=128, voxel_sizes=(0.2, 0.6))
+    back = build_dataclass(TrainConfig, config_to_dict(tc))
+    assert back == tc
     assert back.batch_size == 512
 
 
 def test_validation_happens_at_parse_time():
-    with pytest.raises(ValueError):
-        build_dataclass(RunConfig, {"adam": {"lr": -0.5}})
-    with pytest.raises(ValueError):
-        build_dataclass(RunConfig, {"sampler": {"n_front": -1}})
+    for data in (
+        {"adam": {"lr": -0.5}},
+        {"sampler": {"n_front": -1}},
+        {"pool": {"prune_radius": 0}},
+        {"pool": {"alpha": -1}},
+        {"voxel_sizes": []},
+    ):
+        with pytest.raises(ValueError):
+            build_dataclass(RunConfig, data)
+
+
+def test_readme_quick_start_config_parses(tmp_path):
+    m = re.search(r"cat > run\.yaml <<'EOF'\n(.*?)\nEOF\n", README.read_text(), re.S)
+    assert m, "README has no run.yaml heredoc"
+    path = tmp_path / "run.yaml"
+    path.write_text(m.group(1))
+    cfg = load_config(path)
+    assert cfg.batch_size == 4096
+    assert cfg.sim.scene

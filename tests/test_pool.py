@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsdfmap.pool import PoolConfig, ReliabilityParams, ReplayPool, reliability_mse
+from tsdfmap.pool import PoolConfig, ReplayPool, reliability_mse
 from tsdfmap.sampler import SampleBatch
 
 
@@ -22,7 +22,7 @@ def rand_batch(rng, n, extent=5.0):
 
 
 def test_reliability_examples():
-    p = ReliabilityParams(alpha=1.0, prune_radius=50.0)
+    p = PoolConfig(alpha=1.0, prune_radius=50.0)
     # normal incidence at half the pruning radius: bias 0, sigma 0.5
     assert reliability_mse(np.array([25.0]), np.array([1.0]), p)[0] == \
         pytest.approx(0.25)
@@ -35,7 +35,7 @@ def test_reliability_examples():
 
 
 def test_reliability_monotonic_in_range_and_incidence(rng):
-    p = ReliabilityParams()
+    p = PoolConfig()
     r = np.linspace(1.0, 50.0, 20)
     v = reliability_mse(r, np.full(20, 0.8), p)
     assert (np.diff(v) > 0).all()
@@ -161,16 +161,6 @@ def test_bucket_census(rng):
     assert sorted(counts.tolist()) == [1, 2]
     centers = pool.bucket_centers(keys)
     assert {tuple(c) for c in centers} == {(0.5, 0.5, 0.5), (1.5, 0.5, 0.5)}
-
-
-def test_from_config_roundtrip():
-    cfg = PoolConfig(voxel_size=0.6, capacity=99, prune_radius=12.0, alpha=2.0)
-    pool = ReplayPool.from_config(cfg)
-    assert pool.voxel_size == 0.6
-    assert pool.capacity == 99
-    assert pool.prune_radius == 12.0
-    rel = cfg.reliability()
-    assert rel.alpha == 2.0 and rel.prune_radius == 12.0
 
 
 @settings(deadline=None, max_examples=40)

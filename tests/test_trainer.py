@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from tsdfmap.errors import NonFiniteLoss, PoseCountMismatch
+from tsdfmap.pool import PoolConfig
 from tsdfmap.sampler import Scan
-from tsdfmap.trainer import Mapper, TrainConfig, loss_mse, run_sequence
+from tsdfmap.trainer import Mapper, TrainConfig, loss_mse
 
 
 def small_cfg(**kw):
@@ -74,12 +75,13 @@ def test_losses_decrease_over_frames(rng):
 def test_mapper_runs_deterministically(rng):
     clouds = [plane_cloud(np.random.default_rng(f), 150) for f in range(3)]
     poses = [identity_pose((0.0, 0.0, 2.0 + 0.1 * f)) for f in range(3)]
-    _, rep_a = run_sequence(clouds, poses, small_cfg())
-    _, rep_b = run_sequence(clouds, poses, small_cfg())
+    rep_a = Mapper(small_cfg()).run_sequence(clouds, poses)
+    rep_b = Mapper(small_cfg()).run_sequence(clouds, poses)
     for a, b in zip(rep_a, rep_b):
         assert a.losses == b.losses
-    m_a, _ = run_sequence(clouds, poses, small_cfg())
-    m_b, _ = run_sequence(clouds, poses, small_cfg())
+    m_a, m_b = Mapper(small_cfg()), Mapper(small_cfg())
+    m_a.run_sequence(clouds, poses)
+    m_b.run_sequence(clouds, poses)
     for la, lb in zip(m_a.grid.levels, m_b.grid.levels):
         assert np.array_equal(la.features, lb.features)
 
@@ -87,8 +89,8 @@ def test_mapper_runs_deterministically(rng):
 def test_seed_changes_trajectory(rng):
     clouds = [plane_cloud(rng, 150)]
     poses = [identity_pose()]
-    _, rep_a = run_sequence(clouds, poses, small_cfg(seed=1))
-    _, rep_b = run_sequence(clouds, poses, small_cfg(seed=2))
+    rep_a = Mapper(small_cfg(seed=1)).run_sequence(clouds, poses)
+    rep_b = Mapper(small_cfg(seed=2)).run_sequence(clouds, poses)
     assert rep_a[0].losses != rep_b[0].losses
 
 
@@ -96,7 +98,8 @@ def test_run_sequence_transforms_to_world(rng):
     # sensor-frame points + pose translation: map bounds follow the pose
     cloud = plane_cloud(rng, 100, z=-2.0)  # sensor 2 m above the plane
     pose = identity_pose((10.0, 10.0, 2.0))
-    mapper, _ = run_sequence([cloud], [pose], small_cfg())
+    mapper = Mapper(small_cfg())
+    mapper.run_sequence([cloud], [pose])
     lo, hi = mapper.grid.bounds()
     assert lo[0] > 5.0  # allocations live near x,y ~ 10
     assert hi[0] < 15.0
@@ -104,7 +107,7 @@ def test_run_sequence_transforms_to_world(rng):
 
 def test_pose_count_mismatch(rng):
     with pytest.raises(PoseCountMismatch):
-        run_sequence([plane_cloud(rng)], [], small_cfg())
+        Mapper(small_cfg()).run_sequence([plane_cloud(rng)], [])
 
 
 def test_nonfinite_loss_aborts(rng):
@@ -146,8 +149,20 @@ def test_capacity_postcondition(rng):
     assert counts.max() <= 5
 
 
+def test_pool_and_perturb_share_coarsest_lattice():
+    cfg = TrainConfig(voxel_sizes=(0.2, 0.6),
+                      pool=PoolConfig(capacity=99, prune_radius=12.0))
+    mapper = Mapper(cfg)
+    assert mapper.pool.voxel_size == mapper.perturb.grid_size == 0.6
+    assert mapper.pool.capacity == 99
+    assert mapper.pool.prune_radius == 12.0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(iterations=0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=10, n_uncertain=11)
+    for sizes in ((), (0.3, 0.0), (0.3, -0.45)):
+        with pytest.raises(ValueError):
+            TrainConfig(voxel_sizes=sizes)

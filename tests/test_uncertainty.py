@@ -256,6 +256,5 @@ def test_draw_batch_empty_pool_raises():
 
 def test_uncertainty_config_defaults():
     cfg = UncertaintyConfig()
-    assert cfg.grid_size == 0.45
     assert cfg.gamma == 1.0
     assert cfg.threshold == 0.98
