@@ -17,6 +17,7 @@ from .config import build_dataclass, config_to_dict
 from .decoder import PARAM_NAMES
 from .errors import UnsupportedFormat
 from .hashmap import VoxelHash
+from .pool import _COLUMNS as POOL_COLUMNS
 from .trainer import Mapper, TrainConfig
 
 FORMAT_VERSION = 2
@@ -43,15 +44,8 @@ def save_checkpoint(path, mapper: Mapper) -> None:
         arrays[f"grid{i}_v"] = lvl.adam_v
     arrays["perturb_keys"] = mapper.perturb.vertices.keys
     arrays["perturb_fisher"] = mapper.perturb.fisher
-    pool = mapper.pool
-    arrays["pool_pos"] = pool.pos
-    arrays["pool_label"] = pool.label
-    arrays["pool_ray_len"] = pool.ray_len
-    arrays["pool_cos_inc"] = pool.cos_inc
-    arrays["pool_mse"] = pool.mse
-    arrays["pool_frame_id"] = pool.frame_id
-    arrays["pool_seq"] = pool.seq
-    arrays["pool_bucket"] = pool.bucket
+    for name, _, _ in POOL_COLUMNS:
+        arrays[f"pool_{name}"] = getattr(mapper.pool, name)
     np.savez_compressed(path, **arrays)
 
 
@@ -81,14 +75,7 @@ def load_checkpoint(path) -> Mapper:
         mapper.perturb.vertices = VoxelHash.from_keys(pkeys)
         mapper.perturb._ensure_rows(pkeys.size)
         mapper.perturb.fisher[:] = data["perturb_fisher"]
-        pool = mapper.pool
-        pool.pos = data["pool_pos"].copy()
-        pool.label = data["pool_label"].copy()
-        pool.ray_len = data["pool_ray_len"].copy()
-        pool.cos_inc = data["pool_cos_inc"].copy()
-        pool.mse = data["pool_mse"].copy()
-        pool.frame_id = data["pool_frame_id"].copy()
-        pool.seq = data["pool_seq"].copy()
-        pool.bucket = data["pool_bucket"].copy()
-        pool._next_seq = int(data["pool_next_seq"])
+        for name, _, _ in POOL_COLUMNS:
+            setattr(mapper.pool, name, data[f"pool_{name}"].copy())
+        mapper.pool._next_seq = int(data["pool_next_seq"])
     return mapper

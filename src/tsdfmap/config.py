@@ -92,7 +92,12 @@ def build_dataclass(cls, data, path=""):
             kwargs[f.name] = build_dataclass(hint, data[f.name], f"{path}{f.name}.")
         else:
             kwargs[f.name] = _coerce(data[f.name], hint, f"{path}{f.name}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as e:  # a range check in the section's __post_init__
+        if not path:
+            raise
+        raise ValueError(f"config section {path[:-1]}: {e}") from None
 
 
 def _plain(obj):

@@ -51,10 +51,6 @@ class SdfDecoder:
         self.adam_m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    @property
-    def n_params(self) -> int:
-        return sum(v.size for v in self.params.values())
-
     def forward(self, feats):
         """(n, feature_dim) features -> ((n,) sdf, cache)."""
         p = self.params

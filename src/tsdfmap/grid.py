@@ -193,11 +193,6 @@ class FeatureGrid:
             all_fracs[:, li] = frac
         return feats, InterpRecord(all_rows, all_weights, all_fracs)
 
-    def query(self, point):
-        """Single-point convenience wrapper around interpolate()."""
-        feats, record = self.interpolate(np.asarray(point, dtype=np.float64).reshape(1, 3))
-        return feats[0], record
-
     def voxels_allocated(self, points):
         """Boolean mask: point lies in a fully allocated voxel at every level."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)

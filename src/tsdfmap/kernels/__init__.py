@@ -1,10 +1,13 @@
 """Kernel dispatch: numba-compiled hot loops with pure-numpy fallbacks.
 
-Every hot kernel exists twice, as ``<name>_numba`` (an ``@njit`` loop)
-and ``<name>_numpy`` (a vectorized implementation). The public alias
-``<name>`` points at the numba build unless the environment variable
-``TSDFMAP_NUMBA`` is set to ``0``/``false``/``off`` or numba is not
-importable. ``benchmarks/bench_kernels.py`` times both paths.
+Hash probing, row scatter-add, sparse Adam and sphere tracing exist
+twice, as ``<name>_numba`` (an ``@njit`` loop) and ``<name>_numpy`` (a
+numpy implementation). The public alias ``<name>`` points at the numba
+build unless the environment variable ``TSDFMAP_NUMBA`` is set to
+``0``/``false``/``off``/``no`` or numba is not importable. Marching-cubes
+emission is one vectorized gather and has no compiled twin. Running
+``perfbench/run.py --trace 1`` with and without ``TSDFMAP_NUMBA=0``
+compares the two lanes.
 """
 
 import os

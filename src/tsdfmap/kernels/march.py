@@ -1,14 +1,13 @@
 """Marching-cubes cell classification and triangle emission.
 
-Classification is a vectorized gather; the per-cell triangle emission is
-the loop-heavy part and exists in both lanes. Output ordering is fixed
-(ascending cell id, table order within a cell) so meshes are identical
-across lanes.
+Both steps are vectorized gathers over the case tables, so this module
+has one lane only: emission is a small share of meshing time and a
+compiled twin would buy nothing measurable. Output ordering is fixed
+(ascending cell id, table order within a cell).
 """
 
 import numpy as np
 
-from . import JIT_ENABLED, njit
 from .mc_tables import CASE_EDGES, CASE_TRIANGLES, EDGE_CORNERS, MC_CORNERS
 
 # triangles per case, derived from the table
@@ -47,28 +46,17 @@ def classify_cells(values, valid):
     return cell_ids, case.ravel()[cell_ids]
 
 
-@njit(cache=True)
-def emit_triangles_numba(cases, tri_table, counts, offsets, out_cell, out_edges):
-    for i in range(cases.shape[0]):
-        c = cases[i]
-        o = offsets[i]
-        for t in range(counts[i]):
-            out_cell[o + t] = i
-            out_edges[o + t, 0] = tri_table[c, 3 * t]
-            out_edges[o + t, 1] = tri_table[c, 3 * t + 1]
-            out_edges[o + t, 2] = tri_table[c, 3 * t + 2]
+def emit_triangles(cases, tri_table, counts, offsets, out_cell, out_edges):
+    """Fill out_cell/out_edges with each cut cell's triangles, in order.
 
-
-def emit_triangles_numpy(cases, tri_table, counts, offsets, out_cell, out_edges):
+    `counts` holds the per-cell triangle counts and `offsets` their
+    exclusive prefix sum, where a per-cell loop would write each cell;
+    this gather does not need `offsets`. The outputs are preallocated to
+    counts.sum() rows.
+    """
     rows = tri_table[cases]
     out_edges[:] = rows[rows >= 0].reshape(-1, 3)
     out_cell[:] = np.repeat(np.arange(cases.shape[0]), counts)
-
-
-if JIT_ENABLED:
-    emit_triangles = emit_triangles_numba
-else:
-    emit_triangles = emit_triangles_numpy
 
 
 def emit(cases):

@@ -26,8 +26,10 @@ class PoolConfig:
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if not (self.alpha > 0 and self.prune_radius > 0):
-            raise ValueError("alpha and prune_radius must be positive")
+        if not self.alpha > 0:
+            raise ValueError("alpha must be positive")
+        if not self.prune_radius > 0:
+            raise ValueError("prune_radius must be positive")
 
 
 def reliability_mse(ray_len, cos_incidence, cfg: PoolConfig):
@@ -41,7 +43,17 @@ def reliability_mse(ray_len, cos_incidence, cfg: PoolConfig):
     return bias * bias + sigma * sigma
 
 
-_COLUMNS = ("pos", "label", "ray_len", "cos_inc", "mse", "frame_id", "seq", "bucket")
+# (name, dtype, trailing shape) of every pool column, in checkpoint order
+_COLUMNS = (
+    ("pos", np.float64, (3,)),
+    ("label", np.float64, ()),
+    ("ray_len", np.float64, ()),
+    ("cos_inc", np.float64, ()),
+    ("mse", np.float64, ()),
+    ("frame_id", np.int32, ()),
+    ("seq", np.int64, ()),
+    ("bucket", np.int64, ()),  # packed bucket key
+)
 
 
 class ReplayPool:
@@ -52,14 +64,8 @@ class ReplayPool:
         self.voxel_size = float(voxel_size)
         self.capacity = int(capacity)
         self.prune_radius = float(prune_radius)
-        self.pos = np.zeros((0, 3))
-        self.label = np.zeros(0)
-        self.ray_len = np.zeros(0)
-        self.cos_inc = np.zeros(0)
-        self.mse = np.zeros(0)
-        self.frame_id = np.zeros(0, dtype=np.int32)
-        self.seq = np.zeros(0, dtype=np.int64)
-        self.bucket = np.zeros(0, dtype=np.int64)  # packed bucket key
+        for name, dtype, shape in _COLUMNS:
+            setattr(self, name, np.zeros((0, *shape), dtype=dtype))
         self._next_seq = 0
 
     @property
@@ -74,33 +80,24 @@ class ReplayPool:
         return np.floor(np.asarray(u, dtype=np.float64) / self.voxel_size).astype(np.int64)
 
     def _take(self, idx):
-        self.pos = self.pos[idx]
-        self.label = self.label[idx]
-        self.ray_len = self.ray_len[idx]
-        self.cos_inc = self.cos_inc[idx]
-        self.mse = self.mse[idx]
-        self.frame_id = self.frame_id[idx]
-        self.seq = self.seq[idx]
-        self.bucket = self.bucket[idx]
+        for name, _, _ in _COLUMNS:
+            setattr(self, name, getattr(self, name)[idx])
 
     def insert(self, batch, frame_id: int):
         """Append a SampleBatch; rows get consecutive sequence numbers."""
         m = len(batch)
         if m == 0:
             return
-        self.pos = np.concatenate([self.pos, batch.pos])
-        self.label = np.concatenate([self.label, batch.label])
-        self.ray_len = np.concatenate([self.ray_len, batch.ray_len])
-        self.cos_inc = np.concatenate([self.cos_inc, batch.cos_inc])
-        self.mse = np.concatenate([self.mse, batch.mse])
-        self.frame_id = np.concatenate(
-            [self.frame_id, np.full(m, frame_id, dtype=np.int32)]
-        )
-        self.seq = np.concatenate(
-            [self.seq, np.arange(self._next_seq, self._next_seq + m, dtype=np.int64)]
-        )
+        # the other columns come from the batch's fields of the same name
+        derived = {
+            "frame_id": np.full(m, frame_id, dtype=np.int32),
+            "seq": np.arange(self._next_seq, self._next_seq + m, dtype=np.int64),
+            "bucket": pack_coords(self.bucket_of(batch.pos)),
+        }
         self._next_seq += m
-        self.bucket = np.concatenate([self.bucket, pack_coords(self.bucket_of(batch.pos))])
+        for name, _, _ in _COLUMNS:
+            new = derived[name] if name in derived else getattr(batch, name)
+            setattr(self, name, np.concatenate([getattr(self, name), new]))
 
     def prune_window(self, origin) -> int:
         """Drop samples with ||u - origin|| >= prune_radius; returns count."""

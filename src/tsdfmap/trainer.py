@@ -23,7 +23,7 @@ from .field import NeuralSdfField
 from .grid import FeatureGrid
 from .pool import PoolConfig, ReplayPool
 from .sampler import Scan, SamplerConfig, estimate_normals, generate_samples, voxel_downsample
-from .uncertainty import BatchPlan, PerturbField, UncertaintyConfig, draw_batch, partition_voxels
+from .uncertainty import PerturbField, UncertaintyConfig, draw_batch, partition_voxels
 
 # rng stream tags (third SeedSequence word)
 _TAG_SAMPLER = 1
@@ -102,7 +102,6 @@ class Mapper:
         lattice = max(c.voxel_sizes)
         self.pool = ReplayPool(lattice, c.pool.capacity, c.pool.prune_radius)
         self.perturb = PerturbField(lattice, c.uncertainty.gamma)
-        self.plan = BatchPlan(c.batch_size, c.n_uncertain)
         self.adam_steps = 0  # Adam updates applied so far (bias correction)
         self.frames_done = 0
 
@@ -154,7 +153,7 @@ class Mapper:
         rng_b = self._rng(scan.frame_id, _TAG_BATCH)
         drawn = []
         for _ in range(cfg.iterations):
-            rows = draw_batch(self.pool, partition, self.plan, rng_b)
+            rows = draw_batch(self.pool, partition, cfg.batch_size, cfg.n_uncertain, rng_b)
             _, cache = self.field.predict(self.pool.pos[rows])
             loss, store = self.field.backward_mse(cache, self.pool.label[rows])
             if not np.isfinite(loss):

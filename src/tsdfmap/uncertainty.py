@@ -112,16 +112,6 @@ class VoxelPartition:
     threshold: float
 
 
-@dataclass
-class BatchPlan:
-    batch_size: int = 16384
-    n_uncertain: int = 1000
-
-    def __post_init__(self):
-        if not 0 <= self.n_uncertain <= self.batch_size:
-            raise ValueError("need 0 <= n_uncertain <= batch_size")
-
-
 def partition_voxels(pool, field: PerturbField, threshold: float = 0.98) -> VoxelPartition:
     """Split occupied pool buckets into uncertain/certain sets.
 
@@ -150,26 +140,27 @@ def partition_voxels(pool, field: PerturbField, threshold: float = 0.98) -> Voxe
     )
 
 
-def draw_batch(pool, partition, plan: BatchPlan, rng):
+def draw_batch(pool, partition, batch_size: int, n_uncertain: int, rng):
     """Row indices into the pool for one training batch.
 
     Draws uniformly with replacement: min(n_uncertain, #samples in
     uncertain buckets) rows from the uncertain side, the remainder from
     the certain side, backfilling across sides when one is empty. With
     partition=None the whole pool is drawn uniformly (the non-guided
-    baseline). Always returns exactly batch_size rows.
+    baseline). Always returns exactly batch_size rows. The caller
+    guarantees 0 <= n_uncertain <= batch_size, as `TrainConfig` does.
     """
     if pool.n == 0:
         raise EmptyPool("cannot draw a batch from an empty pool")
     if partition is None:
-        return rng.integers(0, pool.n, size=plan.batch_size)
+        return rng.integers(0, pool.n, size=batch_size)
     unc_mask = _bucket_member(pool.bucket, partition.uncertain)
     unc_rows = np.flatnonzero(unc_mask)
     cer_rows = np.flatnonzero(~unc_mask)
-    n_unc = min(plan.n_uncertain, unc_rows.size)
+    n_unc = min(n_uncertain, unc_rows.size)
     if cer_rows.size == 0:
-        n_unc = plan.batch_size  # certain side empty: all draws uncertain
-    n_cer = plan.batch_size - n_unc
+        n_unc = batch_size  # certain side empty: all draws uncertain
+    n_cer = batch_size - n_unc
     parts = []
     if n_unc:
         parts.append(unc_rows[rng.integers(0, unc_rows.size, size=n_unc)])

@@ -34,7 +34,7 @@ from tsdfmap.sim import (
 )
 from tsdfmap.kernels.trace import trace_rays
 from tsdfmap.trainer import Mapper, TrainConfig
-from tsdfmap.uncertainty import BatchPlan, VoxelPartition, draw_batch
+from tsdfmap.uncertainty import VoxelPartition, draw_batch
 
 
 def _verdict(capsys, num, name, ok, detail=""):
@@ -308,10 +308,10 @@ def test_06_batch_composition_exact(capsys):
                               sigma=np.zeros(keys.size),
                               normalized=np.zeros(keys.size), threshold=0.98)
         bs = int(rng.integers(8, 64))
-        plan = BatchPlan(batch_size=bs, n_uncertain=int(rng.integers(1, bs + 1)))
-        rows = draw_batch(pool, part, plan, rng)
+        n_uncertain = int(rng.integers(1, bs + 1))
+        rows = draw_batch(pool, part, bs, n_uncertain, rng)
         available = int(np.isin(pool.bucket, unc).sum())
-        want = min(plan.n_uncertain, available)
+        want = min(n_uncertain, available)
         if rows.size != bs or int(np.isin(pool.bucket[rows], unc).sum()) != want:
             bad += 1
     dt = time.perf_counter() - t0

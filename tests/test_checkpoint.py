@@ -95,3 +95,23 @@ def test_checkpoint_is_self_describing(tmp_path):
     back = load_checkpoint(path)
     assert back.cfg.pool.capacity == 33
     assert back.pool.capacity == 33
+
+
+def test_checkpoint_array_names_are_pinned(tmp_path):
+    # the on-disk layout of FORMAT_VERSION 2; renaming or reordering an
+    # array here breaks reading older checkpoints
+    mapper = Mapper(cfg())
+    mapper.process_frame(make_scan(0))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, mapper)
+    with np.load(path) as data:
+        names = list(data.files)
+    expect = ["version", "config_json", "frames_done", "adam_step", "pool_next_seq"]
+    for n in ("w1", "b1", "w2", "b2", "w3", "b3"):
+        expect += [f"dec_{n}", f"dec_m_{n}", f"dec_v_{n}"]
+    for i in (0, 1):  # the default two grid levels
+        expect += [f"grid{i}_keys", f"grid{i}_feat", f"grid{i}_m", f"grid{i}_v"]
+    expect += ["perturb_keys", "perturb_fisher",
+               "pool_pos", "pool_label", "pool_ray_len", "pool_cos_inc",
+               "pool_mse", "pool_frame_id", "pool_seq", "pool_bucket"]
+    assert names == expect

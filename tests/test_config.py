@@ -118,14 +118,15 @@ def test_train_config_dict_roundtrip():
 
 
 def test_validation_happens_at_parse_time():
-    for data in (
-        {"adam": {"lr": -0.5}},
-        {"sampler": {"n_front": -1}},
-        {"pool": {"prune_radius": 0}},
-        {"pool": {"alpha": -1}},
-        {"voxel_sizes": []},
+    for data, match in (
+        ({"adam": {"lr": -0.5}}, "^config section adam: lr must be positive$"),
+        ({"sampler": {"n_front": -1}}, "^config section sampler: sample counts"),
+        ({"sampler": {"trunc_dist": 0}}, "^config section sampler: trunc_dist must be positive$"),
+        ({"pool": {"prune_radius": 0}}, "^config section pool: prune_radius must be positive$"),
+        ({"pool": {"alpha": -1}}, "^config section pool: alpha must be positive$"),
+        ({"voxel_sizes": []}, "^voxel_sizes must be"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             build_dataclass(RunConfig, data)
 
 

@@ -9,7 +9,6 @@ from tsdfmap.hashmap import pack_coords
 from tsdfmap.pool import ReplayPool
 from tsdfmap.sampler import SampleBatch
 from tsdfmap.uncertainty import (
-    BatchPlan,
     PerturbField,
     UncertaintyConfig,
     VoxelPartition,
@@ -199,8 +198,7 @@ def two_cluster_pool(rng, n_a=60, n_b=40):
 
 def test_draw_batch_size_and_composition(rng):
     pool, part = two_cluster_pool(rng)
-    plan = BatchPlan(batch_size=64, n_uncertain=10)
-    rows = draw_batch(pool, part, plan, np.random.default_rng(0))
+    rows = draw_batch(pool, part, 64, 10, np.random.default_rng(0))
     assert rows.shape == (64,)
     in_unc = np.isin(pool.bucket[rows], part.uncertain)
     assert in_unc.sum() == 10
@@ -210,8 +208,7 @@ def test_draw_batch_caps_at_available_uncertain(rng):
     pool, part = two_cluster_pool(rng, n_a=60, n_b=7)
     n_avail = int(np.isin(pool.bucket, part.uncertain).sum())
     assert n_avail == 7
-    plan = BatchPlan(batch_size=32, n_uncertain=20)
-    rows = draw_batch(pool, part, plan, np.random.default_rng(0))
+    rows = draw_batch(pool, part, 32, 20, np.random.default_rng(0))
     in_unc = np.isin(pool.bucket[rows], part.uncertain)
     assert in_unc.sum() == n_avail
     assert rows.shape == (32,)
@@ -225,33 +222,30 @@ def test_draw_batch_no_certain_samples_backfills(rng):
     part = VoxelPartition(uncertain=keys, certain=np.empty(0, np.int64),
                           keys=keys, sigma=np.ones(keys.size),
                           normalized=np.ones(keys.size), threshold=0.98)
-    plan = BatchPlan(batch_size=16, n_uncertain=4)
-    rows = draw_batch(pool, part, plan, np.random.default_rng(1))
+    rows = draw_batch(pool, part, 16, 4, np.random.default_rng(1))
     assert rows.shape == (16,)
     assert np.isin(pool.bucket[rows], keys).all()
 
 
 def test_draw_batch_uniform_when_no_partition(rng):
     pool = pool_with(rng.uniform(-2, 2, (100, 3)))
-    plan = BatchPlan(batch_size=50, n_uncertain=10)
-    a = draw_batch(pool, None, plan, np.random.default_rng(9))
-    b = draw_batch(pool, None, plan, np.random.default_rng(9))
+    a = draw_batch(pool, None, 50, 10, np.random.default_rng(9))
+    b = draw_batch(pool, None, 50, 10, np.random.default_rng(9))
     assert np.array_equal(a, b)
     assert a.shape == (50,) and a.min() >= 0 and a.max() < pool.n
 
 
 def test_draw_batch_deterministic_under_seed(rng):
     pool, part = two_cluster_pool(rng)
-    plan = BatchPlan(batch_size=32, n_uncertain=8)
-    a = draw_batch(pool, part, plan, np.random.default_rng(77))
-    b = draw_batch(pool, part, plan, np.random.default_rng(77))
+    a = draw_batch(pool, part, 32, 8, np.random.default_rng(77))
+    b = draw_batch(pool, part, 32, 8, np.random.default_rng(77))
     assert np.array_equal(a, b)
 
 
 def test_draw_batch_empty_pool_raises():
     pool = ReplayPool()
     with pytest.raises(EmptyPool):
-        draw_batch(pool, None, BatchPlan(8, 2), np.random.default_rng(0))
+        draw_batch(pool, None, 8, 2, np.random.default_rng(0))
 
 
 def test_uncertainty_config_defaults():
