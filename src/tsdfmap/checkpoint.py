@@ -10,12 +10,14 @@ checkpoint is self-describing.
 
 import dataclasses
 import json
+import os
+import tempfile
 
 import numpy as np
 
 from .config import build_dataclass, config_to_dict
 from .decoder import PARAM_NAMES
-from .errors import UnsupportedFormat
+from .errors import MalformedFile, UnsupportedFormat
 from .hashmap import VoxelHash
 from .pool import _COLUMNS as POOL_COLUMNS
 from .trainer import Mapper, TrainConfig
@@ -24,6 +26,13 @@ FORMAT_VERSION = 2
 
 
 def save_checkpoint(path, mapper: Mapper) -> None:
+    """Write the mapper's state to `path` (a file name or a binary file).
+
+    A file name is written atomically: the archive goes to a temporary
+    file in the same directory, which then replaces `path`, so an
+    interrupted save leaves any previous checkpoint intact. As with
+    `np.savez_compressed`, a name without the `.npz` suffix gets it.
+    """
     cfg = config_to_dict(mapper.cfg)
     train_cfg = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)}
     arrays = {
@@ -46,36 +55,83 @@ def save_checkpoint(path, mapper: Mapper) -> None:
     arrays["perturb_fisher"] = mapper.perturb.fisher
     for name, _, _ in POOL_COLUMNS:
         arrays[f"pool_{name}"] = getattr(mapper.pool, name)
-    np.savez_compressed(path, **arrays)
+    if not isinstance(path, (str, os.PathLike)):
+        np.savez_compressed(path, **arrays)
+        return
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _read(data, name, dtype, shape):
+    """Array `name`, checked against a dtype and a shape (None: any size)."""
+    if name not in data.files:
+        raise MalformedFile(f"checkpoint has no array {name!r}")
+    arr = data[name]
+    if arr.dtype != dtype or arr.ndim != len(shape) or any(
+            want is not None and got != want for got, want in zip(arr.shape, shape)):
+        raise MalformedFile(
+            f"checkpoint array {name!r} is {arr.dtype} of shape {arr.shape}, "
+            f"expected {np.dtype(dtype)} of shape {shape}"
+        )
+    return arr
+
+
+def _read_hash(data, name):
+    keys = _read(data, name, np.int64, (None,))
+    try:
+        return VoxelHash.from_keys(keys), keys.size
+    except ValueError as exc:
+        raise MalformedFile(f"checkpoint array {name!r}: {exc}") from None
 
 
 def load_checkpoint(path) -> Mapper:
+    """Rebuild a mapper from `save_checkpoint` output.
+
+    Raises MalformedFile when an array is missing or its shape or dtype
+    disagrees with the embedded config or with the arrays it pairs with.
+    """
     with np.load(path) as data:
-        version = int(data["version"])
+        version = int(_read(data, "version", np.int64, ()))
         if version != FORMAT_VERSION:
             raise UnsupportedFormat(
                 f"checkpoint format version {version} (reader supports {FORMAT_VERSION})"
             )
-        cfg = build_dataclass(TrainConfig, json.loads(bytes(data["config_json"]).decode()))
-        mapper = Mapper(cfg)
-        mapper.frames_done = int(data["frames_done"])
-        mapper.adam_steps = int(data["adam_step"])
+        config = json.loads(bytes(_read(data, "config_json", np.uint8, (None,))).decode())
+        mapper = Mapper(build_dataclass(TrainConfig, config))
+        mapper.frames_done = int(_read(data, "frames_done", np.int64, ()))
+        mapper.adam_steps = int(_read(data, "adam_step", np.int64, ()))
         for name in PARAM_NAMES:
-            mapper.decoder.params[name] = data[f"dec_{name}"].copy()
-            mapper.decoder.adam_m[name] = data[f"dec_m_{name}"].copy()
-            mapper.decoder.adam_v[name] = data[f"dec_v_{name}"].copy()
+            shape = mapper.decoder.params[name].shape
+            for prefix, store in (("dec_", mapper.decoder.params),
+                                  ("dec_m_", mapper.decoder.adam_m),
+                                  ("dec_v_", mapper.decoder.adam_v)):
+                store[name] = _read(data, f"{prefix}{name}", np.float64, shape).copy()
         for i, lvl in enumerate(mapper.grid.levels):
-            keys = data[f"grid{i}_keys"]
-            lvl.vertices = VoxelHash.from_keys(keys)
-            lvl.ensure_rows(keys.size)
-            lvl.features[:] = data[f"grid{i}_feat"]
-            lvl.adam_m[:] = data[f"grid{i}_m"]
-            lvl.adam_v[:] = data[f"grid{i}_v"]
-        pkeys = data["perturb_keys"]
-        mapper.perturb.vertices = VoxelHash.from_keys(pkeys)
-        mapper.perturb._ensure_rows(pkeys.size)
-        mapper.perturb.fisher[:] = data["perturb_fisher"]
-        for name, _, _ in POOL_COLUMNS:
-            setattr(mapper.pool, name, data[f"pool_{name}"].copy())
-        mapper.pool._next_seq = int(data["pool_next_seq"])
+            lvl.vertices, n = _read_hash(data, f"grid{i}_keys")
+            lvl.ensure_rows(n)
+            shape = (n, lvl.feature_dim)
+            lvl.features[:] = _read(data, f"grid{i}_feat", np.float64, shape)
+            lvl.adam_m[:] = _read(data, f"grid{i}_m", np.float64, shape)
+            lvl.adam_v[:] = _read(data, f"grid{i}_v", np.float64, shape)
+        mapper.perturb.vertices, n = _read_hash(data, "perturb_keys")
+        mapper.perturb._ensure_rows(n)
+        mapper.perturb.fisher[:] = _read(data, "perturb_fisher", np.float64, (n, 3))
+        n = None  # pool rows, set by the first column
+        for name, dtype, shape in POOL_COLUMNS:
+            column = _read(data, f"pool_{name}", dtype, (n, *shape))
+            n = column.shape[0]
+            setattr(mapper.pool, name, column.copy())
+        mapper.pool._next_seq = int(_read(data, "pool_next_seq", np.int64, ()))
     return mapper

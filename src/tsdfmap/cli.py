@@ -2,20 +2,27 @@
 
 Flag precedence: command-line flags override config-file values, which
 override defaults. Every `map` run writes a manifest.json holding the
-fully resolved config, seed, and package version, so any run can be
-reproduced bit-for-bit from its output directory alone.
+fully resolved config, seed, package version and runtime (kernel lane,
+library versions, CPU count), so any run can be reproduced bit-for-bit
+from its output directory alone.
 """
 
 import argparse
 import dataclasses
 import json
+import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_to_dict, load_config
 from .errors import MappingError, PoseCountMismatch
+from .kernels import JIT_ENABLED
 from .mesher import extract_map_mesh, write_mesh
 from .metrics import evaluate, write_eval_csv, write_eval_json
 from .plyio import load_ply, load_scan, write_points_ply
@@ -52,6 +59,13 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, extra: dict):
         "version": __version__,
         "seed": cfg.seed,
         "config": config_to_dict(cfg),
+        "runtime": {
+            "jit_enabled": JIT_ENABLED,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        },
     }
     manifest.update(extra)
     with open(out_dir / "manifest.json", "w") as fh:

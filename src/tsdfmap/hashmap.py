@@ -4,7 +4,11 @@ Coordinates are packed losslessly into a single int64 (21 bits per
 axis, offset-binary), so lookups are collision-exact rather than
 Instant-NGP-style lossy hashing. Rows index the caller's dense payload
 arrays (features, Fisher accumulators, ...) and are assigned in
-insertion order, which keeps serialization and rebuilds deterministic.
+first-seen insertion order, which keeps serialization and rebuilds
+deterministic. Each insert deduplicates its keys and sizes the table by
+the distinct new ones, so a batch that repeats keys (8 corners per
+sample, shared between neighbours) does not inflate the table. Slot
+layout is an internal detail and is never serialized.
 """
 
 import numpy as np
@@ -74,18 +78,28 @@ class VoxelHash:
             self._grow()
 
     def insert(self, keys):
-        """Insert keys (existing ones are found, new ones get fresh rows)."""
+        """Insert keys (existing ones are found, new ones get fresh rows).
+
+        Rows are those of inserting the keys one by one: a new key gets
+        the next free row at its first occurrence. Only the distinct new
+        keys reach the table, and only they count towards its growth.
+        """
         keys = np.ascontiguousarray(keys, dtype=np.int64).ravel()
-        self._ensure(keys.shape[0])
-        rows = np.empty(keys.shape[0], dtype=np.int64)
-        before = self.size
-        self.size = int(
-            hashkern.insert_rows(self._table_keys, self._table_vals, keys, rows, self.size)
-        )
-        if self.size > before:
-            fresh = rows >= before
-            self._stored[rows[fresh]] = keys[fresh]
-        return rows
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        distinct = uniq[order]  # first-seen order
+        found = hashkern.lookup_rows(self._table_keys, self._table_vals, distinct)
+        miss = np.flatnonzero(found < 0)
+        if miss.size:
+            self._ensure(miss.size)
+            new_rows = np.empty(miss.size, dtype=np.int64)
+            self.size = int(hashkern.insert_rows(
+                self._table_keys, self._table_vals, distinct[miss], new_rows, self.size))
+            found[miss] = new_rows
+            self._stored[new_rows] = distinct[miss]
+        rows = np.empty(uniq.size, dtype=np.int64)
+        rows[order] = found
+        return rows[inverse.ravel()]
 
     def lookup(self, keys):
         """Rows for each key, -1 where absent."""

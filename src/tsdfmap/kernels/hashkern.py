@@ -1,8 +1,12 @@
-"""Open-addressing probe loops for the int64 voxel-key hash tables.
+"""Open-addressing probes for the int64 voxel-key hash tables.
 
 Tables are power-of-two sized with linear probing and a splitmix64-style
 bit mixer. Keys are non-negative packed coordinate triples; the empty
-slot sentinel is -1.
+slot sentinel is -1. The compiled lane probes key by key; the numpy lane
+advances every pending key one slot per round. Both lanes return the
+same rows, but insertion may leave keys in different slots. Either
+lane's lookup works on a table either lane filled: a key always sits
+after an unbroken run of occupied slots from its home slot.
 """
 
 import numpy as np
@@ -14,7 +18,6 @@ EMPTY = np.int64(-1)
 _MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
 _MIX_C = 0x94D049BB133111EB
-_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 @njit(cache=True)
@@ -31,13 +34,6 @@ def _mix_u64(z):
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_B)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_C)
     return z ^ (z >> np.uint64(31))
-
-
-def _mix_py(key: int) -> int:
-    z = (key + _MIX_A) & _U64
-    z = ((z ^ (z >> 30)) * _MIX_B) & _U64
-    z = ((z ^ (z >> 27)) * _MIX_C) & _U64
-    return z ^ (z >> 31)
 
 
 @njit(cache=True)
@@ -100,26 +96,45 @@ def insert_rows_numba(table_keys, table_vals, keys, rows, next_row):
 
 
 def insert_rows_numpy(table_keys, table_vals, keys, rows, next_row):
-    # Insertion is sequential by nature; a plain loop is fine since it
-    # runs once per frame on deduplicated keys, not per training batch.
-    mask = table_keys.shape[0] - 1
-    next_row = int(next_row)
-    for i in range(keys.shape[0]):
-        k = int(keys[i])
-        j = _mix_py(k) & mask
-        while True:
-            cur = table_keys[j]
-            if cur == k:
-                rows[i] = table_vals[j]
-                break
-            if cur == EMPTY:
-                table_keys[j] = k
-                table_vals[j] = next_row
-                rows[i] = next_row
-                next_row += 1
-                break
-            j = (j + 1) & mask
+    """Vectorized twin of insert_rows_numba: the same rows and next_row.
+
+    Present keys get their stored rows; absent keys get next_row,
+    next_row + 1, ... in first-seen order, exactly as the sequential loop
+    assigns them. Absent keys are then placed in probe rounds, as in
+    lookup_rows_numpy: when several reach the same empty slot in one
+    round, the earliest in first-seen order takes it and the rest probe
+    on. The slot layout may therefore differ from the compiled lane's.
+    """
+    found = lookup_rows_numpy(table_keys, table_vals, keys)
+    miss = np.flatnonzero(found < 0)
+    if miss.size:
+        uniq, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.arange(order.size)
+        found[miss] = next_row + rank[inverse.ravel()]
+        _place_numpy(table_keys, table_vals, uniq[order], next_row + np.arange(order.size))
+        next_row += order.size
+    rows[:] = found
     return next_row
+
+
+def _place_numpy(table_keys, table_vals, keys, vals):
+    """Write distinct absent keys; the lower index wins a contested slot."""
+    mask = np.int64(table_keys.shape[0] - 1)
+    slots = (_mix_u64(keys.astype(np.uint64)) & np.uint64(mask)).astype(np.int64)
+    pending = np.arange(keys.shape[0])
+    while pending.size:
+        free = np.flatnonzero(table_keys[slots[pending]] == EMPTY)
+        # np.unique reports first occurrences, i.e. the lowest pending index
+        _, first = np.unique(slots[pending[free]], return_index=True)
+        won = pending[free[first]]
+        table_keys[slots[won]] = keys[won]
+        table_vals[slots[won]] = vals[won]
+        keep = np.ones(pending.size, dtype=bool)
+        keep[free[first]] = False
+        pending = pending[keep]
+        slots[pending] = (slots[pending] + 1) & mask
 
 
 if JIT_ENABLED:

@@ -69,6 +69,7 @@ class FrameReport:
     degenerate_normals: int = 0
     evicted_window: int = 0
     evicted_capacity: int = 0
+    fisher_rows: int = 0  # distinct pool rows the Fisher pass accumulated
     stage_ms: dict = dc_field(default_factory=dict)
 
     def to_dict(self):
@@ -170,6 +171,7 @@ class Mapper:
 
         # Fisher sees each trained sample once, with the updated weights.
         rows = np.unique(np.concatenate(drawn))
+        report.fisher_rows = int(rows.size)
         grads = self.field.spatial_gradient(self.pool.pos[rows])
         self.perturb.accumulate(self.pool.pos[rows], grads)
         report.stage_ms["fisher"] = 1e3 * (time.perf_counter() - t5)

@@ -1,9 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 
 from tsdfmap.checkpoint import load_checkpoint, save_checkpoint
 from tsdfmap.decoder import PARAM_NAMES
-from tsdfmap.errors import UnsupportedFormat
+from tsdfmap.errors import MalformedFile, UnsupportedFormat
 from tsdfmap.sampler import Scan
 from tsdfmap.trainer import Mapper, TrainConfig
 
@@ -115,3 +117,73 @@ def test_checkpoint_array_names_are_pinned(tmp_path):
                "pool_pos", "pool_label", "pool_ray_len", "pool_cos_inc",
                "pool_mse", "pool_frame_id", "pool_seq", "pool_bucket"]
     assert names == expect
+
+
+class _Unwritable:
+    """Raises when numpy converts it, after earlier arrays were written."""
+
+    def __array__(self, *args, **kwargs):
+        raise RuntimeError("disk full")
+
+
+def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path):
+    mapper = Mapper(cfg())
+    mapper.process_frame(make_scan(0))
+    path = tmp_path / "checkpoint.npz"
+    save_checkpoint(path, mapper)
+    mapper.process_frame(make_scan(1))
+    mapper.pool.mse = _Unwritable()  # the pool columns are written last
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_checkpoint(path, mapper)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
+    assert load_checkpoint(path).frames_done == 1
+
+
+def test_save_to_a_file_object(tmp_path):
+    mapper = Mapper(cfg())
+    mapper.process_frame(make_scan(0))
+    buf = io.BytesIO()
+    save_checkpoint(buf, mapper)
+    buf.seek(0)
+    assert_mappers_equal(mapper, load_checkpoint(buf))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _saved_arrays(tmp_path):
+    mapper = Mapper(cfg())
+    mapper.process_frame(make_scan(0))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, mapper)
+    return path, dict(np.load(path))
+
+
+def _rejects(path, data, match):
+    np.savez_compressed(path, **data)
+    with pytest.raises(MalformedFile, match=match):
+        load_checkpoint(path)
+
+
+def test_missing_array_rejected(tmp_path):
+    path, data = _saved_arrays(tmp_path)
+    del data["grid1_m"]
+    _rejects(path, data, "no array 'grid1_m'")
+
+
+def test_grid_features_must_match_keys_and_feature_dim(tmp_path):
+    path, data = _saved_arrays(tmp_path)
+    good = data["grid0_feat"]
+    _rejects(path, {**data, "grid0_feat": good[:-1]}, "'grid0_feat'")
+    _rejects(path, {**data, "grid0_feat": good[:, :-1]}, "'grid0_feat'")
+
+
+def test_fisher_must_match_its_keys(tmp_path):
+    path, data = _saved_arrays(tmp_path)
+    _rejects(path, {**data, "perturb_fisher": data["perturb_fisher"][1:]},
+             "'perturb_fisher'")
+
+
+def test_pool_columns_must_agree_in_length_and_dtype(tmp_path):
+    path, data = _saved_arrays(tmp_path)
+    _rejects(path, {**data, "pool_label": data["pool_label"][:-1]}, "'pool_label'")
+    _rejects(path, {**data, "pool_frame_id": data["pool_frame_id"].astype(np.int64)},
+             "'pool_frame_id'")

@@ -1,9 +1,12 @@
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
 
 from tsdfmap.cli import main
+from tsdfmap.kernels import JIT_ENABLED
 from tsdfmap.plyio import load_ply
 
 RUN_YAML = """\
@@ -87,6 +90,13 @@ def test_map_outputs(map_dir):
     manifest = json.loads((map_dir / "manifest.json").read_text())
     assert manifest["n_scans"] == 6
     assert manifest["config"]["iterations"] == 10
+    runtime = manifest["runtime"]
+    assert runtime["jit_enabled"] == JIT_ENABLED
+    assert runtime["numpy"] == np.__version__
+    assert runtime["python"] == platform.python_version()
+    assert set(runtime) == {"jit_enabled", "python", "numpy", "scipy", "cpu_count"}
+    assert runtime["cpu_count"] == os.cpu_count()
+    assert all(r["fisher_rows"] > 0 for r in reports)
 
 
 def test_mesh_command(workdir, map_dir):

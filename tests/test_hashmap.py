@@ -83,3 +83,34 @@ def test_insert_lookup_agree(coord_list):
     assert np.array_equal(h.lookup(keys), rows)
     # rows index the stored key order
     assert np.array_equal(h.keys[rows], keys)
+
+
+def _reference_insert(table, keys):
+    """Sequential dict reference: a new key takes the next row."""
+    return [table.setdefault(k, len(table)) for k in keys.tolist()]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.lists(st.integers(0, 300), max_size=120), min_size=1, max_size=6))
+def test_insert_matches_sequential_reference(batches):
+    # small key range: batches repeat keys within themselves and keys
+    # earlier batches stored, and 300 keys outgrow capacity=8 many times
+    h = VoxelHash(capacity=8)
+    ref = {}
+    for batch in batches:
+        keys = np.asarray(batch, dtype=np.int64)
+        rows = h.insert(keys)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == _reference_insert(ref, keys)
+        assert h.keys.tolist() == list(ref)
+        assert h.size == len(ref) <= 0.6 * h._table_keys.size
+    probe = np.arange(302, dtype=np.int64)  # keys are non-negative; -1 marks empty slots
+    assert h.lookup(probe).tolist() == [ref.get(k, -1) for k in probe.tolist()]
+
+
+def test_repeated_keys_do_not_inflate_the_table(rng):
+    keys = rng.choice(10_000_000, size=1000, replace=False).astype(np.int64)
+    h = VoxelHash()
+    rows = h.insert(np.tile(keys, 8))
+    assert np.array_equal(rows, np.tile(np.arange(1000), 8))
+    assert h.size / h._table_keys.size >= 0.25

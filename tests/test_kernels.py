@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from tsdfmap.kernels.hashkern import (
+    _mix_u64,
     insert_rows_numba,
     insert_rows_numpy,
     lookup_rows_numba,
@@ -34,23 +35,57 @@ def test_hash_lanes_agree(rng):
 
 
 def _check_hash_lanes(rng):
-    cap = 64
-    keys_a = np.full(cap, -1, dtype=np.int64)
-    vals_a = np.zeros(cap, dtype=np.int64)
-    keys_b = keys_a.copy()
-    vals_b = vals_a.copy()
-    new = rng.choice(10_000, size=30, replace=False).astype(np.int64)
-    rows_a = np.empty(30, dtype=np.int64)
-    rows_b = np.empty(30, dtype=np.int64)
-    na = insert_rows_numba(keys_a, vals_a, new, rows_a, 0)
-    nb = insert_rows_numpy(keys_b, vals_b, new, rows_b, 0)
-    assert na == nb
-    assert np.array_equal(rows_a, rows_b)
-    assert np.array_equal(keys_a, keys_b)
-    assert np.array_equal(vals_a, vals_b)
-    probe = np.concatenate([new, np.array([999_999], dtype=np.int64)])
-    assert np.array_equal(lookup_rows_numba(keys_a, vals_a, probe),
-                          lookup_rows_numpy(keys_b, vals_b, probe))
+    # The lanes must return the same rows and lookups; the slot layout may
+    # differ, since the numpy lane places contending keys in rounds.
+    cases = [
+        # 30 distinct keys in 64 slots
+        [rng.choice(10_000, size=30, replace=False)],
+        # 38 keys in 64 slots contend for slots; the second batch repeats
+        # keys within itself and keys the first batch stored
+        [rng.choice(10_000, size=20, replace=False),
+         rng.choice(10_000, size=18, replace=False)],
+    ]
+    dup = rng.choice(10_000, size=20, replace=False)
+    cases.append([dup, np.concatenate([dup[:6], dup[:6], dup[:3] + 10_000])])
+    for batches in cases:
+        cap = 64
+        keys_a = np.full(cap, -1, dtype=np.int64)
+        vals_a = np.zeros(cap, dtype=np.int64)
+        keys_b = keys_a.copy()
+        vals_b = vals_a.copy()
+        na = nb = 0
+        for new in batches:
+            new = np.asarray(new, dtype=np.int64)
+            rows_a = np.empty(new.size, dtype=np.int64)
+            rows_b = np.empty(new.size, dtype=np.int64)
+            na = insert_rows_numba(keys_a, vals_a, new, rows_a, na)
+            nb = insert_rows_numpy(keys_b, vals_b, new, rows_b, nb)
+            assert na == nb
+            assert np.array_equal(rows_a, rows_b)
+        stored = np.concatenate(batches).astype(np.int64)
+        probe = np.concatenate([stored, np.array([999_999], dtype=np.int64)])
+        found = lookup_rows_numba(keys_a, vals_a, probe)
+        assert found[-1] == -1
+        assert np.array_equal(found, lookup_rows_numpy(keys_b, vals_b, probe))
+        # each lane finds every key in the table the other lane filled
+        assert np.array_equal(found, lookup_rows_numba(keys_b, vals_b, probe))
+        assert np.array_equal(found, lookup_rows_numpy(keys_a, vals_a, probe))
+        assert (keys_a != -1).sum() == (keys_b != -1).sum() == na
+
+
+def test_hash_insert_rounds_give_the_lowest_index_a_contested_slot():
+    # four keys that mix to the same slot of a 16-slot table
+    cand = np.arange(2000, dtype=np.int64)
+    home = (_mix_u64(cand.astype(np.uint64)) & np.uint64(15)).astype(np.int64)
+    keys = cand[home == home[0]][:4]
+    table_keys = np.full(16, -1, dtype=np.int64)
+    table_vals = np.zeros(16, dtype=np.int64)
+    rows = np.empty(4, dtype=np.int64)
+    assert insert_rows_numpy(table_keys, table_vals, keys, rows, 5) == 9
+    assert rows.tolist() == [5, 6, 7, 8]
+    slots = [(home[0] + i) % 16 for i in range(4)]
+    assert table_keys[slots].tolist() == keys.tolist()
+    assert table_vals[slots].tolist() == [5, 6, 7, 8]
 
 
 def test_scatter_lanes_agree(rng):

@@ -56,8 +56,11 @@ def test_frame_report_fields(rng):
     assert rep.new_vertices > 0
     assert set(rep.stage_ms) == {"sample", "allocate", "pool", "partition",
                                  "optimize", "fisher"}
+    # the distinct pool rows among 3 batches of 256 draws
+    assert 0 < rep.fisher_rows <= min(3 * 256, rep.pool_size)
     d = rep.to_dict()
     assert d["frame_id"] == 0
+    assert d["fisher_rows"] == rep.fisher_rows
 
 
 def test_losses_decrease_over_frames(rng):
