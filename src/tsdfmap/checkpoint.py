@@ -126,7 +126,7 @@ def load_checkpoint(path) -> Mapper:
             lvl.adam_m[:] = _read(data, f"grid{i}_m", np.float64, shape)
             lvl.adam_v[:] = _read(data, f"grid{i}_v", np.float64, shape)
         mapper.perturb.vertices, n = _read_hash(data, "perturb_keys")
-        mapper.perturb._ensure_rows(n)
+        mapper.perturb.ensure_rows(n)
         mapper.perturb.fisher[:] = _read(data, "perturb_fisher", np.float64, (n, 3))
         n = None  # pool rows, set by the first column
         for name, dtype, shape in POOL_COLUMNS:

@@ -42,25 +42,38 @@ def cell_of(points, voxel_size):
     return base, scaled - base
 
 
+def corner_keys(cells):
+    """(n, 3) integer cells -> (n, 8) packed keys of their corner vertices."""
+    return pack_coords(cells[:, None, :] + CORNER_OFFSETS[None, :, :])
+
+
+def grow_rows(buf, n: int):
+    """`buf`, or a zero-padded copy with capacity max(n, 2 * cap, 256) if n > cap."""
+    cap = buf.shape[0]
+    if n <= cap:
+        return buf
+    out = np.zeros((max(n, 2 * cap, 256),) + buf.shape[1:], dtype=buf.dtype)
+    out[:cap] = buf
+    return out
+
+
+def _axis_factors(frac):
+    """(n, 3) cell fractions -> the x, y and z factor of each corner, each (n, 8)."""
+    f = np.stack([1.0 - frac, frac], axis=2)  # (n, 3, 2)
+    return f[:, 0, _XB], f[:, 1, _YB], f[:, 2, _ZB]
+
+
 def trilinear_weights(frac):
     """(n, 3) cell fractions -> (n, 8) barycentric corner weights."""
-    fx = np.stack([1.0 - frac[:, 0], frac[:, 0]], axis=1)
-    fy = np.stack([1.0 - frac[:, 1], frac[:, 1]], axis=1)
-    fz = np.stack([1.0 - frac[:, 2], frac[:, 2]], axis=1)
-    return fx[:, _XB] * fy[:, _YB] * fz[:, _ZB]
+    fx, fy, fz = _axis_factors(frac)
+    return fx * fy * fz
 
 
 def trilinear_weight_gradients(frac, voxel_size):
     """d(weight)/d(world position): (n, 3) fractions -> (n, 8, 3)."""
-    fx = np.stack([1.0 - frac[:, 0], frac[:, 0]], axis=1)
-    fy = np.stack([1.0 - frac[:, 1], frac[:, 1]], axis=1)
-    fz = np.stack([1.0 - frac[:, 2], frac[:, 2]], axis=1)
-    out = np.empty((frac.shape[0], 8, 3))
-    out[:, :, 0] = _SIGN[None, :, 0] * fy[:, _YB] * fz[:, _ZB]
-    out[:, :, 1] = _SIGN[None, :, 1] * fx[:, _XB] * fz[:, _ZB]
-    out[:, :, 2] = _SIGN[None, :, 2] * fx[:, _XB] * fy[:, _YB]
-    out /= voxel_size
-    return out
+    fx, fy, fz = _axis_factors(frac)
+    return np.stack([_SIGN[:, 0] * fy * fz, _SIGN[:, 1] * fx * fz, _SIGN[:, 2] * fx * fy],
+                    axis=2) / voxel_size
 
 
 class InterpRecord(NamedTuple):
@@ -103,15 +116,7 @@ class GridLevel:
         return self._feat, self._adam_m, self._adam_v
 
     def ensure_rows(self, n: int):
-        cap = self._feat.shape[0]
-        if n <= cap:
-            return
-        new_cap = max(n, 2 * cap, 256)
-        for name in ("_feat", "_adam_m", "_adam_v"):
-            old = getattr(self, name)
-            buf = np.zeros((new_cap, self.feature_dim))
-            buf[: old.shape[0]] = old
-            setattr(self, name, buf)
+        self._feat, self._adam_m, self._adam_v = (grow_rows(b, n) for b in self.buffers())
 
 
 class FeatureGrid:
@@ -147,11 +152,9 @@ class FeatureGrid:
             if pts.shape[0] == 0:
                 break
             base, _ = cell_of(pts, lvl.voxel_size)
-            vox_keys = np.unique(pack_coords(base))
-            corners = unpack_key(vox_keys)[:, None, :] + CORNER_OFFSETS[None, :, :]
-            corner_keys = np.unique(pack_coords(corners))
+            cells = unpack_key(np.unique(pack_coords(base)))
             before = lvl.n_vertices
-            lvl.vertices.insert(corner_keys)
+            lvl.vertices.insert(np.unique(corner_keys(cells)))
             lvl.ensure_rows(lvl.n_vertices)
             added += lvl.n_vertices - before
         return added, skipped
@@ -160,9 +163,7 @@ class FeatureGrid:
         """(n, 8) vertex rows for the enclosing voxel corners, -1 if absent."""
         lvl = self.levels[level]
         base, frac = cell_of(points, lvl.voxel_size)
-        keys = pack_coords(base[:, None, :] + CORNER_OFFSETS[None, :, :])
-        rows = lvl.vertices.lookup(keys.ravel()).reshape(-1, 8)
-        return rows, frac
+        return lvl.vertices.lookup(corner_keys(base)).reshape(-1, 8), frac
 
     def interpolate(self, points):
         """Aggregated features for a batch of points.
@@ -199,10 +200,8 @@ class FeatureGrid:
         ok = np.ones(pts.shape[0], dtype=bool)
         for lvl in self.levels:
             base, _ = cell_of(pts, lvl.voxel_size)
-            vox_keys = pack_coords(base)
-            uniq, inv = np.unique(vox_keys, return_inverse=True)
-            corners = unpack_key(uniq)[:, None, :] + CORNER_OFFSETS[None, :, :]
-            rows = lvl.vertices.lookup(pack_coords(corners).ravel()).reshape(-1, 8)
+            uniq, inv = np.unique(pack_coords(base), return_inverse=True)
+            rows = lvl.vertices.lookup(corner_keys(unpack_key(uniq))).reshape(-1, 8)
             ok &= (rows >= 0).all(axis=1)[inv]
         return ok
 

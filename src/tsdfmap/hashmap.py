@@ -5,10 +5,13 @@ axis, offset-binary), so lookups are collision-exact rather than
 Instant-NGP-style lossy hashing. Rows index the caller's dense payload
 arrays (features, Fisher accumulators, ...) and are assigned in
 first-seen insertion order, which keeps serialization and rebuilds
-deterministic. Each insert deduplicates its keys and sizes the table by
-the distinct new ones, so a batch that repeats keys (8 corners per
-sample, shared between neighbours) does not inflate the table. Slot
-layout is an internal detail and is never serialized.
+deterministic. Keys are non-negative; -1 marks an empty slot, so a
+negative key is rejected. `VoxelHash` alone deduplicates keys, looks up
+the present ones and numbers the new ones; the kernel only places
+distinct new keys. The table is sized by the distinct new keys, so a
+batch that repeats keys (8 corners per sample, shared between
+neighbours) does not inflate it. Slot layout is an internal detail and
+is never serialized.
 """
 
 import numpy as np
@@ -41,6 +44,14 @@ def unpack_key(keys):
     y = k % PACK_SPAN - PACK_OFFSET
     x = k // PACK_SPAN - PACK_OFFSET
     return np.stack([x, y, z], axis=-1)
+
+
+def _as_keys(keys):
+    """Flat contiguous int64 keys; a negative key would alias the empty slot."""
+    keys = np.ascontiguousarray(keys, dtype=np.int64).ravel()
+    if keys.size and keys.min() < 0:
+        raise ValueError("voxel keys must be non-negative")
+    return keys
 
 
 class VoxelHash:
@@ -84,7 +95,7 @@ class VoxelHash:
         the next free row at its first occurrence. Only the distinct new
         keys reach the table, and only they count towards its growth.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.int64).ravel()
+        keys = _as_keys(keys)
         uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         order = np.argsort(first)
         distinct = uniq[order]  # first-seen order
@@ -103,7 +114,7 @@ class VoxelHash:
 
     def lookup(self, keys):
         """Rows for each key, -1 where absent."""
-        keys = np.ascontiguousarray(keys, dtype=np.int64).ravel()
+        keys = _as_keys(keys)
         return hashkern.lookup_rows(self._table_keys, self._table_vals, keys)
 
     @classmethod

@@ -2,11 +2,14 @@
 
 Tables are power-of-two sized with linear probing and a splitmix64-style
 bit mixer. Keys are non-negative packed coordinate triples; the empty
-slot sentinel is -1. The compiled lane probes key by key; the numpy lane
-advances every pending key one slot per round. Both lanes return the
-same rows, but insertion may leave keys in different slots. Either
-lane's lookup works on a table either lane filled: a key always sits
-after an unbroken run of occupied slots from its home slot.
+slot sentinel is -1. `insert_rows` only places keys: its caller passes
+distinct keys that are absent from the table, and `VoxelHash` owns
+deduplication, lookup of present keys and row numbering. The compiled
+lane probes key by key; the numpy lane advances every pending key one
+slot per round. Both lanes return the same rows, but insertion may
+leave keys in different slots. Either lane's lookup works on a table
+either lane filled: a key always sits after an unbroken run of occupied
+slots from its home slot.
 """
 
 import numpy as np
@@ -78,45 +81,28 @@ def lookup_rows_numpy(table_keys, table_vals, keys):
 def insert_rows_numba(table_keys, table_vals, keys, rows, next_row):
     mask = np.uint64(table_keys.shape[0] - 1)
     for i in range(keys.shape[0]):
-        k = keys[i]
-        j = np.int64(_mix_scalar(k) & mask)
-        while True:
-            cur = table_keys[j]
-            if cur == k:
-                rows[i] = table_vals[j]
-                break
-            if cur == EMPTY:
-                table_keys[j] = k
-                table_vals[j] = next_row
-                rows[i] = next_row
-                next_row += 1
-                break
+        j = np.int64(_mix_scalar(keys[i]) & mask)
+        while table_keys[j] != EMPTY:
             j = np.int64((np.uint64(j) + np.uint64(1)) & mask)
+        table_keys[j] = keys[i]
+        table_vals[j] = next_row
+        rows[i] = next_row
+        next_row += 1
     return next_row
 
 
 def insert_rows_numpy(table_keys, table_vals, keys, rows, next_row):
     """Vectorized twin of insert_rows_numba: the same rows and next_row.
 
-    Present keys get their stored rows; absent keys get next_row,
-    next_row + 1, ... in first-seen order, exactly as the sequential loop
-    assigns them. Absent keys are then placed in probe rounds, as in
+    The keys must be distinct and absent from the table; key i gets row
+    next_row + i. Keys are placed in probe rounds, as in
     lookup_rows_numpy: when several reach the same empty slot in one
-    round, the earliest in first-seen order takes it and the rest probe
-    on. The slot layout may therefore differ from the compiled lane's.
+    round, the lowest index takes it and the rest probe on. The slot
+    layout may therefore differ from the compiled lane's.
     """
-    found = lookup_rows_numpy(table_keys, table_vals, keys)
-    miss = np.flatnonzero(found < 0)
-    if miss.size:
-        uniq, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty(order.size, dtype=np.int64)
-        rank[order] = np.arange(order.size)
-        found[miss] = next_row + rank[inverse.ravel()]
-        _place_numpy(table_keys, table_vals, uniq[order], next_row + np.arange(order.size))
-        next_row += order.size
-    rows[:] = found
-    return next_row
+    rows[:] = next_row + np.arange(keys.shape[0])
+    _place_numpy(table_keys, table_vals, keys, rows)
+    return next_row + keys.shape[0]
 
 
 def _place_numpy(table_keys, table_vals, keys, vals):

@@ -9,7 +9,6 @@ field.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,6 @@ class SdfGrid:
 class TriMesh:
     vertices: np.ndarray  # (v, 3)
     faces: np.ndarray  # (t, 3) int
-    scalar: Optional[np.ndarray] = None  # optional per-vertex value
 
     @property
     def n_vertices(self) -> int:

@@ -71,10 +71,10 @@ class SampleBatch:
         return self.pos.shape[0]
 
 
-def voxel_downsample(points, voxel_size, origin_shift=0.0):
+def voxel_downsample(points, voxel_size):
     """Keep the first point per voxel (deterministic decimation)."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    cells = np.floor((pts - origin_shift) / voxel_size).astype(np.int64)
+    cells = np.floor(pts / voxel_size).astype(np.int64)
     # lexicographic unique over rows, keeping first occurrence
     _, first = np.unique(cells, axis=0, return_index=True)
     return pts[np.sort(first)]

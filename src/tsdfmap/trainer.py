@@ -1,11 +1,13 @@
 """Per-frame training orchestration.
 
-Frame pipeline, in order: estimate normals, generate samples, allocate
-grid voxels at the sample positions, insert into the replay pool, prune
-the pool window, enforce bucket capacity, partition buckets by
-uncertainty, then `iterations` rounds of draw batch / predict / MSE /
-backward / Adam, and finally accumulate Fisher information over the
-frame's trained samples (deduplicated) with the post-update weights.
+Frame pipeline, in order: drop returns that are non-finite or whose
+samples would leave the packable grid range, estimate normals, generate
+samples, allocate grid voxels at the sample positions, insert into the
+replay pool, prune the pool window, enforce bucket capacity, partition
+buckets by uncertainty, then `iterations` rounds of draw batch /
+predict / MSE / backward / Adam, and finally accumulate Fisher
+information over the frame's trained samples (deduplicated) with the
+post-update weights.
 
 Everything is seeded per (global seed, frame, purpose), so runs are
 bitwise reproducible.
@@ -21,6 +23,7 @@ from .decoder import SdfDecoder
 from .errors import NonFiniteLoss, PoseCountMismatch
 from .field import NeuralSdfField
 from .grid import FeatureGrid
+from .hashmap import COORD_LIMIT
 from .pool import PoolConfig, ReplayPool
 from .sampler import Scan, SamplerConfig, estimate_normals, generate_samples, voxel_downsample
 from .uncertainty import PerturbField, UncertaintyConfig, draw_batch, partition_voxels
@@ -65,7 +68,8 @@ class FrameReport:
     n_uncertain_voxels: int = 0
     n_certain_voxels: int = 0
     new_vertices: int = 0
-    nonfinite_points: int = 0
+    nonfinite_points: int = 0  # returns dropped as NaN or infinite
+    out_of_range_points: int = 0  # finite returns whose samples would not pack
     degenerate_normals: int = 0
     evicted_window: int = 0
     evicted_capacity: int = 0
@@ -74,16 +78,6 @@ class FrameReport:
 
     def to_dict(self):
         return asdict(self)
-
-
-def loss_mse(labels, predictions) -> float:
-    """Mean squared residual between labels and predictions."""
-    labels = np.asarray(labels, dtype=np.float64)
-    predictions = np.asarray(predictions, dtype=np.float64)
-    if labels.shape != predictions.shape or labels.size == 0:
-        raise ValueError("labels and predictions must be equal-length and non-empty")
-    r = predictions - labels
-    return float(r @ r) / r.size
 
 
 class Mapper:
@@ -109,16 +103,33 @@ class Mapper:
     def _rng(self, *words):
         return np.random.default_rng(np.random.SeedSequence([self.cfg.seed, *words]))
 
+    def _gate(self, scan: Scan, report: FrameReport) -> Scan:
+        """Drop non-finite returns, then returns whose samples would not pack.
+
+        A sample lies on the ray or at most trunc_dist past its return, so
+        each coordinate stays within max(|origin|, |return|) + trunc_dist;
+        that bound must keep the finest level's corner cells packable.
+        """
+        finite = np.isfinite(scan.points).all(axis=1)
+        pts = scan.points[finite]
+        limit = (COORD_LIMIT - 1) * min(self.cfg.voxel_sizes)
+        reach = np.maximum(np.abs(scan.origin), np.abs(pts)) + self.cfg.sampler.trunc_dist
+        in_range = (reach < limit).all(axis=1)
+        report.nonfinite_points = int((~finite).sum())
+        report.out_of_range_points = int((~in_range).sum())
+        return Scan(scan.origin, pts[in_range], scan.frame_id)
+
     def process_frame(self, scan: Scan) -> FrameReport:
         cfg = self.cfg
         report = FrameReport(frame_id=scan.frame_id)
+        t0 = time.perf_counter()
+        scan = self._gate(scan, report)
         if scan.points.shape[0] == 0:
             report.skipped = True
             report.pool_size = self.pool.n
             self.frames_done += 1
             return report
 
-        t0 = time.perf_counter()
         if cfg.sampler.downsample_voxel > 0:
             scan = Scan(
                 scan.origin,
@@ -132,7 +143,7 @@ class Mapper:
         t1 = time.perf_counter()
         report.stage_ms["sample"] = 1e3 * (t1 - t0)
 
-        report.new_vertices, report.nonfinite_points = self.grid.allocate(batch.pos)
+        report.new_vertices, _ = self.grid.allocate(batch.pos)
         t2 = time.perf_counter()
         report.stage_ms["allocate"] = 1e3 * (t2 - t1)
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPool
-from .grid import CORNER_OFFSETS, cell_of, trilinear_weights
-from .hashmap import VoxelHash, pack_coords
+from .grid import cell_of, corner_keys, grow_rows, trilinear_weights
+from .hashmap import VoxelHash
 from .kernels.scatter import scatter_add_rows
 
 
@@ -56,22 +56,16 @@ class PerturbField:
     def fisher(self):
         return self._fisher[: self.n_vertices]
 
-    def _ensure_rows(self, n: int):
-        cap = self._fisher.shape[0]
-        if n <= cap:
-            return
-        buf = np.zeros((max(n, 2 * cap, 256), 3))
-        buf[:cap] = self._fisher
-        self._fisher = buf
+    def ensure_rows(self, n: int):
+        self._fisher = grow_rows(self._fisher, n)
 
     def accumulate(self, positions, spatial_grads):
         """Add w_v^2 * grad^2 to the 8 enclosing vertices per sample."""
         pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
         g2 = np.square(np.asarray(spatial_grads, dtype=np.float64).reshape(-1, 3))
         base, frac = cell_of(pos, self.grid_size)
-        keys = pack_coords(base[:, None, :] + CORNER_OFFSETS[None, :, :])
-        rows = self.vertices.insert(keys.ravel())
-        self._ensure_rows(self.n_vertices)
+        rows = self.vertices.insert(corner_keys(base))
+        self.ensure_rows(self.n_vertices)
         w2 = np.square(trilinear_weights(frac))  # (n, 8)
         contrib = (w2[:, :, None] * g2[:, None, :]).reshape(-1, 3)
         scatter_add_rows(self._fisher, rows, contrib)
@@ -89,8 +83,7 @@ class PerturbField:
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         base, frac = cell_of(pts, self.grid_size)
-        keys = pack_coords(base[:, None, :] + CORNER_OFFSETS[None, :, :])
-        rows = self.vertices.lookup(keys.ravel()).reshape(-1, 8)
+        rows = self.vertices.lookup(corner_keys(base)).reshape(-1, 8)
         fisher = np.zeros(rows.shape + (3,))
         hit = rows >= 0
         if hit.any():

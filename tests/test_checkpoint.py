@@ -176,6 +176,13 @@ def test_grid_features_must_match_keys_and_feature_dim(tmp_path):
     _rejects(path, {**data, "grid0_feat": good[:, :-1]}, "'grid0_feat'")
 
 
+def test_negative_grid_key_rejected(tmp_path):
+    path, data = _saved_arrays(tmp_path)
+    keys = data["grid0_keys"].copy()
+    keys[1] = -1
+    _rejects(path, {**data, "grid0_keys": keys}, "'grid0_keys'.*non-negative")
+
+
 def test_fisher_must_match_its_keys(tmp_path):
     path, data = _saved_arrays(tmp_path)
     _rejects(path, {**data, "perturb_fisher": data["perturb_fisher"][1:]},

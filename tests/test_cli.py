@@ -152,6 +152,24 @@ def test_eval_seed_flag_sets_eval_seed(workdir, map_dir, capsys):
     assert accuracy("--seed", "1") != from_file
 
 
+def test_map_survives_a_far_return(workdir, sim_dir):
+    scans = workdir / "far_scans"
+    scans.mkdir()
+    pts = load_ply(sorted(sim_dir.glob("frame_*.ply"))[0])["points"]
+    pts = np.vstack([pts, [[1e6, 0.0, 0.0]]])
+    xyzi = np.column_stack([pts, np.zeros(len(pts))]).astype("<f4")
+    xyzi.tofile(scans / "frame_00000.bin")
+    poses = (sim_dir / "poses.txt").read_text().splitlines()[:1]
+    (scans / "poses.txt").write_text(poses[0] + "\n")
+    out = workdir / "far_run"
+    rc = main(["map", "--scans", str(scans), "--poses", str(scans / "poses.txt"),
+               "--config", str(workdir / "run.yaml"), "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "reports.jsonl").read_text())
+    assert report["out_of_range_points"] == 1
+    assert report["pool_size"] > 0
+
+
 def test_map_pose_count_mismatch(workdir, sim_dir, capsys):
     short = workdir / "short_poses.txt"
     lines = (sim_dir / "poses.txt").read_text().splitlines()[:-1]

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsdfmap.errors import UnallocatedQuery
-from tsdfmap.hashmap import unpack_key
+from tsdfmap.hashmap import pack_coords, unpack_key
 from tsdfmap.grid import (
     CORNER_OFFSETS,
     FeatureGrid,
     cell_of,
+    corner_keys,
     trilinear_weight_gradients,
     trilinear_weights,
 )
@@ -32,6 +33,14 @@ def test_cell_of_basic():
     np.testing.assert_allclose(frac, [[0.35 / 0.3 - 1.0, -0.05 / 0.3 + 1.0, 0.0]],
                                atol=1e-12)
     assert frac.min() >= 0.0 and frac.max() < 1.0
+
+
+def test_corner_keys_pack_each_corner_offset(rng):
+    cells = rng.integers(-1000, 1000, size=(50, 3))
+    keys = corner_keys(cells)
+    assert keys.shape == (50, 8)
+    for c, off in enumerate(CORNER_OFFSETS):
+        assert np.array_equal(keys[:, c], pack_coords(cells + off))
 
 
 def test_weights_match_brute_force(rng):

@@ -35,6 +35,17 @@ def test_insert_assigns_rows_in_first_seen_order():
     assert h.keys.tolist() == [10, 20, 30, 40]
 
 
+def test_negative_keys_are_rejected():
+    # -1 marks an empty slot, so a negative key would alias another row
+    h = VoxelHash()
+    with pytest.raises(ValueError, match="non-negative"):
+        h.lookup(np.array([-1], dtype=np.int64))
+    with pytest.raises(ValueError, match="non-negative"):
+        h.insert(np.array([5, -1], dtype=np.int64))
+    assert h.size == 0
+    assert h.lookup(np.array([5], dtype=np.int64)).tolist() == [-1]
+
+
 def test_lookup_missing_is_minus_one():
     h = VoxelHash()
     h.insert(np.array([5, 7], dtype=np.int64))

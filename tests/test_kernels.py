@@ -36,17 +36,16 @@ def test_hash_lanes_agree(rng):
 
 def _check_hash_lanes(rng):
     # The lanes must return the same rows and lookups; the slot layout may
-    # differ, since the numpy lane places contending keys in rounds.
+    # differ, since the numpy lane places contending keys in rounds. Each
+    # batch holds distinct keys absent from the table, as VoxelHash passes;
+    # repeated and present keys are covered in test_hashmap.py.
+    keys = rng.choice(10_000, size=68, replace=False)
     cases = [
-        # 30 distinct keys in 64 slots
-        [rng.choice(10_000, size=30, replace=False)],
-        # 38 keys in 64 slots contend for slots; the second batch repeats
-        # keys within itself and keys the first batch stored
-        [rng.choice(10_000, size=20, replace=False),
-         rng.choice(10_000, size=18, replace=False)],
+        # 30 keys in 64 slots
+        [keys[:30]],
+        # 38 keys in 64 slots contend for slots, over two batches
+        [keys[30:50], keys[50:]],
     ]
-    dup = rng.choice(10_000, size=20, replace=False)
-    cases.append([dup, np.concatenate([dup[:6], dup[:6], dup[:3] + 10_000])])
     for batches in cases:
         cap = 64
         keys_a = np.full(cap, -1, dtype=np.int64)

@@ -4,7 +4,7 @@ import pytest
 from tsdfmap.errors import NonFiniteLoss, PoseCountMismatch
 from tsdfmap.pool import PoolConfig
 from tsdfmap.sampler import Scan
-from tsdfmap.trainer import Mapper, TrainConfig, loss_mse
+from tsdfmap.trainer import Mapper, TrainConfig
 
 
 def small_cfg(**kw):
@@ -25,25 +25,31 @@ def identity_pose(t=(0.0, 0.0, 2.0)):
     return pose
 
 
-def test_loss_mse_examples():
-    assert loss_mse([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert loss_mse([0.0, 0.0], [1.0, -1.0]) == pytest.approx(1.0)
-    assert loss_mse([1.0], [4.0]) == pytest.approx(9.0)
-
-
-def test_loss_mse_validation():
-    with pytest.raises(ValueError):
-        loss_mse([], [])
-    with pytest.raises(ValueError):
-        loss_mse([1.0, 2.0], [1.0])
-
-
 def test_empty_scan_is_skipped():
     mapper = Mapper(small_cfg())
     rep = mapper.process_frame(Scan(np.zeros(3), np.zeros((0, 3)), 0))
     assert rep.skipped
     assert rep.losses == []
     assert mapper.frames_done == 1
+
+
+def test_nonfinite_and_far_returns_are_dropped_and_counted(rng):
+    origin = np.array([0.0, 0.0, 2.0])
+    clean = plane_cloud(rng)
+    dirty = np.insert(clean, [40, 120], [[np.nan, 0.0, 0.0], [1e6, 0.0, 0.0]], axis=0)
+    ref = Mapper(small_cfg()).process_frame(Scan(origin, clean, 0))
+    rep = Mapper(small_cfg()).process_frame(Scan(origin, dirty, 0))
+    assert rep.losses == ref.losses
+    assert (rep.nonfinite_points, rep.out_of_range_points) == (1, 1)
+    assert (ref.nonfinite_points, ref.out_of_range_points) == (0, 0)
+
+
+def test_origin_out_of_range_skips_the_frame(rng):
+    mapper = Mapper(small_cfg())
+    rep = mapper.process_frame(Scan(np.array([1e6, 0.0, 0.0]), plane_cloud(rng), 0))
+    assert rep.skipped
+    assert rep.out_of_range_points == 200
+    assert mapper.pool.n == 0
 
 
 def test_frame_report_fields(rng):
