@@ -86,10 +86,10 @@ def cmd_map(args) -> int:
     mapper = Mapper(cfg)
     with open(out / "reports.jsonl", "w") as log:
         for i, (path, pose) in enumerate(zip(scan_paths, poses)):
-            points, dropped = load_scan(path)
-            if dropped:
-                print(f"{path.name}: dropped {dropped} non-finite points", file=sys.stderr)
-            report = mapper.run_sequence([points], [pose])[0]
+            report = mapper.run_sequence([load_scan(path)], [pose])[0]
+            if report.nonfinite_points or report.out_of_range_points:
+                print(f"{path.name}: dropped {report.nonfinite_points} non-finite and "
+                      f"{report.out_of_range_points} out-of-range points", file=sys.stderr)
             log.write(json.dumps(report.to_dict()) + "\n")
             log.flush()
             if args.mesh_every and (i + 1) % args.mesh_every == 0:

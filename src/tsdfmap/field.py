@@ -32,10 +32,14 @@ class NeuralSdfField:
             else SdfDecoder(feature_dim=self.grid.feature_dim, rng=rng)
         )
 
-    def predict(self, points):
-        """(n, 3) world points -> ((n,) sdf, cache). Raises UnallocatedQuery."""
+    def predict(self, points, record=None):
+        """(n, 3) world points -> ((n,) sdf, cache). Raises UnallocatedQuery.
+
+        A record of these points (see `FeatureGrid.interpolate`) skips
+        the corner lookups and weights and gathers the current features.
+        """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        feats, record = self.grid.interpolate(pts)
+        feats, record = self.grid.interpolate(pts, record)
         preds, dec_cache = self.decoder.forward(feats)
         return preds, FieldCache(pts, preds, record, dec_cache)
 

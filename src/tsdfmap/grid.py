@@ -83,6 +83,10 @@ class InterpRecord(NamedTuple):
     weights: np.ndarray  # (n, L, 8) float64
     fracs: np.ndarray  # (n, L, 3) float64
 
+    def take(self, idx):
+        """The record of points[idx], given the record of points."""
+        return InterpRecord(self.rows[idx], self.weights[idx], self.fracs[idx])
+
 
 class GridLevel:
     """One resolution level: vertex hash plus dense per-row payloads."""
@@ -165,13 +169,22 @@ class FeatureGrid:
         base, frac = cell_of(points, lvl.voxel_size)
         return lvl.vertices.lookup(corner_keys(base)).reshape(-1, 8), frac
 
-    def interpolate(self, points):
+    def interpolate(self, points, record=None):
         """Aggregated features for a batch of points.
 
         Returns (features (n, feature_dim), InterpRecord). Raises
         UnallocatedQuery if any point lies in a voxel with missing
         corners at any level: unknown space is an error, not zero.
+        Given the record of these points from an earlier call, only the
+        current features are gathered: a vertex keeps its row once
+        allocated, so corner rows and weights stay valid.
         """
+        if record is not None:
+            feats = np.zeros((record.rows.shape[0], self.feature_dim))
+            for li, lvl in enumerate(self.levels):
+                feats += np.einsum("nc,ncd->nd", record.weights[:, li],
+                                   lvl.features[record.rows[:, li]])
+            return feats, record
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         n = pts.shape[0]
         L = self.n_levels

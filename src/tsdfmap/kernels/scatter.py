@@ -39,11 +39,11 @@ def adam_update_rows_numba(param, m, v, grad, rows, lr, beta1, beta2, eps, bc1, 
 
 
 def adam_update_rows_numpy(param, m, v, grad, rows, lr, beta1, beta2, eps, bc1, bc2):
-    m[rows] = beta1 * m[rows] + (1.0 - beta1) * grad
-    v[rows] = beta2 * v[rows] + (1.0 - beta2) * grad * grad
-    m_hat = m[rows] / bc1
-    v_hat = v[rows] / bc2
-    param[rows] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m_r = beta1 * m[rows] + (1.0 - beta1) * grad
+    v_r = beta2 * v[rows] + (1.0 - beta2) * grad * grad
+    m[rows] = m_r
+    v[rows] = v_r
+    param[rows] -= lr * (m_r / bc1) / (np.sqrt(v_r / bc2) + eps)
 
 
 if JIT_ENABLED:

@@ -191,19 +191,15 @@ def load_ply(path):
 def load_scan(path):
     """Load scan points from .ply or raw float32 xyzi .bin.
 
-    Returns (points (n, 3) float64, dropped) where dropped counts
-    non-finite rows removed.
+    Returns (n, 3) float64 points, non-finite rows included: the frame
+    gate in `Mapper.process_frame` drops and counts them.
     """
     path = str(path)
     if path.endswith(".ply"):
-        pts = load_ply(path)["points"]
-    elif path.endswith(".bin"):
+        return load_ply(path)["points"]
+    if path.endswith(".bin"):
         raw = np.fromfile(path, dtype="<f4")
         if raw.size % 4 != 0:
             raise MalformedFile(f"{path}: size is not a multiple of 4 float32 (xyzi)")
-        pts = raw.reshape(-1, 4)[:, :3].astype(np.float64)
-    else:
-        raise UnsupportedFormat(f"{path}: expected .ply or .bin")
-    finite = np.isfinite(pts).all(axis=1)
-    dropped = int((~finite).sum())
-    return pts[finite], dropped
+        return raw.reshape(-1, 4)[:, :3].astype(np.float64)
+    raise UnsupportedFormat(f"{path}: expected .ply or .bin")

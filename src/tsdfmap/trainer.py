@@ -1,13 +1,19 @@
 """Per-frame training orchestration.
 
-Frame pipeline, in order: drop returns that are non-finite or whose
-samples would leave the packable grid range, estimate normals, generate
-samples, allocate grid voxels at the sample positions, insert into the
-replay pool, prune the pool window, enforce bucket capacity, partition
-buckets by uncertainty, then `iterations` rounds of draw batch /
-predict / MSE / backward / Adam, and finally accumulate Fisher
-information over the frame's trained samples (deduplicated) with the
-post-update weights.
+Frame pipeline, in order: drop and count returns that are non-finite
+or whose samples would leave the packable grid range, estimate normals,
+generate samples, allocate grid voxels at the sample positions, insert
+into the replay pool, prune the pool window, enforce bucket capacity,
+partition buckets by uncertainty and split the pool rows into uncertain
+and certain once. Replay then draws all `iterations` batches from the
+frame's batch stream, interpolates the union of drawn rows once (corner
+rows, weights and fractions), and runs `iterations` rounds of predict /
+MSE / backward / Adam, each on its batch's slice of that record with
+the current features. Finally Fisher information accumulates over the
+union, each trained sample once, with the post-update weights. Within a
+frame the pool, the partition and the grid vertices do not change, so
+this gives bitwise the results of drawing and interpolating each batch
+on its own.
 
 Everything is seeded per (global seed, frame, purpose), so runs are
 bitwise reproducible.
@@ -26,7 +32,8 @@ from .grid import FeatureGrid
 from .hashmap import COORD_LIMIT
 from .pool import PoolConfig, ReplayPool
 from .sampler import Scan, SamplerConfig, estimate_normals, generate_samples, voxel_downsample
-from .uncertainty import PerturbField, UncertaintyConfig, draw_batch, partition_voxels
+from .uncertainty import (PerturbField, UncertaintyConfig, draw_batch, partition_voxels,
+                          split_rows)
 
 # rng stream tags (third SeedSequence word)
 _TAG_SAMPLER = 1
@@ -154,41 +161,49 @@ class Mapper:
         t3 = time.perf_counter()
         report.stage_ms["pool"] = 1e3 * (t3 - t2)
 
-        partition = None
+        partition = split = None
         if cfg.active_sampling:
             partition = partition_voxels(self.pool, self.perturb, cfg.uncertainty.threshold)
+            split = split_rows(self.pool, partition)
             report.n_uncertain_voxels = int(partition.uncertain.size)
             report.n_certain_voxels = int(partition.certain.size)
         t4 = time.perf_counter()
         report.stage_ms["partition"] = 1e3 * (t4 - t3)
 
-        rng_b = self._rng(scan.frame_id, _TAG_BATCH)
-        drawn = []
-        for _ in range(cfg.iterations):
-            rows = draw_batch(self.pool, partition, cfg.batch_size, cfg.n_uncertain, rng_b)
-            _, cache = self.field.predict(self.pool.pos[rows])
-            loss, store = self.field.backward_mse(cache, self.pool.label[rows])
+        self._replay(scan.frame_id, partition, split, report)
+        self.frames_done += 1
+        return report
+
+    def _replay(self, frame_id, partition, split, report):
+        """Optimize on the frame's batches, then accumulate Fisher over their union."""
+        cfg = self.cfg
+        t0 = time.perf_counter()
+        rng_b = self._rng(frame_id, _TAG_BATCH)
+        drawn = [draw_batch(self.pool, partition, cfg.batch_size, cfg.n_uncertain, rng_b, split)
+                 for _ in range(cfg.iterations)]
+        rows, inv = np.unique(np.concatenate(drawn), return_inverse=True)
+        pos = self.pool.pos[rows]
+        _, union = self.grid.interpolate(pos)
+        for batch, idx in zip(drawn, np.split(inv, len(drawn))):
+            _, cache = self.field.predict(pos[idx], record=union.take(idx))
+            loss, store = self.field.backward_mse(cache, self.pool.label[batch])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(
-                    f"non-finite loss {loss} at frame {scan.frame_id}, "
+                    f"non-finite loss {loss} at frame {frame_id}, "
                     f"iteration {len(report.losses)}"
                 )
             self.adam_steps += 1
             adam_step(store, self.grid, self.decoder, cfg.adam, self.adam_steps)
             report.losses.append(loss)
-            drawn.append(rows)
-        t5 = time.perf_counter()
-        report.stage_ms["optimize"] = 1e3 * (t5 - t4)
+        t1 = time.perf_counter()
+        report.stage_ms["optimize"] = 1e3 * (t1 - t0)
 
         # Fisher sees each trained sample once, with the updated weights.
-        rows = np.unique(np.concatenate(drawn))
         report.fisher_rows = int(rows.size)
-        grads = self.field.spatial_gradient(self.pool.pos[rows])
-        self.perturb.accumulate(self.pool.pos[rows], grads)
-        report.stage_ms["fisher"] = 1e3 * (time.perf_counter() - t5)
-
-        self.frames_done += 1
-        return report
+        _, cache = self.field.predict(pos, record=union)
+        grads = self.field.spatial_gradient(pos, cache)
+        self.perturb.accumulate(pos, grads)
+        report.stage_ms["fisher"] = 1e3 * (time.perf_counter() - t1)
 
     def run_sequence(self, point_clouds, poses) -> list:
         """Transform sensor-frame clouds to world scans and fold them in.

@@ -133,7 +133,17 @@ def partition_voxels(pool, field: PerturbField, threshold: float = 0.98) -> Voxe
     )
 
 
-def draw_batch(pool, partition, batch_size: int, n_uncertain: int, rng):
+def split_rows(pool, partition):
+    """(uncertain rows, certain rows): pool rows by their bucket's side."""
+    keys = partition.uncertain  # sorted
+    unc_mask = np.zeros(pool.n, dtype=bool)
+    if keys.size:
+        pos = np.minimum(np.searchsorted(keys, pool.bucket), keys.size - 1)
+        unc_mask = keys[pos] == pool.bucket
+    return np.flatnonzero(unc_mask), np.flatnonzero(~unc_mask)
+
+
+def draw_batch(pool, partition, batch_size: int, n_uncertain: int, rng, split=None):
     """Row indices into the pool for one training batch.
 
     Draws uniformly with replacement: min(n_uncertain, #samples in
@@ -142,14 +152,15 @@ def draw_batch(pool, partition, batch_size: int, n_uncertain: int, rng):
     partition=None the whole pool is drawn uniformly (the non-guided
     baseline). Always returns exactly batch_size rows. The caller
     guarantees 0 <= n_uncertain <= batch_size, as `TrainConfig` does.
+    `split` is `split_rows(pool, partition)`, computed here if not given;
+    a caller drawing several batches from one pool and partition passes
+    it once for all of them.
     """
     if pool.n == 0:
         raise EmptyPool("cannot draw a batch from an empty pool")
     if partition is None:
         return rng.integers(0, pool.n, size=batch_size)
-    unc_mask = _bucket_member(pool.bucket, partition.uncertain)
-    unc_rows = np.flatnonzero(unc_mask)
-    cer_rows = np.flatnonzero(~unc_mask)
+    unc_rows, cer_rows = split if split is not None else split_rows(pool, partition)
     n_unc = min(n_uncertain, unc_rows.size)
     if cer_rows.size == 0:
         n_unc = batch_size  # certain side empty: all draws uncertain
@@ -161,12 +172,3 @@ def draw_batch(pool, partition, batch_size: int, n_uncertain: int, rng):
         src = cer_rows if cer_rows.size else unc_rows
         parts.append(src[rng.integers(0, src.size, size=n_cer)])
     return np.concatenate(parts)
-
-
-def _bucket_member(buckets, sorted_keys):
-    """Membership of packed bucket ids in a sorted key array."""
-    if sorted_keys.size == 0:
-        return np.zeros(buckets.shape[0], dtype=bool)
-    pos = np.searchsorted(sorted_keys, buckets)
-    pos = np.minimum(pos, sorted_keys.size - 1)
-    return sorted_keys[pos] == buckets

@@ -477,7 +477,7 @@ def test_10_external_dataset_benchmark(capsys):
     from tsdfmap.poses import load_poses
     from tsdfmap.mesher import load_mesh
 
-    scans = [load_scan(p)[0] for p in _scan_paths(os.path.join(root, "scans"))]
+    scans = [load_scan(p) for p in _scan_paths(os.path.join(root, "scans"))]
     poses = load_poses(os.path.join(root, "poses.txt"))
     mapper = Mapper(TrainConfig(seed=0))
     mapper.run_sequence(scans, poses)

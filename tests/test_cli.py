@@ -170,6 +170,25 @@ def test_map_survives_a_far_return(workdir, sim_dir):
     assert report["pool_size"] > 0
 
 
+def test_map_reports_nonfinite_and_far_returns(workdir, sim_dir, capsys):
+    scans = workdir / "dirty_scans"
+    scans.mkdir()
+    pts = load_ply(sorted(sim_dir.glob("frame_*.ply"))[0])["points"]
+    pts = np.vstack([pts, [[np.nan, 0.0, 0.0], [1e6, 0.0, 0.0]]])
+    xyzi = np.column_stack([pts, np.zeros(len(pts))]).astype("<f4")
+    xyzi.tofile(scans / "frame_00000.bin")
+    poses = (sim_dir / "poses.txt").read_text().splitlines()[:1]
+    (scans / "poses.txt").write_text(poses[0] + "\n")
+    out = workdir / "dirty_run"
+    rc = main(["map", "--scans", str(scans), "--poses", str(scans / "poses.txt"),
+               "--config", str(workdir / "run.yaml"), "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "reports.jsonl").read_text())
+    assert report["nonfinite_points"] == 1
+    assert report["out_of_range_points"] == 1
+    assert "dropped 1 non-finite and 1 out-of-range points" in capsys.readouterr().err
+
+
 def test_map_pose_count_mismatch(workdir, sim_dir, capsys):
     short = workdir / "short_poses.txt"
     lines = (sim_dir / "poses.txt").read_text().splitlines()[:-1]

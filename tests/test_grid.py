@@ -164,3 +164,18 @@ def test_bounds_cover_allocations():
     g.allocate(pts)
     lo, hi = g.bounds()
     assert (lo <= pts.min(0)).all() and (hi >= pts.max(0)).all()
+
+
+def test_interpolate_with_a_taken_record_matches_a_fresh_one(rng):
+    grid = FeatureGrid(voxel_sizes=(0.3, 0.45), feature_dim=4)
+    pts = rng.uniform(-1, 1, (200, 3))
+    grid.allocate(pts)
+    for lvl in grid.levels:
+        lvl.features[:] = rng.standard_normal(lvl.features.shape)
+    _, rec = grid.interpolate(pts)
+    idx = rng.integers(0, 200, size=300)  # repeats rows, as batch draws do
+    want, want_rec = grid.interpolate(pts[idx])
+    got, got_rec = grid.interpolate(pts[idx], record=rec.take(idx))
+    assert np.array_equal(got, want)
+    for a, b in zip(got_rec, want_rec):
+        assert np.array_equal(a, b)

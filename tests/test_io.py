@@ -55,13 +55,13 @@ end_header
 """
     path = tmp_path / "tri.ply"
     path.write_text(text)
-    pts, dropped = load_scan(path)
+    pts = load_scan(path)
     assert pts.shape == (3, 3)
-    assert dropped == 0
     np.testing.assert_allclose(pts[1], [1, 0, 0])
 
 
-def test_nan_rows_dropped(tmp_path):
+def test_nan_rows_reach_the_frame_gate(tmp_path):
+    # the loader keeps them; Mapper.process_frame drops and counts them
     text = """ply
 format ascii 1.0
 element vertex 3
@@ -75,9 +75,9 @@ nan 0 0
 """
     path = tmp_path / "n.ply"
     path.write_text(text)
-    pts, dropped = load_scan(path)
-    assert pts.shape == (2, 3)
-    assert dropped == 1
+    pts = load_scan(path)
+    assert pts.shape == (3, 3)
+    assert np.isnan(pts[1, 0]) and np.isfinite(np.delete(pts, 1, axis=0)).all()
 
 
 def test_kitti_bin_scan(tmp_path):
@@ -85,10 +85,9 @@ def test_kitti_bin_scan(tmp_path):
                     4.0, 5.0, 6.0, 0.9], dtype=np.float32)
     path = tmp_path / "scan.bin"
     raw.tofile(path)
-    pts, dropped = load_scan(path)
+    pts = load_scan(path)
     assert pts.shape == (2, 3)
     np.testing.assert_allclose(pts, [[1, 2, 3], [4, 5, 6]])
-    assert dropped == 0
 
 
 def test_bin_truncated(tmp_path):
@@ -264,7 +263,7 @@ def test_external_dataset_loaders_resolve(tmp_path, rng):
     save_poses(tmp_path / "poses.txt", [pose, pose])
     write_mesh_ply(tmp_path / "gt.ply", np.eye(3), [[0, 1, 2]])
 
-    scans = [load_scan(p)[0] for p in _scan_paths(tmp_path / "scans")]
+    scans = [load_scan(p) for p in _scan_paths(tmp_path / "scans")]
     poses = load_poses(tmp_path / "poses.txt")
     gt = load_mesh(tmp_path / "gt.ply")
     assert len(scans) == len(poses) == 2

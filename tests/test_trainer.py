@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from tsdfmap.adam import adam_step
 from tsdfmap.errors import NonFiniteLoss, PoseCountMismatch
 from tsdfmap.pool import PoolConfig
 from tsdfmap.sampler import Scan
-from tsdfmap.trainer import Mapper, TrainConfig
+from tsdfmap.trainer import _TAG_BATCH, Mapper, TrainConfig
+from tsdfmap.uncertainty import draw_batch
 
 
 def small_cfg(**kw):
@@ -93,6 +95,55 @@ def test_mapper_runs_deterministically(rng):
     m_b.run_sequence(clouds, poses)
     for la, lb in zip(m_a.grid.levels, m_b.grid.levels):
         assert np.array_equal(la.features, lb.features)
+
+
+class PerIterationMapper(Mapper):
+    """Reference: each iteration draws its batch and interpolates it afresh,
+    and the Fisher pass interpolates the union of drawn rows again."""
+
+    def _replay(self, frame_id, partition, split, report):
+        cfg = self.cfg
+        rng_b = self._rng(frame_id, _TAG_BATCH)
+        drawn = []
+        for _ in range(cfg.iterations):
+            rows = draw_batch(self.pool, partition, cfg.batch_size, cfg.n_uncertain, rng_b)
+            _, cache = self.field.predict(self.pool.pos[rows])
+            loss, store = self.field.backward_mse(cache, self.pool.label[rows])
+            self.adam_steps += 1
+            adam_step(store, self.grid, self.decoder, cfg.adam, self.adam_steps)
+            report.losses.append(loss)
+            drawn.append(rows)
+        rows = np.unique(np.concatenate(drawn))
+        report.fisher_rows = int(rows.size)
+        grads = self.field.spatial_gradient(self.pool.pos[rows])
+        self.perturb.accumulate(self.pool.pos[rows], grads)
+
+
+@pytest.mark.parametrize("active", [True, False])
+def test_shared_batch_geometry_matches_per_iteration_loop(active):
+    cfg = dict(iterations=4, batch_size=512, n_uncertain=128, active_sampling=active)
+    mappers = Mapper(small_cfg(**cfg)), PerIterationMapper(small_cfg(**cfg))
+    split_seen = False
+    for f in range(3):
+        scan = Scan(np.array([0.3 * f, 0.0, 2.0]),
+                    plane_cloud(np.random.default_rng(f), 300), f)
+        got, want = (m.process_frame(scan) for m in mappers)
+        assert got.losses == want.losses
+        assert got.fisher_rows == want.fisher_rows
+        split_seen |= got.n_uncertain_voxels > 0 and got.n_certain_voxels > 0
+    assert split_seen == active
+    m, ref = mappers
+    assert m.adam_steps == ref.adam_steps
+    for name in m.decoder.params:
+        assert np.array_equal(m.decoder.params[name], ref.decoder.params[name])
+        assert np.array_equal(m.decoder.adam_m[name], ref.decoder.adam_m[name])
+        assert np.array_equal(m.decoder.adam_v[name], ref.decoder.adam_v[name])
+    for la, lb in zip(m.grid.levels, ref.grid.levels):
+        assert np.array_equal(la.features, lb.features)
+        assert np.array_equal(la.adam_m, lb.adam_m)
+        assert np.array_equal(la.adam_v, lb.adam_v)
+    assert np.array_equal(m.perturb.vertices.keys, ref.perturb.vertices.keys)
+    assert np.array_equal(m.perturb.fisher, ref.perturb.fisher)
 
 
 def test_seed_changes_trajectory(rng):

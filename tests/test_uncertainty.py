@@ -14,6 +14,7 @@ from tsdfmap.uncertainty import (
     VoxelPartition,
     draw_batch,
     partition_voxels,
+    split_rows,
 )
 
 
@@ -225,6 +226,27 @@ def test_draw_batch_no_certain_samples_backfills(rng):
     rows = draw_batch(pool, part, 16, 4, np.random.default_rng(1))
     assert rows.shape == (16,)
     assert np.isin(pool.bucket[rows], keys).all()
+
+
+def test_draw_batch_with_a_passed_split_matches_its_own(rng):
+    mixed = two_cluster_pool(rng)
+    # certain side empty (backfill), as in the test above
+    pool = pool_with(rng.uniform(0, 0.4, (20, 3)))
+    keys = pool.occupied_buckets()
+    no_certain = (pool, VoxelPartition(uncertain=keys, certain=np.empty(0, np.int64),
+                                       keys=keys, sigma=np.ones(keys.size),
+                                       normalized=np.ones(keys.size), threshold=0.98))
+    # uncertain side empty: a single bucket is certain
+    pool = pool_with([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]])
+    no_uncertain = (pool, partition_voxels(pool, PerturbField(), 0.98))
+    assert no_uncertain[1].uncertain.size == 0
+    for pool, part in (mixed, no_certain, no_uncertain):
+        split = split_rows(pool, part)
+        own, passed = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):  # one stream, several batches, as a frame draws them
+            a = draw_batch(pool, part, 16, 4, own)
+            b = draw_batch(pool, part, 16, 4, passed, split)
+            assert np.array_equal(a, b)
 
 
 def test_draw_batch_uniform_when_no_partition(rng):

@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on perfbench, in alternating pairs of runs.
+
+Run from anywhere, naming the two checkouts and run.py's arguments:
+
+    python3 tools/bench_pairs.py BASE CHANGE --pairs 10 -- \
+        --workload desk-orbit --seed 1 --seconds 25 --trace 0
+
+Each pair runs `python3 perfbench/run.py ARGS` once in each checkout's
+root. Even pairs run BASE first and odd pairs CHANGE first, so a drift
+of the host's speed favours neither side. Then, per workload and metric,
+it prints each side's quartiles (q1, median, q3), the change of the
+median, the pairs the change won, and whether the gap between medians,
+in the metric's better direction, exceeds the base's interquartile
+range. Metric directions come from this checkout's BENCHMARK.json.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import stats  # noqa: E402
+
+
+def parse_run(stdout):
+    """{workload: result} from one run.py output.
+
+    Each workload prints a `detail {...}` line whose provenance block
+    names it, then its one-line JSON result.
+    """
+    results, workload = {}, None
+    for line in stdout.splitlines():
+        if line.startswith("detail "):
+            workload = json.loads(line[len("detail "):])["provenance"]["workload"]
+        elif line.startswith("{") and workload is not None:
+            results[workload] = json.loads(line)
+            workload = None
+    return results
+
+
+def quartiles(values):
+    """(q1, median, q3); q1 and q3 are the medians of the lower and upper half."""
+    xs = sorted(values)
+    half = len(xs) // 2
+    return stats.median(xs[:half] or xs), stats.median(xs), stats.median(xs[-half:] or xs)
+
+
+def summarize(pairs, declared):
+    """One row per workload and declared metric that both sides report.
+
+    pairs: [(base results, change results)], each as `parse_run` gives it.
+    declared: BENCHMARK.json metric entries (name, unit, better).
+    """
+    rows = []
+    for workload in pairs[0][0]:
+        for spec in declared:
+            name = spec["name"]
+            if any(name not in side.get(workload, {}).get("metrics", {})
+                   for pair in pairs for side in pair):
+                continue
+            sign = 1.0 if spec["better"] == "higher" else -1.0
+            base = [b[workload]["metrics"][name]["value"] for b, _ in pairs]
+            change = [c[workload]["metrics"][name]["value"] for _, c in pairs]
+            bq, cq = quartiles(base), quartiles(change)
+            rows.append({
+                "workload": workload,
+                "metric": name,
+                "unit": spec["unit"],
+                "base": bq,
+                "change": cq,
+                "delta_pct": 100.0 * (cq[1] - bq[1]) / bq[1] if bq[1] else float("nan"),
+                "wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+                "pairs": len(pairs),
+                "clear": sign * (cq[1] - bq[1]) > bq[2] - bq[0],
+            })
+    return rows
+
+
+def failures(pairs):
+    """{workload: (base failed, change failed, attempted, incorrect runs)}."""
+    out = {}
+    for workload in pairs[0][0]:
+        sides = [[pair[k][workload] for pair in pairs] for k in (0, 1)]
+        out[workload] = (sum(r["failed"] for r in sides[0]),
+                         sum(r["failed"] for r in sides[1]),
+                         sum(r["attempted"] for s in sides for r in s),
+                         sum(not r["correct"] for s in sides for r in s))
+    return out
+
+
+def run(checkout, args):
+    done = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=checkout,
+                          capture_output=True, text=True, check=True)
+    return parse_run(done.stdout)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", help="checkout of the parent commit")
+    ap.add_argument("change", help="checkout of the change")
+    ap.add_argument("--pairs", type=int, default=10)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    cut = argv.index("--") if "--" in argv else len(argv)
+    args = ap.parse_args(argv[:cut])
+    run_args = argv[cut + 1:]  # for perfbench/run.py
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    pairs = []
+    for i in range(args.pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        got = {side: run(getattr(args, side), run_args) for side in order}
+        pairs.append((got["base"], got["change"]))
+        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr, flush=True)
+
+    print(f"{'workload':<13} {'metric':<16} {'base q1/med/q3':>30} "
+          f"{'change q1/med/q3':>30} {'median':>8} {'wins':>6}  gap > base IQR")
+    for r in summarize(pairs, spec["end_to_end"] + spec["per_layer"]):
+        fmt = lambda q: "/".join(f"{v:.4g}" for v in q)  # noqa: E731
+        print(f"{r['workload']:<13} {r['metric']:<16} {fmt(r['base']):>30} "
+              f"{fmt(r['change']):>30} {r['delta_pct']:>+7.1f}% "
+              f"{r['wins']:>3}/{r['pairs']:<2}  {'yes' if r['clear'] else 'no'}")
+    for workload, (fb, fc, attempted, incorrect) in failures(pairs).items():
+        print(f"{workload}: failed base {fb}, change {fc} of {attempted} operations; "
+              f"{incorrect} runs with a failed check")
+
+
+if __name__ == "__main__":
+    main()
