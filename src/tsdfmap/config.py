@@ -10,6 +10,7 @@ defaults, so a dumped config reproduces the run exactly.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import get_type_hints
 
@@ -24,6 +25,10 @@ class MeshConfig:
     spacing: float = 0.10
     pad: float = 0.0
     ascii: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError("spacing must be positive and finite")
 
 
 @dataclass

@@ -47,6 +47,18 @@ def corner_keys(cells):
     return pack_coords(cells[:, None, :] + CORNER_OFFSETS[None, :, :])
 
 
+def distinct_cells(points, voxel_size):
+    """The distinct cells that (n, 3) points fall in, and how to broadcast back.
+
+    Returns (cells (m, 3) in key order, inverse (n,) with point i in
+    cells[inverse[i]], fractions (n, 3) per point). Points share cells, so
+    per-cell work (corner keys, hash lookups) is done m times, not n.
+    """
+    base, frac = cell_of(points, voxel_size)
+    uniq, inverse = np.unique(pack_coords(base), return_inverse=True)
+    return unpack_key(uniq), inverse.ravel(), frac
+
+
 def grow_rows(buf, n: int):
     """`buf`, or a zero-padded copy with capacity max(n, 2 * cap, 256) if n > cap."""
     cap = buf.shape[0]
@@ -155,8 +167,7 @@ class FeatureGrid:
         for lvl in self.levels:
             if pts.shape[0] == 0:
                 break
-            base, _ = cell_of(pts, lvl.voxel_size)
-            cells = unpack_key(np.unique(pack_coords(base)))
+            cells, _, _ = distinct_cells(pts, lvl.voxel_size)
             before = lvl.n_vertices
             lvl.vertices.insert(np.unique(corner_keys(cells)))
             lvl.ensure_rows(lvl.n_vertices)
@@ -164,10 +175,14 @@ class FeatureGrid:
         return added, skipped
 
     def corner_rows(self, points, level: int):
-        """(n, 8) vertex rows for the enclosing voxel corners, -1 if absent."""
+        """(n, 8) vertex rows of each point's cell corners (-1 if absent), (n, 3) fractions.
+
+        Each distinct cell's eight corners are looked up once and the rows
+        broadcast to its points; fractions are per point.
+        """
         lvl = self.levels[level]
-        base, frac = cell_of(points, lvl.voxel_size)
-        return lvl.vertices.lookup(corner_keys(base)).reshape(-1, 8), frac
+        cells, inverse, frac = distinct_cells(points, lvl.voxel_size)
+        return lvl.vertices.lookup(corner_keys(cells)).reshape(-1, 8)[inverse], frac
 
     def interpolate(self, points, record=None):
         """Aggregated features for a batch of points.
@@ -208,14 +223,16 @@ class FeatureGrid:
         return feats, InterpRecord(all_rows, all_weights, all_fracs)
 
     def voxels_allocated(self, points):
-        """Boolean mask: point lies in a fully allocated voxel at every level."""
+        """Boolean mask: point lies in a fully allocated voxel at every level.
+
+        Each distinct cell is checked once and the answer broadcast to its points.
+        """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         ok = np.ones(pts.shape[0], dtype=bool)
         for lvl in self.levels:
-            base, _ = cell_of(pts, lvl.voxel_size)
-            uniq, inv = np.unique(pack_coords(base), return_inverse=True)
-            rows = lvl.vertices.lookup(corner_keys(unpack_key(uniq))).reshape(-1, 8)
-            ok &= (rows >= 0).all(axis=1)[inv]
+            cells, inverse, _ = distinct_cells(pts, lvl.voxel_size)
+            rows = lvl.vertices.lookup(corner_keys(cells)).reshape(-1, 8)
+            ok &= (rows >= 0).all(axis=1)[inverse]
         return ok
 
     def bounds(self):

@@ -43,6 +43,8 @@ class TriMesh:
 
 
 def _node_grid(bounds, spacing):
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"mesh spacing must be positive and finite, got {spacing}")
     lo = np.asarray(bounds[0], dtype=np.float64).reshape(3)
     hi = np.asarray(bounds[1], dtype=np.float64).reshape(3)
     if np.any(hi <= lo):

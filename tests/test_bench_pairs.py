@@ -18,13 +18,16 @@ DECLARED = [
 ]
 
 
-def run_output(fps, mb, failed=0, correct=True):
-    """Two workloads, as `run.py --workload all` prints them."""
+def run_output(fps, mb, failed=0, correct=True, digest="ab" * 32):
+    """Two workloads, as `run.py --workload all` prints them; no digest if None."""
     lines = []
     for workload in ("desk-orbit", "street-drive"):
+        detail = {"provenance": {"workload": workload}}
+        if digest is not None:
+            detail["loss_trace_sha256"] = digest
         lines += [f"{workload}  seed 1  trace 0  lane numpy",
                   f"  frames_per_s {fps}",
-                  "detail " + json.dumps({"provenance": {"workload": workload}}),
+                  "detail " + json.dumps(detail),
                   json.dumps({"correct": correct, "attempted": 12, "failed": failed,
                               "metrics": {"frames_per_s": {"value": fps, "unit": "1/s"},
                                           "map_mb": {"value": mb, "unit": "MB"}}})]
@@ -32,9 +35,15 @@ def run_output(fps, mb, failed=0, correct=True):
 
 
 def test_parse_run_keys_results_by_the_detail_line_workload():
-    got = bench_pairs.parse_run(run_output(1.5, 37.7))
+    got = bench_pairs.parse_run(run_output(1.5, 37.7, digest="cd" * 32))
     assert list(got) == ["desk-orbit", "street-drive"]
     assert got["street-drive"]["metrics"]["map_mb"]["value"] == 37.7
+    assert got["street-drive"]["loss_trace_sha256"] == "cd" * 32
+
+
+def test_parse_run_without_a_digest_keeps_none():
+    got = bench_pairs.parse_run(run_output(1.5, 37.7, digest=None))
+    assert got["desk-orbit"]["loss_trace_sha256"] is None
 
 
 def test_quartiles_are_medians_of_the_halves():
@@ -84,3 +93,35 @@ def test_main_parses_run_arguments_after_the_separator(monkeypatch, capsys):
     assert all(a == ["--workload", "all", "--seed", "1"] for _, a in calls)
     out = capsys.readouterr().out
     assert "desk-orbit" in out and "2/2" in out
+
+
+def test_digests_same_on_both_sides(monkeypatch, capsys):
+    pairs = [(bench_pairs.parse_run(run_output(1.0, 5.0)),
+              bench_pairs.parse_run(run_output(1.1, 5.0))) for _ in range(3)]
+    assert bench_pairs.digests(pairs)["desk-orbit"] == (("ab" * 32,), ("ab" * 32,))
+    monkeypatch.setattr(bench_pairs, "run",
+                        lambda checkout, args: bench_pairs.parse_run(run_output(1.0, 5.0)))
+    bench_pairs.main(["old", "new", "--pairs", "2"])
+    out = capsys.readouterr().out
+    assert f"desk-orbit: same loss-trace SHA-256 {'ab' * 8} in all 4 runs" in out
+    assert "DIFFERS" not in out
+
+
+def test_digests_differ_between_sides_or_within_one(monkeypatch, capsys):
+    base = [bench_pairs.parse_run(run_output(1.0, 5.0, digest=d)) for d in ("aa", "aa")]
+    change = [bench_pairs.parse_run(run_output(1.0, 5.0, digest=d)) for d in ("bb", "aa")]
+    assert bench_pairs.digests(list(zip(base, change)))["street-drive"] == (("aa",),
+                                                                            ("aa", "bb"))
+    flaky = [bench_pairs.parse_run(run_output(1.0, 5.0, digest=d)) for d in ("aa", "cc")]
+    assert bench_pairs.digests(list(zip(flaky, flaky)))["desk-orbit"] == (("aa", "cc"),
+                                                                          ("aa", "cc"))
+
+    def fake_run(checkout, args):
+        return bench_pairs.parse_run(run_output(1.0, 5.0, digest="bb" if checkout == "new"
+                                                else "aa"))
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    bench_pairs.main(["old", "new", "--pairs", "2"])
+    out = capsys.readouterr().out
+    assert "desk-orbit: loss-trace SHA-256 DIFFERS: base aa; change bb" in out
+    assert "same loss-trace" not in out

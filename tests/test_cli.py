@@ -117,6 +117,15 @@ def test_mesh_ascii_flag(workdir, map_dir):
     assert out.read_bytes().startswith(b"ply\nformat ascii")
 
 
+@pytest.mark.parametrize("spacing", ["0", "-0.1", "nan"])
+def test_mesh_bad_spacing_fails_naming_it(workdir, map_dir, capsys, spacing):
+    rc = main(["mesh", str(map_dir / "checkpoint.npz"), "--out",
+               str(workdir / "bad_spacing.ply"), "--spacing", spacing])
+    assert rc == 1
+    assert "mesh spacing must be positive and finite" in capsys.readouterr().err
+    assert not (workdir / "bad_spacing.ply").exists()
+
+
 def test_eval_self_is_perfect(workdir, map_dir, capsys):
     mesh = workdir / "final.ply"
     rc = main(["eval", str(mesh), str(mesh), "--out",

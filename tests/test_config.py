@@ -130,6 +130,15 @@ def test_validation_happens_at_parse_time():
             build_dataclass(RunConfig, data)
 
 
+@pytest.mark.parametrize("spacing", ["0", "-0.1", ".nan", ".inf"])
+def test_bad_mesh_spacing_rejected_with_path(tmp_path, spacing):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"mesh:\n  spacing: {spacing}\n")
+    with pytest.raises(ValueError,
+                       match="^config section mesh: spacing must be positive and finite$"):
+        load_config(path)
+
+
 def test_readme_quick_start_config_parses(tmp_path):
     m = re.search(r"cat > run\.yaml <<'EOF'\n(.*?)\nEOF\n", README.read_text(), re.S)
     assert m, "README has no run.yaml heredoc"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from tsdfmap.grid import (
     FeatureGrid,
     cell_of,
     corner_keys,
+    distinct_cells,
     trilinear_weight_gradients,
     trilinear_weights,
 )
@@ -179,3 +182,82 @@ def test_interpolate_with_a_taken_record_matches_a_fresh_one(rng):
     assert np.array_equal(got, want)
     for a, b in zip(got_rec, want_rec):
         assert np.array_equal(a, b)
+
+
+def per_point_rows(grid, pts, li):
+    """Reference corner rows: eight keys looked up for every point, shared cell or not."""
+    lvl = grid.levels[li]
+    return lvl.vertices.lookup(corner_keys(cell_of(pts, lvl.voxel_size)[0])).reshape(-1, 8)
+
+
+@pytest.fixture
+def shared_cell_grid(rng):
+    """A grid over a small region straddling the origin, and query points that
+    share cells, repeat, sit exactly on cell faces, or fall outside it."""
+    grid = FeatureGrid(voxel_sizes=(0.3, 0.45), feature_dim=4)
+    clustered = rng.uniform(-0.6, 0.5, size=(400, 3))  # ~7 points per 0.3 m cell
+    faces = np.array([[0.0, 0.0, 0.0], [-0.9, 0.45, 0.3], [0.9, -0.3, -0.45],
+                      [0.6, 0.6, -0.6], [-0.45, -0.9, 0.0]])  # on 0.3 and/or 0.45 faces
+    grid.allocate(np.vstack([clustered, faces]))
+    for lvl in grid.levels:
+        lvl.features[:] = rng.standard_normal(lvl.features.shape)
+    repeated = clustered[[3, 3, 17, 3, 250, 17]]
+    inside = np.vstack([clustered, faces, repeated])
+    # far away, far away, a repeat, and next to the allocated cells (some corners present)
+    outside = np.array([[5.0, 5.0, 5.0], [-7.2, 0.1, 3.3], [5.0, 5.0, 5.0], [1.25, -0.25, -0.5]])
+    return grid, inside, outside
+
+
+def test_distinct_cells_broadcast_back_to_each_point(rng):
+    pts = np.vstack([rng.uniform(-1.0, 1.0, size=(200, 3)), [[-0.3, 0.0, 0.6]] * 3])
+    cells, inverse, frac = distinct_cells(pts, 0.3)
+    base, want_frac = cell_of(pts, 0.3)
+    assert np.array_equal(cells[inverse], base)
+    assert np.array_equal(frac, want_frac)
+    assert cells.shape[0] == np.unique(base, axis=0).shape[0] < pts.shape[0]
+
+
+def test_corner_rows_match_per_point_lookup(shared_cell_grid):
+    grid, inside, outside = shared_cell_grid
+    pts = np.vstack([inside[:50], outside, inside[50:]])
+    for li, lvl in enumerate(grid.levels):
+        rows, frac = grid.corner_rows(pts, li)
+        want = per_point_rows(grid, pts, li)
+        assert np.array_equal(rows, want)
+        assert np.array_equal(frac, cell_of(pts, lvl.voxel_size)[1])
+        assert (want[50:54] == -1).any(axis=1).all()  # outside points keep their -1 rows
+        assert (want[:50] >= 0).all()
+    assert (per_point_rows(grid, outside[3:], 0) >= 0).any()  # a partly allocated cell
+
+
+def test_voxels_allocated_matches_per_point_lookup(shared_cell_grid):
+    grid, inside, outside = shared_cell_grid
+    pts = np.vstack([outside[:2], inside, outside[2:]])
+    want = np.ones(pts.shape[0], dtype=bool)
+    for li in range(grid.n_levels):
+        want &= (per_point_rows(grid, pts, li) >= 0).all(axis=1)
+    got = grid.voxels_allocated(pts)
+    assert np.array_equal(got, want)
+    assert got[2:-2].all() and not got[[0, 1, -2, -1]].any()
+
+
+def test_fresh_interpolate_matches_per_point_lookup(shared_cell_grid):
+    grid, inside, _ = shared_cell_grid
+    feats, rec = grid.interpolate(inside)
+    want = np.zeros((inside.shape[0], grid.feature_dim))
+    for li, lvl in enumerate(grid.levels):
+        rows = per_point_rows(grid, inside, li)
+        frac = cell_of(inside, lvl.voxel_size)[1]
+        w = trilinear_weights(frac)
+        want += np.einsum("nc,ncd->nd", w, lvl.features[rows])
+        assert np.array_equal(rec.rows[:, li], rows)
+        assert np.array_equal(rec.weights[:, li], w)
+        assert np.array_equal(rec.fracs[:, li], frac)
+    assert np.array_equal(feats, want)
+
+
+def test_unallocated_query_names_the_first_bad_point(shared_cell_grid):
+    grid, inside, outside = shared_cell_grid
+    pts = np.vstack([inside[:20], outside[1:], inside[20:40], outside[:1]])
+    with pytest.raises(UnallocatedQuery, match=re.escape(f"point {outside[1].tolist()} ")):
+        grid.interpolate(pts)

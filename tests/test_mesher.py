@@ -168,6 +168,15 @@ def test_eval_sdf_grid_empty_map():
         eval_sdf_grid(f, ((-1, -1, -1), (1, 1, 1)), spacing=0.5)
 
 
+@pytest.mark.parametrize("spacing", [0.0, -0.1, float("nan"), float("inf")])
+def test_bad_spacing_is_named(spacing):
+    f = StubField(sphere_sdf((0, 0, 0), 0.5), ((-0.8, -0.8, -0.8), (0.8, 0.8, 0.8)))
+    with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        eval_sdf_grid(f, f.bounds(), spacing=spacing)
+    with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        sdf_grid_from_function(sphere_sdf((0, 0, 0), 0.5), f.bounds(), spacing=spacing)
+
+
 def test_mesh_ply_roundtrip_bitwise(tmp_path, rng):
     fn = sphere_sdf((0, 0, 0), 0.6)
     grid = sdf_grid_from_function(fn, ((-1, -1, -1), (1, 1, 1)), spacing=0.2)

@@ -13,6 +13,9 @@ it prints each side's quartiles (q1, median, q3), the change of the
 median, the pairs the change won, and whether the gap between medians,
 in the metric's better direction, exceeds the base's interquartile
 range. Metric directions come from this checkout's BENCHMARK.json.
+Last, per workload, it prints whether every run on both sides reported
+the same loss-trace SHA-256, so a claim of bitwise-identical training is
+checked by the same runs that time it.
 """
 
 import argparse
@@ -31,15 +34,18 @@ def parse_run(stdout):
     """{workload: result} from one run.py output.
 
     Each workload prints a `detail {...}` line whose provenance block
-    names it, then its one-line JSON result.
+    names it, then its one-line JSON result. The detail line's
+    `loss_trace_sha256` (None if absent) is kept in the result.
     """
-    results, workload = {}, None
+    results, detail = {}, None
     for line in stdout.splitlines():
         if line.startswith("detail "):
-            workload = json.loads(line[len("detail "):])["provenance"]["workload"]
-        elif line.startswith("{") and workload is not None:
-            results[workload] = json.loads(line)
-            workload = None
+            detail = json.loads(line[len("detail "):])
+        elif line.startswith("{") and detail is not None:
+            result = json.loads(line)
+            result["loss_trace_sha256"] = detail.get("loss_trace_sha256")
+            results[detail["provenance"]["workload"]] = result
+            detail = None
     return results
 
 
@@ -93,6 +99,13 @@ def failures(pairs):
     return out
 
 
+def digests(pairs):
+    """{workload: (distinct base digests, distinct change digests)} of the loss trace."""
+    return {workload: tuple(tuple(sorted({pair[k][workload]["loss_trace_sha256"]
+                                          for pair in pairs}, key=str)) for k in (0, 1))
+            for workload in pairs[0][0]}
+
+
 def run(checkout, args):
     done = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=checkout,
                           capture_output=True, text=True, check=True)
@@ -126,6 +139,14 @@ def main(argv=None):
     for workload, (fb, fc, attempted, incorrect) in failures(pairs).items():
         print(f"{workload}: failed base {fb}, change {fc} of {attempted} operations; "
               f"{incorrect} runs with a failed check")
+    short = lambda ds: ", ".join(str(d)[:16] for d in ds)  # noqa: E731
+    for workload, (base, change) in digests(pairs).items():
+        if base == change and len(base) == 1 and base[0] is not None:
+            print(f"{workload}: same loss-trace SHA-256 {short(base)} in all "
+                  f"{2 * len(pairs)} runs")
+        else:
+            print(f"{workload}: loss-trace SHA-256 DIFFERS: base {short(base)}; "
+                  f"change {short(change)}")
 
 
 if __name__ == "__main__":
