@@ -168,6 +168,16 @@ def cmd_sim(args) -> int:
     return 0
 
 
+def _non_negative_int(text) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsdfmap",
@@ -181,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="YAML config file")
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--mesh-every", type=int, default=0, metavar="K",
-                   help="write a checkpoint and mesh every K frames")
+    p.add_argument("--mesh-every", type=_non_negative_int, default=0, metavar="K",
+                   help="write a checkpoint and mesh every K frames (0: never)")
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("mesh", help="extract a triangle mesh from a checkpoint")

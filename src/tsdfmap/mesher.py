@@ -54,12 +54,16 @@ def _node_grid(bounds, spacing):
     return lo, dims, axes
 
 
-def eval_sdf_grid(field, bounds, spacing: float = 0.10, batch_size: int = 262144) -> SdfGrid:
+def eval_sdf_grid(field, bounds, spacing: float = 0.10, batch_size: int = 65536) -> SdfGrid:
     """Sample a neural field on a uniform node grid over bounds.
 
     Nodes whose enclosing voxels are unallocated at any level get
     valid=False and NaN values. Raises EmptyMap when nothing is valid.
+    Nodes are evaluated batch_size at a time; the batch size can move
+    node values in the last bits, but not which nodes are valid.
     """
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be a positive node count, got {batch_size}")
     lo, dims, axes = _node_grid(bounds, spacing)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     valid = np.zeros(nodes.shape[0], dtype=bool)

@@ -195,9 +195,10 @@ def load_scan(path):
     gate in `Mapper.process_frame` drops and counts them.
     """
     path = str(path)
-    if path.endswith(".ply"):
+    lower = path.lower()  # suffixes match in any case, as `tsdfmap map` lists scans
+    if lower.endswith(".ply"):
         return load_ply(path)["points"]
-    if path.endswith(".bin"):
+    if lower.endswith(".bin"):
         raw = np.fromfile(path, dtype="<f4")
         if raw.size % 4 != 0:
             raise MalformedFile(f"{path}: size is not a multiple of 4 float32 (xyzi)")

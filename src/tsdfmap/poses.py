@@ -1,8 +1,9 @@
 """Pose files: one 3x4 row-major rigid transform (sensor->world) per line.
 
-Blank lines and '#' comments are skipped. Rotation blocks that drift
-from orthonormality by more than 1e-3 are re-orthonormalized via SVD
-with a warning; smaller drift is left untouched.
+Blank lines and '#' comments are skipped; a line holding nan or inf is
+malformed. Rotation blocks that drift from orthonormality by more than
+1e-3 are re-orthonormalized via SVD with a warning; smaller drift is
+left untouched.
 """
 
 import warnings
@@ -38,6 +39,8 @@ def load_poses(path):
                 vals = np.array([float(p) for p in parts])
             except ValueError:
                 raise MalformedLine(lineno, "non-numeric value") from None
+            if not np.isfinite(vals).all():
+                raise MalformedLine(lineno, "non-finite value (nan or inf)")
             pose = vals.reshape(3, 4)
             r = pose[:, :3]
             err = np.abs(r @ r.T - np.eye(3)).max()

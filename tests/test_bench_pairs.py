@@ -18,19 +18,26 @@ DECLARED = [
 ]
 
 
-def run_output(fps, mb, failed=0, correct=True, digest="ab" * 32):
-    """Two workloads, as `run.py --workload all` prints them; no digest if None."""
+def run_output(fps, mb, failed=0, correct=True, digest="ab" * 32, quality=None):
+    """Two workloads, as `run.py --workload all` prints them; no digest if None.
+
+    quality: (chamfer_l1_cm, f1_pct) to report as well, or None.
+    """
     lines = []
     for workload in ("desk-orbit", "street-drive"):
         detail = {"provenance": {"workload": workload}}
         if digest is not None:
             detail["loss_trace_sha256"] = digest
+        metrics = {"frames_per_s": {"value": fps, "unit": "1/s"},
+                   "map_mb": {"value": mb, "unit": "MB"}}
+        if quality is not None:
+            metrics["chamfer_l1_cm"] = {"value": quality[0], "unit": "cm"}
+            metrics["f1_pct"] = {"value": quality[1], "unit": "%"}
         lines += [f"{workload}  seed 1  trace 0  lane numpy",
                   f"  frames_per_s {fps}",
                   "detail " + json.dumps(detail),
                   json.dumps({"correct": correct, "attempted": 12, "failed": failed,
-                              "metrics": {"frames_per_s": {"value": fps, "unit": "1/s"},
-                                          "map_mb": {"value": mb, "unit": "MB"}}})]
+                              "metrics": metrics})]
     return "\n".join(lines) + "\n"
 
 
@@ -125,3 +132,35 @@ def test_digests_differ_between_sides_or_within_one(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "desk-orbit: loss-trace SHA-256 DIFFERS: base aa; change bb" in out
     assert "same loss-trace" not in out
+
+
+def test_quality_moves_print_at_full_precision_when_digests_differ(monkeypatch, capsys):
+    declared = [{"name": "chamfer_l1_cm", "unit": "cm", "better": "lower", "bound": 0.06},
+                {"name": "f1_pct", "unit": "%", "better": "higher", "bound": 0.02}]
+    base = (8.603124, 87.654321)
+    change = (8.603125, 87.6543)  # chamfer and F1 both a little worse
+
+    def fake_run(checkout, args):
+        new = checkout == "new"
+        return bench_pairs.parse_run(run_output(1.0, 5.0, digest="bb" if new else "aa",
+                                                quality=change if new else base))
+
+    pairs = [(fake_run("old", []), fake_run("new", []))] * 3
+    rows = bench_pairs.quality_moves(pairs, declared, "desk-orbit")
+    assert [r[:5] for r in rows] == [("chamfer_l1_cm", "cm", 0.06, 8.603124, 8.603125),
+                                     ("f1_pct", "%", 0.02, 87.654321, 87.6543)]
+    assert rows[0][5] == pytest.approx(1e-6 / 8.603124 / 0.06)
+    assert rows[1][5] == pytest.approx(2.1e-5 / 87.654321 / 0.02)
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    bench_pairs.main(["old", "new", "--pairs", "2"])
+    out = capsys.readouterr().out
+    assert ("desk-orbit: chamfer_l1_cm median base 8.603124, change 8.603125 cm "
+            "(+0.000001, +0.0002% of its 6% bound; + is worse)") in out
+    assert ("street-drive: f1_pct median base 87.654321, change 87.654300 % "
+            "(-0.000021, +0.0012% of its 2% bound; + is worse)") in out
+
+    monkeypatch.setattr(bench_pairs, "run", lambda checkout, args: bench_pairs.parse_run(
+        run_output(1.0, 5.0, quality=base)))
+    bench_pairs.main(["old", "new", "--pairs", "2"])
+    assert "median base" not in capsys.readouterr().out

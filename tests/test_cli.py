@@ -208,6 +208,44 @@ def test_map_pose_count_mismatch(workdir, sim_dir, capsys):
     assert "6 scans vs 5 poses" in capsys.readouterr().err
 
 
+def test_map_reads_upper_case_scan_suffixes(workdir, sim_dir):
+    scans = workdir / "upper_scans"
+    scans.mkdir()
+    frames = sorted(sim_dir.glob("frame_*.ply"))
+    (scans / "F0.PLY").write_bytes(frames[0].read_bytes())
+    pts = load_ply(frames[1])["points"]
+    np.column_stack([pts, np.zeros(len(pts))]).astype("<f4").tofile(scans / "F1.BIN")
+    poses = (sim_dir / "poses.txt").read_text().splitlines()[:2]
+    (scans / "poses.txt").write_text("\n".join(poses) + "\n")
+    out = workdir / "upper_run"
+    rc = main(["map", "--scans", str(scans), "--poses", str(scans / "poses.txt"),
+               "--config", str(workdir / "run.yaml"), "--out", str(out)])
+    assert rc == 0
+    reports = [json.loads(l) for l in (out / "reports.jsonl").read_text().splitlines()]
+    assert len(reports) == 2 and all(r["pool_size"] > 0 for r in reports)
+
+
+def test_map_rejects_a_non_finite_pose(workdir, sim_dir, capsys):
+    lines = (sim_dir / "poses.txt").read_text().splitlines()
+    lines[3] = " ".join(["nan"] + lines[3].split()[1:])
+    bad = workdir / "nan_poses.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["map", "--scans", str(sim_dir), "--poses", str(bad),
+               "--out", str(workdir / "nan_run")])
+    assert rc == 1
+    assert "line 4: non-finite value" in capsys.readouterr().err
+    assert not (workdir / "nan_run").exists()
+
+
+def test_map_rejects_a_negative_mesh_every(workdir, sim_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "--scans", str(sim_dir), "--poses", str(sim_dir / "poses.txt"),
+              "--out", str(workdir / "neg_run"), "--mesh-every", "-3"])
+    assert exc.value.code == 2
+    assert "--mesh-every: must be >= 0, got -3" in capsys.readouterr().err
+    assert not (workdir / "neg_run").exists()
+
+
 def test_unknown_config_key_fails(workdir, capsys):
     bad = workdir / "bad.yaml"
     bad.write_text("sedd: 3\n")

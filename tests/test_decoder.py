@@ -15,9 +15,17 @@ def manual_forward(dec, x):
 
 def test_softplus_extremes():
     assert softplus(np.array([0.0]))[0] == pytest.approx(np.log(2.0))
-    # saturates linearly / to zero without overflow
-    assert softplus(np.array([800.0]))[0] == pytest.approx(800.0)
-    assert softplus(np.array([-800.0]))[0] == 0.0
+    # saturates linearly / to zero without overflow or an underflow error
+    with np.errstate(all="raise"):
+        got = softplus(np.array([800.0, -800.0, np.inf, -np.inf]))
+        assert np.isnan(softplus(np.array([np.nan]))[0])
+    np.testing.assert_array_equal(got, [800.0, 0.0, np.inf, 0.0])
+
+
+def test_softplus_matches_logaddexp_within_2_ulp():
+    x = np.linspace(-40.0, 40.0, 100001)
+    ref = np.logaddexp(0.0, x)
+    assert (np.abs(softplus(x) - ref) <= 2 * np.spacing(ref)).all()
 
 
 def test_forward_matches_manual(rng):

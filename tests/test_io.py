@@ -90,6 +90,13 @@ def test_kitti_bin_scan(tmp_path):
     np.testing.assert_allclose(pts, [[1, 2, 3], [4, 5, 6]])
 
 
+def test_scan_suffix_is_matched_in_any_case(tmp_path):
+    np.array([1.0, 2.0, 3.0, 0.5], dtype=np.float32).tofile(tmp_path / "SCAN.BIN")
+    write_points_ply(tmp_path / "scan.Ply", np.array([[4.0, 5.0, 6.0]]))
+    np.testing.assert_allclose(load_scan(tmp_path / "SCAN.BIN"), [[1, 2, 3]])
+    np.testing.assert_allclose(load_scan(tmp_path / "scan.Ply"), [[4, 5, 6]])
+
+
 def test_bin_truncated(tmp_path):
     path = tmp_path / "bad.bin"
     np.array([1.0, 2.0, 3.0], dtype=np.float32).tofile(path)
@@ -202,6 +209,15 @@ def test_non_numeric_is_malformed(tmp_path):
     path.write_text("1 0 0 0 0 one 0 0 0 0 1 0\n")
     with pytest.raises(MalformedLine):
         load_poses(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_is_malformed(tmp_path, bad):
+    path = tmp_path / "poses.txt"
+    path.write_text(f"1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 {bad} 0 1 0 0 0 0 1 0\n")
+    with pytest.raises(MalformedLine, match="line 2: non-finite value") as exc:
+        load_poses(path)
+    assert exc.value.lineno == 2
 
 
 def test_slightly_off_rotation_is_reorthonormalized(tmp_path):

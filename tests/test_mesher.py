@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from tsdfmap.decoder import SdfDecoder
 from tsdfmap.errors import EmptyMap, NoSurface
+from tsdfmap.field import NeuralSdfField
+from tsdfmap.grid import FeatureGrid
 from tsdfmap.kernels.mc_tables import CASE_EDGES, CASE_TRIANGLES
 from tsdfmap.mesher import (
     SdfGrid,
@@ -166,6 +169,29 @@ def test_eval_sdf_grid_empty_map():
     f = StubField(sphere_sdf((0, 0, 0), 0.5), ((5, 5, 5), (6, 6, 6)))
     with pytest.raises(EmptyMap):
         eval_sdf_grid(f, ((-1, -1, -1), (1, 1, 1)), spacing=0.5)
+
+
+def test_eval_sdf_grid_batch_size_keeps_the_mask_and_the_values(rng):
+    grid = FeatureGrid(voxel_sizes=(0.3, 0.45), feature_dim=4)
+    field = NeuralSdfField(grid, SdfDecoder(feature_dim=4, hidden_units=16, rng=rng))
+    grid.allocate(rng.uniform(-1.0, 1.0, size=(200, 3)))
+    for lvl in grid.levels:
+        lvl.features[:] = rng.standard_normal(lvl.features.shape)
+    bounds = ((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5))
+    small = eval_sdf_grid(field, bounds, spacing=0.05, batch_size=1000)
+    default = eval_sdf_grid(field, bounds, spacing=0.05)
+    assert 1000 < default.valid.sum() < default.valid.size
+    np.testing.assert_array_equal(small.valid, default.valid)
+    # the batch size may move a value in its last bits, no more
+    np.testing.assert_allclose(small.values[small.valid], default.values[default.valid],
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch_size", [0, -5])
+def test_bad_batch_size_is_named(batch_size):
+    f = StubField(sphere_sdf((0, 0, 0), 0.5), ((-0.8, -0.8, -0.8), (0.8, 0.8, 0.8)))
+    with pytest.raises(ValueError, match="batch_size must be a positive node count"):
+        eval_sdf_grid(f, f.bounds(), spacing=0.2, batch_size=batch_size)
 
 
 @pytest.mark.parametrize("spacing", [0.0, -0.1, float("nan"), float("inf")])

@@ -15,7 +15,9 @@ in the metric's better direction, exceeds the base's interquartile
 range. Metric directions come from this checkout's BENCHMARK.json.
 Last, per workload, it prints whether every run on both sides reported
 the same loss-trace SHA-256, so a claim of bitwise-identical training is
-checked by the same runs that time it.
+checked by the same runs that time it. Where the digests differ, it also
+prints each side's median chamfer and F1 to 6 decimals and the move as a
+share of the metric's bound, which the 4-digit table cannot resolve.
 """
 
 import argparse
@@ -106,6 +108,29 @@ def digests(pairs):
             for workload in pairs[0][0]}
 
 
+QUALITY = ("chamfer_l1_cm", "f1_pct")
+
+
+def quality_moves(pairs, declared, workload):
+    """[(metric, unit, bound, base median, change median, share)] for chamfer and F1.
+
+    share is the move of the median in the metric's worse direction, as
+    a fraction of its relative bound: 1.0 worsens it by the whole bound.
+    """
+    rows = []
+    for spec in declared:
+        name = spec["name"]
+        if name not in QUALITY or any(name not in side[workload]["metrics"]
+                                      for pair in pairs for side in pair):
+            continue
+        base, change = (stats.median(pair[k][workload]["metrics"][name]["value"]
+                                     for pair in pairs) for k in (0, 1))
+        worse = change - base if spec["better"] == "lower" else base - change
+        share = worse / abs(base) / spec["bound"] if base else float("nan")
+        rows.append((name, spec["unit"], spec["bound"], base, change, share))
+    return rows
+
+
 def run(checkout, args):
     done = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=checkout,
                           capture_output=True, text=True, check=True)
@@ -147,6 +172,11 @@ def main(argv=None):
         else:
             print(f"{workload}: loss-trace SHA-256 DIFFERS: base {short(base)}; "
                   f"change {short(change)}")
+            for name, unit, bound, b, c, share in quality_moves(pairs, spec["end_to_end"],
+                                                                workload):
+                print(f"{workload}: {name} median base {b:.6f}, change {c:.6f} {unit} "
+                      f"({c - b:+.6f}, {100 * share:+.4f}% of its {100 * bound:g}% bound; "
+                      f"+ is worse)")
 
 
 if __name__ == "__main__":
