@@ -29,6 +29,8 @@ class MeshConfig:
     def __post_init__(self):
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError("spacing must be positive and finite")
+        if not math.isfinite(self.pad):
+            raise ValueError("pad must be finite")
 
 
 @dataclass
@@ -44,6 +46,12 @@ class SimConfig:
     max_range: float = 30.0
     beta: float = 0.0
     scene: list = dc_field(default_factory=list)  # primitive dicts
+
+    def __post_init__(self):
+        if self.n_frames < 1:
+            raise ValueError("n_frames must be >= 1")
+        if not self.max_range > 0:
+            raise ValueError("max_range must be positive")
 
 
 @dataclass

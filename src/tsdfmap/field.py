@@ -24,18 +24,14 @@ class FieldCache(NamedTuple):
 
 
 class NeuralSdfField:
-    def __init__(self, grid: FeatureGrid = None, decoder: SdfDecoder = None, rng=None):
-        self.grid = grid if grid is not None else FeatureGrid()
-        self.decoder = (
-            decoder
-            if decoder is not None
-            else SdfDecoder(feature_dim=self.grid.feature_dim, rng=rng)
-        )
+    def __init__(self, grid: FeatureGrid, decoder: SdfDecoder):
+        self.grid = grid
+        self.decoder = decoder
 
     def predict(self, points, record=None):
         """(n, 3) world points -> ((n,) sdf, cache). Raises UnallocatedQuery.
 
-        A record of these points (see `FeatureGrid.interpolate`) skips
+        A record of these points (see `FeatureGrid.locate`) skips
         the corner lookups and weights and gathers the current features.
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnallocatedQuery
-from .hashmap import VoxelHash, pack_coords, unpack_key
+from .hashmap import COORD_LIMIT, VoxelHash, pack_coords, unpack_key
 
 # Corner c = 4*bx + 2*by + bz, bits along x, y, z.
 CORNER_OFFSETS = np.array(
@@ -42,21 +42,39 @@ def cell_of(points, voxel_size):
     return base, scaled - base
 
 
-def corner_keys(cells):
-    """(n, 3) integer cells -> (n, 8) packed keys of their corner vertices."""
-    return pack_coords(cells[:, None, :] + CORNER_OFFSETS[None, :, :])
+def cell_keys(cells):
+    """(n, 3) integer cells -> (n,) packed keys; each cell's +1 corner must pack too."""
+    c = np.asarray(cells, dtype=np.int64)
+    if np.any(c >= COORD_LIMIT - 1):
+        raise ValueError("grid coordinate outside packable range")
+    return pack_coords(c)
+
+
+# pack_coords is offset-binary per axis, so a 0/1 offset adds to a cell key without a carry.
+_CORNER_STEPS = pack_coords(CORNER_OFFSETS) - pack_coords(np.zeros(3, dtype=np.int64))
+
+
+def corner_keys(keys):
+    """(n,) cell keys from `cell_keys` -> (n, 8) packed keys of their corner vertices."""
+    return keys[:, None] + _CORNER_STEPS
 
 
 def distinct_cells(points, voxel_size):
     """The distinct cells that (n, 3) points fall in, and how to broadcast back.
 
-    Returns (cells (m, 3) in key order, inverse (n,) with point i in
-    cells[inverse[i]], fractions (n, 3) per point). Points share cells, so
+    Returns (keys (m,) sorted, inverse (n,) with point i in cell
+    keys[inverse[i]], fractions (n, 3) per point). Points share cells, so
     per-cell work (corner keys, hash lookups) is done m times, not n.
     """
     base, frac = cell_of(points, voxel_size)
-    uniq, inverse = np.unique(pack_coords(base), return_inverse=True)
-    return unpack_key(uniq), inverse.ravel(), frac
+    keys, inverse = np.unique(cell_keys(base), return_inverse=True)
+    return keys, inverse.ravel(), frac
+
+
+def cell_rows(vertices, voxel_size, points):
+    """`distinct_cells`, with (m, 8) corner rows in `vertices` (-1 if absent) for the keys."""
+    keys, inverse, frac = distinct_cells(points, voxel_size)
+    return vertices.lookup(corner_keys(keys)).reshape(-1, 8), inverse, frac
 
 
 def grow_rows(buf, n: int):
@@ -167,60 +185,45 @@ class FeatureGrid:
         for lvl in self.levels:
             if pts.shape[0] == 0:
                 break
-            cells, _, _ = distinct_cells(pts, lvl.voxel_size)
+            keys, _, _ = distinct_cells(pts, lvl.voxel_size)
             before = lvl.n_vertices
-            lvl.vertices.insert(np.unique(corner_keys(cells)))
+            lvl.vertices.insert(np.unique(corner_keys(keys)))
             lvl.ensure_rows(lvl.n_vertices)
             added += lvl.n_vertices - before
         return added, skipped
 
-    def corner_rows(self, points, level: int):
-        """(n, 8) vertex rows of each point's cell corners (-1 if absent), (n, 3) fractions.
-
-        Each distinct cell's eight corners are looked up once and the rows
-        broadcast to its points; fractions are per point.
-        """
-        lvl = self.levels[level]
-        cells, inverse, frac = distinct_cells(points, lvl.voxel_size)
-        return lvl.vertices.lookup(corner_keys(cells)).reshape(-1, 8)[inverse], frac
+    def locate(self, points) -> InterpRecord:
+        """Each point's corner rows (-1 if absent), weights and fractions per level."""
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        found = [cell_rows(lvl.vertices, lvl.voxel_size, pts) for lvl in self.levels]
+        rows = np.stack([cell[inverse] for cell, inverse, _ in found], axis=1)
+        fracs = np.stack([frac for _, _, frac in found], axis=1)
+        return InterpRecord(rows, trilinear_weights(fracs.reshape(-1, 3)).reshape(rows.shape),
+                            fracs)
 
     def interpolate(self, points, record=None):
         """Aggregated features for a batch of points.
 
         Returns (features (n, feature_dim), InterpRecord). Raises
         UnallocatedQuery if any point lies in a voxel with missing
-        corners at any level: unknown space is an error, not zero.
-        Given the record of these points from an earlier call, only the
-        current features are gathered: a vertex keeps its row once
-        allocated, so corner rows and weights stay valid.
+        corners at any level (naming the first such level's first such
+        point): unknown space is an error, not zero. Given the record of
+        these points from `locate`, only the current features are
+        gathered: a vertex keeps its row once allocated.
         """
-        if record is not None:
-            feats = np.zeros((record.rows.shape[0], self.feature_dim))
-            for li, lvl in enumerate(self.levels):
-                feats += np.einsum("nc,ncd->nd", record.weights[:, li],
-                                   lvl.features[record.rows[:, li]])
-            return feats, record
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        n = pts.shape[0]
-        L = self.n_levels
-        feats = np.zeros((n, self.feature_dim))
-        all_rows = np.empty((n, L, 8), dtype=np.int64)
-        all_weights = np.empty((n, L, 8))
-        all_fracs = np.empty((n, L, 3))
+        if record is None:
+            record = self.locate(points)
+        missing = (record.rows < 0).any(axis=2)  # (n, L)
+        if missing.any():
+            li = int(np.argmax(missing.any(axis=0)))
+            bad = np.asarray(points, dtype=np.float64).reshape(-1, 3)[np.argmax(missing[:, li])]
+            raise UnallocatedQuery(f"point {bad.tolist()} lies in an unallocated voxel "
+                                   f"at level {li}")
+        feats = np.zeros((record.rows.shape[0], self.feature_dim))
         for li, lvl in enumerate(self.levels):
-            rows, frac = self.corner_rows(pts, li)
-            missing = rows < 0
-            if missing.any():
-                bad = int(np.argmax(missing.any(axis=1)))
-                raise UnallocatedQuery(
-                    f"point {pts[bad].tolist()} lies in an unallocated voxel at level {li}"
-                )
-            w = trilinear_weights(frac)
-            feats += np.einsum("nc,ncd->nd", w, lvl.features[rows])
-            all_rows[:, li] = rows
-            all_weights[:, li] = w
-            all_fracs[:, li] = frac
-        return feats, InterpRecord(all_rows, all_weights, all_fracs)
+            feats += np.einsum("nc,ncd->nd", record.weights[:, li],
+                               lvl.features[record.rows[:, li]])
+        return feats, record
 
     def voxels_allocated(self, points):
         """Boolean mask: point lies in a fully allocated voxel at every level.
@@ -230,8 +233,7 @@ class FeatureGrid:
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         ok = np.ones(pts.shape[0], dtype=bool)
         for lvl in self.levels:
-            cells, inverse, _ = distinct_cells(pts, lvl.voxel_size)
-            rows = lvl.vertices.lookup(corner_keys(cells)).reshape(-1, 8)
+            rows, inverse, _ = cell_rows(lvl.vertices, lvl.voxel_size, pts)
             ok &= (rows >= 0).all(axis=1)[inverse]
         return ok
 

@@ -9,7 +9,7 @@ are reported in centimeters, rates in percent.
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -105,14 +105,7 @@ def evaluate(recon, gt, cfg: EvalConfig = None) -> EvalResult:
     )
 
 
-_CSV_FIELDS = (
-    "accuracy_cm",
-    "completeness_cm",
-    "chamfer_l1_cm",
-    "precision_pct",
-    "recall_pct",
-    "f1_pct",
-)
+_CSV_FIELDS = tuple(f.name for f in fields(EvalResult))
 
 
 def write_eval_json(result: EvalResult, path):

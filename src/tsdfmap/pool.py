@@ -133,10 +133,8 @@ class ReplayPool:
         """Unique packed bucket keys currently holding samples."""
         return np.unique(self.bucket)
 
-    def bucket_centers(self, keys=None):
-        """World centers of (given or all occupied) packed bucket keys."""
-        if keys is None:
-            keys = self.occupied_buckets()
+    def bucket_centers(self, keys):
+        """World centers of packed bucket keys."""
         return (unpack_key(keys) + 0.5) * self.voxel_size
 
     def bucket_sizes(self):

@@ -55,6 +55,12 @@ class SamplerConfig:
             raise ValueError("trunc_dist must be positive")
         if not self.min_range > 0:
             raise ValueError("min_range must be positive")
+        if self.normal_k < 1:
+            raise ValueError("normal_k must be >= 1")
+        if not 0 < self.cos_eps <= 1:
+            raise ValueError("cos_eps must lie in (0, 1]")
+        if not 0 <= self.downsample_voxel < np.inf:
+            raise ValueError("downsample_voxel must be finite and nonnegative (0 is off)")
 
 
 @dataclass

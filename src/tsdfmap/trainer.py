@@ -6,7 +6,7 @@ generate samples, allocate grid voxels at the sample positions, insert
 into the replay pool, prune the pool window, enforce bucket capacity,
 partition buckets by uncertainty and split the pool rows into uncertain
 and certain once. Replay then draws all `iterations` batches from the
-frame's batch stream, interpolates the union of drawn rows once (corner
+frame's batch stream, locates the union of drawn rows once (corner
 rows, weights and fractions), and runs `iterations` rounds of predict /
 MSE / backward / Adam, each on its batch's slice of that record with
 the current features. Finally Fisher information accumulates over the
@@ -59,9 +59,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if min(self.feature_dim, self.hidden_units) < 1:
+            raise ValueError("feature_dim and hidden_units must be >= 1")
         sizes = self.voxel_sizes
-        if not (sizes and all(isinstance(v, (int, float)) and v > 0 for v in sizes)):
-            raise ValueError("voxel_sizes must be a non-empty list of positive numbers")
+        if not (sizes and all(isinstance(v, (int, float)) and 0 < v < np.inf for v in sizes)):
+            raise ValueError("voxel_sizes must be a non-empty list of positive finite numbers")
         if not 0 <= self.n_uncertain <= self.batch_size:
             raise ValueError("need 0 <= n_uncertain <= batch_size")
 
@@ -183,7 +187,7 @@ class Mapper:
                  for _ in range(cfg.iterations)]
         rows, inv = np.unique(np.concatenate(drawn), return_inverse=True)
         pos = self.pool.pos[rows]
-        _, union = self.grid.interpolate(pos)
+        union = self.grid.locate(pos)
         for batch, idx in zip(drawn, np.split(inv, len(drawn))):
             _, cache = self.field.predict(pos[idx], record=union.take(idx))
             loss, store = self.field.backward_mse(cache, self.pool.label[batch])

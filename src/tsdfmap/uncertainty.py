@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPool
-from .grid import cell_of, corner_keys, grow_rows, trilinear_weights
+from .grid import cell_keys, cell_of, cell_rows, corner_keys, grow_rows, trilinear_weights
 from .hashmap import VoxelHash
 from .kernels.scatter import scatter_add_rows
 
@@ -33,8 +33,8 @@ class UncertaintyConfig:
     threshold: float = 0.98  # on per-frame min-max normalized sigma
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
 
@@ -64,15 +64,18 @@ class PerturbField:
         pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
         g2 = np.square(np.asarray(spatial_grads, dtype=np.float64).reshape(-1, 3))
         base, frac = cell_of(pos, self.grid_size)
-        rows = self.vertices.insert(corner_keys(base))
+        rows = self.vertices.insert(corner_keys(cell_keys(base)))
         self.ensure_rows(self.n_vertices)
         w2 = np.square(trilinear_weights(frac))  # (n, 8)
         contrib = (w2[:, :, None] * g2[:, None, :]).reshape(-1, 3)
         scatter_add_rows(self._fisher, rows, contrib)
 
+    def _variance(self, fisher):
+        return 1.0 / (fisher + self.gamma ** -2)
+
     def vertex_variance(self):
         """Diagonal posterior variance per allocated vertex (n, 3)."""
-        return 1.0 / (self.fisher + self.gamma ** -2)
+        return self._variance(self.fisher)
 
     def query_sigma(self, points):
         """Norm of the interpolated variance vector at each point.
@@ -82,15 +85,13 @@ class PerturbField:
         sqrt(3) * gamma^2.
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        base, frac = cell_of(pts, self.grid_size)
-        rows = self.vertices.lookup(corner_keys(base)).reshape(-1, 8)
+        rows, inverse, frac = cell_rows(self.vertices, self.grid_size, pts)
         fisher = np.zeros(rows.shape + (3,))
         hit = rows >= 0
         if hit.any():
             fisher[hit] = self._fisher[rows[hit]]
-        var = 1.0 / (fisher + self.gamma ** -2)  # (n, 8, 3)
-        w = trilinear_weights(frac)
-        return np.linalg.norm(np.einsum("nc,nci->ni", w, var), axis=1)
+        var = self._variance(fisher)[inverse]  # (n, 8, 3)
+        return np.linalg.norm(np.einsum("nc,nci->ni", trilinear_weights(frac), var), axis=1)
 
 
 @dataclass

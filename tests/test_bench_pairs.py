@@ -164,3 +164,38 @@ def test_quality_moves_print_at_full_precision_when_digests_differ(monkeypatch, 
         run_output(1.0, 5.0, quality=base)))
     bench_pairs.main(["old", "new", "--pairs", "2"])
     assert "median base" not in capsys.readouterr().out
+
+
+def test_a_failed_run_keeps_the_finished_pairs(monkeypatch, capsys):
+    calls = []
+
+    def fake_run(checkout, args):
+        calls.append(checkout)
+        if len(calls) == 3:  # pair 2 runs the change first
+            stderr = "".join(f"line {k}\n" for k in range(30)) + "check 4 failed"
+            raise bench_pairs.RunFailed(3, stderr)
+        return bench_pairs.parse_run(run_output(2.0 if checkout == "new" else 1.0, 5.0))
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["old", "new", "--pairs", "4"])
+    assert exit_info.value.code == 1
+    assert calls == ["old", "new", "new"]
+    out, err = capsys.readouterr()
+    assert ("pair 2/4: the change run failed with exit code 3; "
+            "last 20 lines of its stderr:\nline 11\n") in err
+    assert err.rstrip().endswith("line 29\ncheck 4 failed")
+    assert "line 10\n" not in err
+    assert "summary of the 1 finished pairs:" in out
+    assert "desk-orbit    frames_per_s" in out and "  1/1 " in out
+    assert "desk-orbit: same loss-trace SHA-256" in out
+
+
+def test_run_raises_with_the_exit_code_and_stderr(monkeypatch):
+    class Done:
+        returncode, stdout, stderr = 2, "", "Traceback\nboom\n"
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: Done())
+    with pytest.raises(bench_pairs.RunFailed) as info:
+        bench_pairs.run(".", [])
+    assert (info.value.returncode, info.value.stderr) == (2, "Traceback\nboom\n")

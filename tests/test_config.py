@@ -117,6 +117,12 @@ def test_train_config_dict_roundtrip():
     assert back.batch_size == 512
 
 
+def leaves(tree):
+    if isinstance(tree, dict):
+        return [leaf for v in tree.values() for leaf in leaves(v)]
+    return [tree]
+
+
 def test_validation_happens_at_parse_time():
     for data, match in (
         ({"adam": {"lr": -0.5}}, "^config section adam: lr must be positive$"),
@@ -125,9 +131,29 @@ def test_validation_happens_at_parse_time():
         ({"pool": {"prune_radius": 0}}, "^config section pool: prune_radius must be positive$"),
         ({"pool": {"alpha": -1}}, "^config section pool: alpha must be positive$"),
         ({"voxel_sizes": []}, "^voxel_sizes must be"),
+        ({"voxel_sizes": [0.3, float("inf")]}, "^voxel_sizes must be .* positive finite"),
+        ({"batch_size": 0, "n_uncertain": 0}, "^batch_size must be >= 1$"),
+        ({"feature_dim": 0}, "^feature_dim and hidden_units must be >= 1$"),
+        ({"hidden_units": 0}, "^feature_dim and hidden_units must be >= 1$"),
+        ({"sampler": {"normal_k": 0}}, "^config section sampler: normal_k must be >= 1$"),
+        ({"sampler": {"cos_eps": 0}}, r"^config section sampler: cos_eps must lie in \(0, 1\]$"),
+        ({"sampler": {"cos_eps": 1.5}}, r"^config section sampler: cos_eps must lie in \(0, 1\]$"),
+        ({"sampler": {"downsample_voxel": -0.1}},
+         "^config section sampler: downsample_voxel must be finite and nonnegative"),
+        ({"uncertainty": {"gamma": float("inf")}},
+         "^config section uncertainty: gamma must be positive and finite$"),
+        ({"mesh": {"pad": float("inf")}}, "^config section mesh: pad must be finite$"),
+        ({"mesh": {"pad": float("nan")}}, "^config section mesh: pad must be finite$"),
+        ({"sim": {"n_frames": 0}}, "^config section sim: n_frames must be >= 1$"),
+        ({"sim": {"max_range": 0}}, "^config section sim: max_range must be positive$"),
+        ({"sim": {"max_range": -5}}, "^config section sim: max_range must be positive$"),
     ):
         with pytest.raises(ValueError, match=match):
             build_dataclass(RunConfig, data)
+    # a negative pad crops the mesh, zero downsampling is off: both stay allowed
+    cfg = build_dataclass(RunConfig, {"mesh": {"pad": -0.2}, "sampler": {"downsample_voxel": 0}})
+    assert cfg.mesh.pad == -0.2 and cfg.sampler.downsample_voxel == 0.0
+    assert len(leaves(config_to_dict(RunConfig()))) == 42
 
 
 @pytest.mark.parametrize("spacing", ["0", "-0.1", ".nan", ".inf"])

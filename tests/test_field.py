@@ -91,7 +91,7 @@ def test_gradient_rows_cover_all_touched_vertices(rng):
     _, cache = field.predict(pts)
     _, store = field.backward_mse(cache, labels)
     for li in range(2):
-        rows, _ = field.grid.corner_rows(pts, li)
+        rows = field.grid.locate(pts).rows[:, li]
         assert np.array_equal(store.level_rows[li], np.unique(rows))
 
 

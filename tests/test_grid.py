@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsdfmap.errors import UnallocatedQuery
-from tsdfmap.hashmap import pack_coords, unpack_key
+from tsdfmap.hashmap import COORD_LIMIT, pack_coords, unpack_key
 from tsdfmap.grid import (
     CORNER_OFFSETS,
     FeatureGrid,
+    cell_keys,
     cell_of,
     corner_keys,
     distinct_cells,
     trilinear_weight_gradients,
     trilinear_weights,
 )
+from tsdfmap.uncertainty import PerturbField
 
 
 def brute_weights(frac):
@@ -40,7 +42,7 @@ def test_cell_of_basic():
 
 def test_corner_keys_pack_each_corner_offset(rng):
     cells = rng.integers(-1000, 1000, size=(50, 3))
-    keys = corner_keys(cells)
+    keys = corner_keys(cell_keys(cells))
     assert keys.shape == (50, 8)
     for c, off in enumerate(CORNER_OFFSETS):
         assert np.array_equal(keys[:, c], pack_coords(cells + off))
@@ -108,8 +110,9 @@ def test_interpolation_matches_manual(rng):
         lvl.features[:] = rng.standard_normal(lvl.features.shape)
     feats, rec = g.interpolate(pts)
     manual = np.zeros_like(feats)
+    loc = g.locate(pts)
     for li, lvl in enumerate(g.levels):
-        rows, frac = g.corner_rows(pts, li)
+        rows, frac = loc.rows[:, li], loc.fracs[:, li]
         w = trilinear_weights(frac)
         for n in range(pts.shape[0]):
             for c in range(8):
@@ -138,8 +141,9 @@ def test_features_sum_over_levels(rng):
         lvl.features[:] = rng.standard_normal(lvl.features.shape)
     total, _ = g.interpolate(pts)
     parts = []
+    loc = g.locate(pts)
     for li, lvl in enumerate(g.levels):
-        rows, frac = g.corner_rows(pts, li)
+        rows, frac = loc.rows[:, li], loc.fracs[:, li]
         w = trilinear_weights(frac)
         parts.append(np.einsum("nc,ncd->nd", w, lvl.features[rows]))
     np.testing.assert_allclose(total, parts[0] + parts[1], atol=1e-12)
@@ -184,10 +188,15 @@ def test_interpolate_with_a_taken_record_matches_a_fresh_one(rng):
         assert np.array_equal(a, b)
 
 
-def per_point_rows(grid, pts, li):
-    """Reference corner rows: eight keys looked up for every point, shared cell or not."""
+def per_point_rows(vertices, voxel_size, pts):
+    """Reference corner rows: eight coordinates packed and looked up for every point."""
+    coords = cell_of(pts, voxel_size)[0][:, None, :] + CORNER_OFFSETS
+    return vertices.lookup(pack_coords(coords)).reshape(-1, 8)
+
+
+def level_rows(grid, pts, li):
     lvl = grid.levels[li]
-    return lvl.vertices.lookup(corner_keys(cell_of(pts, lvl.voxel_size)[0])).reshape(-1, 8)
+    return per_point_rows(lvl.vertices, lvl.voxel_size, pts)
 
 
 @pytest.fixture
@@ -210,24 +219,26 @@ def shared_cell_grid(rng):
 
 def test_distinct_cells_broadcast_back_to_each_point(rng):
     pts = np.vstack([rng.uniform(-1.0, 1.0, size=(200, 3)), [[-0.3, 0.0, 0.6]] * 3])
-    cells, inverse, frac = distinct_cells(pts, 0.3)
+    keys, inverse, frac = distinct_cells(pts, 0.3)
     base, want_frac = cell_of(pts, 0.3)
-    assert np.array_equal(cells[inverse], base)
+    assert np.array_equal(keys[inverse], pack_coords(base))
     assert np.array_equal(frac, want_frac)
-    assert cells.shape[0] == np.unique(base, axis=0).shape[0] < pts.shape[0]
+    assert keys.shape[0] == np.unique(base, axis=0).shape[0] < pts.shape[0]
 
 
-def test_corner_rows_match_per_point_lookup(shared_cell_grid):
+def test_locate_matches_per_point_lookup(shared_cell_grid):
     grid, inside, outside = shared_cell_grid
     pts = np.vstack([inside[:50], outside, inside[50:]])
+    rec = grid.locate(pts)
     for li, lvl in enumerate(grid.levels):
-        rows, frac = grid.corner_rows(pts, li)
-        want = per_point_rows(grid, pts, li)
+        rows, frac = rec.rows[:, li], rec.fracs[:, li]
+        want = level_rows(grid, pts, li)
         assert np.array_equal(rows, want)
         assert np.array_equal(frac, cell_of(pts, lvl.voxel_size)[1])
+        assert np.array_equal(rec.weights[:, li], trilinear_weights(frac))
         assert (want[50:54] == -1).any(axis=1).all()  # outside points keep their -1 rows
         assert (want[:50] >= 0).all()
-    assert (per_point_rows(grid, outside[3:], 0) >= 0).any()  # a partly allocated cell
+    assert (level_rows(grid, outside[3:], 0) >= 0).any()  # a partly allocated cell
 
 
 def test_voxels_allocated_matches_per_point_lookup(shared_cell_grid):
@@ -235,7 +246,7 @@ def test_voxels_allocated_matches_per_point_lookup(shared_cell_grid):
     pts = np.vstack([outside[:2], inside, outside[2:]])
     want = np.ones(pts.shape[0], dtype=bool)
     for li in range(grid.n_levels):
-        want &= (per_point_rows(grid, pts, li) >= 0).all(axis=1)
+        want &= (level_rows(grid, pts, li) >= 0).all(axis=1)
     got = grid.voxels_allocated(pts)
     assert np.array_equal(got, want)
     assert got[2:-2].all() and not got[[0, 1, -2, -1]].any()
@@ -246,7 +257,7 @@ def test_fresh_interpolate_matches_per_point_lookup(shared_cell_grid):
     feats, rec = grid.interpolate(inside)
     want = np.zeros((inside.shape[0], grid.feature_dim))
     for li, lvl in enumerate(grid.levels):
-        rows = per_point_rows(grid, inside, li)
+        rows = level_rows(grid, inside, li)
         frac = cell_of(inside, lvl.voxel_size)[1]
         w = trilinear_weights(frac)
         want += np.einsum("nc,ncd->nd", w, lvl.features[rows])
@@ -261,3 +272,65 @@ def test_unallocated_query_names_the_first_bad_point(shared_cell_grid):
     pts = np.vstack([inside[:20], outside[1:], inside[20:40], outside[:1]])
     with pytest.raises(UnallocatedQuery, match=re.escape(f"point {outside[1].tolist()} ")):
         grid.interpolate(pts)
+
+
+def test_query_sigma_matches_per_point_lookup(shared_cell_grid, rng):
+    _, inside, outside = shared_cell_grid
+    field = PerturbField(grid_size=0.45, gamma=1.5)
+    field.accumulate(inside[:300], rng.standard_normal((300, 3)))
+    pts = np.vstack([outside[:2], inside, outside[2:]])
+    rows = per_point_rows(field.vertices, 0.45, pts)
+    fisher = np.where((rows >= 0)[:, :, None], field.fisher[rows], 0.0)
+    var = 1.0 / (fisher + 1.5 ** -2)
+    w = trilinear_weights(cell_of(pts, 0.45)[1])
+    want = np.linalg.norm(np.einsum("nc,nci->ni", w, var), axis=1)
+    assert np.array_equal(field.query_sigma(pts), want)
+    assert (rows[:2] < 0).all() and (rows[2:-2] >= 0).any()
+
+
+@pytest.mark.parametrize("lo, hi", [(-1000, 0), (-COORD_LIMIT, -COORD_LIMIT + 3),
+                                    (COORD_LIMIT - 4, COORD_LIMIT - 1)])
+def test_corner_keys_of_cell_keys_pack_each_corner(rng, lo, hi):
+    """Key arithmetic equals packing each corner, down to both ends of the packable range."""
+    cells = rng.integers(lo, hi, size=(40, 3))
+    cells[0] = lo
+    cells[1] = hi - 1  # COORD_LIMIT - 2 in the last case: its +1 corner is the last packable
+    keys = corner_keys(cell_keys(cells))
+    for c, off in enumerate(CORNER_OFFSETS):
+        assert np.array_equal(keys[:, c], pack_coords(cells + off))
+
+
+def test_cell_whose_far_corner_does_not_pack_is_rejected():
+    """Cell COORD_LIMIT - 1 packs but its +1 corner does not; adding steps to its
+    key would carry into the next axis, so every path raises instead."""
+    edge = np.array([[0.5, 0.5, COORD_LIMIT - 0.5]])  # cell (0, 0, COORD_LIMIT - 1)
+    grid = FeatureGrid(voxel_sizes=(1.0,), feature_dim=2)
+    grid.allocate(np.zeros((1, 3)))
+    calls = [lambda: grid.allocate(edge), lambda: grid.locate(edge),
+             lambda: grid.interpolate(edge), lambda: grid.voxels_allocated(edge),
+             lambda: PerturbField(grid_size=1.0).accumulate(edge, np.ones((1, 3))),
+             lambda: PerturbField(grid_size=1.0).query_sigma(edge)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^grid coordinate outside packable range$"):
+            call()
+    assert grid.n_vertices == 8
+
+
+def test_unallocated_query_names_the_first_level_with_a_miss():
+    """The first level with a miss is named, then its first bad point, even if an
+    earlier point misses only at a later level."""
+    grid = FeatureGrid(voxel_sizes=(1.0, 2.0), feature_dim=2)
+    grid.allocate(np.array([[0.5, 0.5, 0.5]]))
+    lvl = grid.levels[0]  # level 0 alone also holds cell (2, 0, 0)
+    lvl.vertices.insert(pack_coords(np.array([2, 0, 0]) + CORNER_OFFSETS))
+    lvl.ensure_rows(lvl.n_vertices)
+    ok, level1_miss, far = [0.5, 0.5, 0.5], [2.5, 0.5, 0.5], [9.0, 9.0, 9.0]
+    for pts, bad, level in (([ok, level1_miss], level1_miss, 1),
+                            ([ok, level1_miss, far], far, 0),
+                            ([far, ok, level1_miss], far, 0)):
+        message = re.escape(f"point {bad} lies in an unallocated voxel at level {level}")
+        with pytest.raises(UnallocatedQuery, match=f"^{message}$"):
+            grid.interpolate(np.array(pts))
+        rec = grid.locate(np.array(pts))
+        with pytest.raises(UnallocatedQuery, match=f"^{message}$"):
+            grid.interpolate(np.array(pts), record=rec)

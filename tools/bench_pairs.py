@@ -18,6 +18,10 @@ the same loss-trace SHA-256, so a claim of bitwise-identical training is
 checked by the same runs that time it. Where the digests differ, it also
 prints each side's median chamfer and F1 to 6 decimals and the move as a
 share of the metric's bound, which the 4-digit table cannot resolve.
+
+If a run exits non-zero, it prints that run's pair, side, exit code and
+the tail of its stderr, then the summary of the pairs already finished,
+and exits 1.
 """
 
 import argparse
@@ -131,29 +135,25 @@ def quality_moves(pairs, declared, workload):
     return rows
 
 
+class RunFailed(Exception):
+    """A perfbench run exited non-zero; keeps its exit code and stderr."""
+
+    def __init__(self, returncode, stderr):
+        super().__init__(f"exit code {returncode}")
+        self.returncode = returncode
+        self.stderr = stderr
+
+
 def run(checkout, args):
     done = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=checkout,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
+    if done.returncode:
+        raise RunFailed(done.returncode, done.stderr)
     return parse_run(done.stdout)
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("base", help="checkout of the parent commit")
-    ap.add_argument("change", help="checkout of the change")
-    ap.add_argument("--pairs", type=int, default=10)
-    argv = sys.argv[1:] if argv is None else list(argv)
-    cut = argv.index("--") if "--" in argv else len(argv)
-    args = ap.parse_args(argv[:cut])
-    run_args = argv[cut + 1:]  # for perfbench/run.py
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    pairs = []
-    for i in range(args.pairs):
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        got = {side: run(getattr(args, side), run_args) for side in order}
-        pairs.append((got["base"], got["change"]))
-        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr, flush=True)
-
+def report(pairs, spec):
+    """Print the per-metric table, failures and digests of the finished pairs."""
     print(f"{'workload':<13} {'metric':<16} {'base q1/med/q3':>30} "
           f"{'change q1/med/q3':>30} {'median':>8} {'wins':>6}  gap > base IQR")
     for r in summarize(pairs, spec["end_to_end"] + spec["per_layer"]):
@@ -177,6 +177,37 @@ def main(argv=None):
                 print(f"{workload}: {name} median base {b:.6f}, change {c:.6f} {unit} "
                       f"({c - b:+.6f}, {100 * share:+.4f}% of its {100 * bound:g}% bound; "
                       f"+ is worse)")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", help="checkout of the parent commit")
+    ap.add_argument("change", help="checkout of the change")
+    ap.add_argument("--pairs", type=int, default=10)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    cut = argv.index("--") if "--" in argv else len(argv)
+    args = ap.parse_args(argv[:cut])
+    run_args = argv[cut + 1:]  # for perfbench/run.py
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    pairs = []
+    for i in range(args.pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        got = {}
+        for side in order:
+            try:
+                got[side] = run(getattr(args, side), run_args)
+            except RunFailed as e:
+                tail = e.stderr.splitlines()[-20:]
+                print(f"pair {i + 1}/{args.pairs}: the {side} run failed with exit code "
+                      f"{e.returncode}; last {len(tail)} lines of its stderr:", file=sys.stderr)
+                print("\n".join(tail), file=sys.stderr, flush=True)
+                if pairs:
+                    print(f"summary of the {len(pairs)} finished pairs:", flush=True)
+                    report(pairs, spec)
+                sys.exit(1)
+        pairs.append((got["base"], got["change"]))
+        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr, flush=True)
+    report(pairs, spec)
 
 
 if __name__ == "__main__":
