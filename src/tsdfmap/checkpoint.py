@@ -1,4 +1,4 @@
-"""Checkpointing: full mapper state in a single compressed .npz.
+"""Checkpointing: full mapper state in a single .npz archive.
 
 Saves everything needed to resume mid-sequence and produce bitwise
 identical results vs. the uninterrupted run: grid vertex keys +
@@ -6,12 +6,19 @@ features + Adam moments per level, decoder weights + moments, Fisher
 accumulators, the replay pool columns, and the step/frame counters.
 The `TrainConfig` fields of the mapper's config ride along as JSON, so a
 checkpoint is self-describing.
+
+Members are stored, not deflated: the float64 payloads that make up most
+of the bytes shrink by 5% or less under zlib, which costs about a second
+per save. Zip's per-member CRC-32 still guards every array. Deflated
+archives (the writer of 0.2.0 and earlier) load the same way.
 """
 
 import dataclasses
 import json
 import os
 import tempfile
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -24,6 +31,9 @@ from .trainer import Mapper, TrainConfig
 
 FORMAT_VERSION = 2
 
+# what np.load and a member read raise on a truncated, corrupt or non-npz file
+_UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, ValueError)
+
 
 def save_checkpoint(path, mapper: Mapper) -> None:
     """Write the mapper's state to `path` (a file name or a binary file).
@@ -31,7 +41,8 @@ def save_checkpoint(path, mapper: Mapper) -> None:
     A file name is written atomically: the archive goes to a temporary
     file in the same directory, which then replaces `path`, so an
     interrupted save leaves any previous checkpoint intact. As with
-    `np.savez_compressed`, a name without the `.npz` suffix gets it.
+    `np.savez`, which writes the archive with stored members, a name
+    without the `.npz` suffix gets it.
     """
     cfg = config_to_dict(mapper.cfg)
     train_cfg = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)}
@@ -56,7 +67,7 @@ def save_checkpoint(path, mapper: Mapper) -> None:
     for name, _, _ in POOL_COLUMNS:
         arrays[f"pool_{name}"] = getattr(mapper.pool, name)
     if not isinstance(path, (str, os.PathLike)):
-        np.savez_compressed(path, **arrays)
+        np.savez(path, **arrays)
         return
     path = os.fspath(path)
     if not path.endswith(".npz"):
@@ -65,7 +76,7 @@ def save_checkpoint(path, mapper: Mapper) -> None:
                                prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+            np.savez(fh, **arrays)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -78,7 +89,10 @@ def _read(data, name, dtype, shape):
     """Array `name`, checked against a dtype and a shape (None: any size)."""
     if name not in data.files:
         raise MalformedFile(f"checkpoint has no array {name!r}")
-    arr = data[name]
+    try:
+        arr = data[name]  # a fresh, writable array: nothing else holds it
+    except _UNREADABLE as exc:
+        raise MalformedFile(f"checkpoint array {name!r} is unreadable: {exc}") from None
     if arr.dtype != dtype or arr.ndim != len(shape) or any(
             want is not None and got != want for got, want in zip(arr.shape, shape)):
         raise MalformedFile(
@@ -99,10 +113,18 @@ def _read_hash(data, name):
 def load_checkpoint(path) -> Mapper:
     """Rebuild a mapper from `save_checkpoint` output.
 
-    Raises MalformedFile when an array is missing or its shape or dtype
-    disagrees with the embedded config or with the arrays it pairs with.
+    Raises MalformedFile when the file is not a readable .npz archive
+    (empty, truncated, or an array that fails its CRC), or when an array
+    is missing or its shape or dtype disagrees with the embedded config
+    or with the arrays it pairs with.
     """
-    with np.load(path) as data:
+    try:
+        data = np.load(path)
+    except _UNREADABLE as exc:
+        raise MalformedFile(f"checkpoint is not a readable .npz archive: {exc}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise MalformedFile("checkpoint is a single .npy array, not an .npz archive")
+    with data:
         version = int(_read(data, "version", np.int64, ()))
         if version != FORMAT_VERSION:
             raise UnsupportedFormat(
@@ -117,7 +139,7 @@ def load_checkpoint(path) -> Mapper:
             for prefix, store in (("dec_", mapper.decoder.params),
                                   ("dec_m_", mapper.decoder.adam_m),
                                   ("dec_v_", mapper.decoder.adam_v)):
-                store[name] = _read(data, f"{prefix}{name}", np.float64, shape).copy()
+                store[name] = _read(data, f"{prefix}{name}", np.float64, shape)
         for i, lvl in enumerate(mapper.grid.levels):
             lvl.vertices, n = _read_hash(data, f"grid{i}_keys")
             lvl.ensure_rows(n)
@@ -132,6 +154,6 @@ def load_checkpoint(path) -> Mapper:
         for name, dtype, shape in POOL_COLUMNS:
             column = _read(data, f"pool_{name}", dtype, (n, *shape))
             n = column.shape[0]
-            setattr(mapper.pool, name, column.copy())
+            setattr(mapper.pool, name, column)
         mapper.pool._next_seq = int(_read(data, "pool_next_seq", np.int64, ()))
     return mapper

@@ -27,7 +27,7 @@ from .mesher import extract_map_mesh, write_mesh
 from .metrics import evaluate, write_eval_csv, write_eval_json
 from .plyio import load_ply, load_scan, write_points_ply
 from .poses import load_poses, save_poses
-from .sim import LidarModel, orbit_poses, scene_from_dicts, simulate_scan
+from .sim import orbit_poses, scene_from_dicts, simulate_scan
 from .trainer import Mapper
 
 SCAN_SUFFIXES = (".ply", ".bin")
@@ -146,15 +146,7 @@ def cmd_sim(args) -> int:
     if not s.scene:
         raise MappingError("sim config has an empty scene (add sphere/box/plane/room entries)")
     scene = scene_from_dicts(s.scene)
-    model = LidarModel(
-        azimuth_count=s.azimuth_count,
-        elevation_count=s.elevation_count,
-        elevation_min_deg=s.elevation_min_deg,
-        elevation_max_deg=s.elevation_max_deg,
-        max_range=s.max_range,
-        beta=s.beta,
-        seed=cfg.seed,
-    )
+    model = s.lidar(cfg.seed)
     poses = orbit_poses(s.n_frames, s.orbit_radius, s.orbit_height, s.orbit_center)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

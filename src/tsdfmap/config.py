@@ -17,6 +17,7 @@ from typing import get_type_hints
 import yaml
 
 from .metrics import EvalConfig
+from .sim import LidarModel
 from .trainer import TrainConfig
 
 
@@ -50,8 +51,19 @@ class SimConfig:
     def __post_init__(self):
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
-        if not self.max_range > 0:
-            raise ValueError("max_range must be positive")
+        self.lidar()  # the ray model checks its own values
+
+    def lidar(self, seed: int = 0) -> LidarModel:
+        """The simulated sensor these settings describe."""
+        return LidarModel(
+            azimuth_count=self.azimuth_count,
+            elevation_count=self.elevation_count,
+            elevation_min_deg=self.elevation_min_deg,
+            elevation_max_deg=self.elevation_max_deg,
+            max_range=self.max_range,
+            beta=self.beta,
+            seed=seed,
+        )
 
 
 @dataclass

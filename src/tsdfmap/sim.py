@@ -119,6 +119,8 @@ class LidarModel:
             raise ValueError("ray counts must be >= 1")
         if self.elevation_min_deg > self.elevation_max_deg:
             raise ValueError("elevation_min_deg must be <= elevation_max_deg")
+        if not self.max_range > 0:
+            raise ValueError("max_range must be positive")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
 

@@ -1,11 +1,16 @@
 import io
+import re
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 
 from tsdfmap.checkpoint import load_checkpoint, save_checkpoint
+from tsdfmap.cli import main
 from tsdfmap.decoder import PARAM_NAMES
 from tsdfmap.errors import MalformedFile, UnsupportedFormat
+from tsdfmap.pool import _COLUMNS as POOL_COLUMNS
 from tsdfmap.sampler import Scan
 from tsdfmap.trainer import Mapper, TrainConfig
 
@@ -194,3 +199,111 @@ def test_pool_columns_must_agree_in_length_and_dtype(tmp_path):
     _rejects(path, {**data, "pool_label": data["pool_label"][:-1]}, "'pool_label'")
     _rejects(path, {**data, "pool_frame_id": data["pool_frame_id"].astype(np.int64)},
              "'pool_frame_id'")
+
+
+def test_members_are_stored_not_deflated(tmp_path):
+    # the float64 payloads barely deflate, and deflating them cost about a
+    # second per save
+    mapper = Mapper(cfg())
+    mapper.process_frame(make_scan(0))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, mapper)
+    buf = io.BytesIO()
+    save_checkpoint(buf, mapper)
+    for source in (path, buf):
+        with zipfile.ZipFile(source) as zf:
+            infos = zf.infolist()
+        assert len(infos) == 41  # the arrays test_checkpoint_array_names_are_pinned lists
+        assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+
+
+def test_deflated_checkpoint_still_loads(tmp_path):
+    # the writer of 0.2.0 and earlier: np.savez_compressed
+    mapper = Mapper(cfg())
+    for f in range(2):
+        mapper.process_frame(make_scan(f))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, mapper)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    np.savez_compressed(path, **arrays)
+    with zipfile.ZipFile(path) as zf:
+        assert all(i.compress_type == zipfile.ZIP_DEFLATED for i in zf.infolist())
+    assert_mappers_equal(mapper, load_checkpoint(path))
+
+
+def test_loaded_arrays_are_writable_and_share_no_memory(tmp_path):
+    mapper = Mapper(cfg())
+    mapper.process_frame(make_scan(0))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, mapper)
+    back = load_checkpoint(path)
+    dec = back.decoder
+    arrays = [store[n] for store in (dec.params, dec.adam_m, dec.adam_v)
+              for n in PARAM_NAMES]
+    arrays += [getattr(back.pool, name) for name, _, _ in POOL_COLUMNS]
+    assert all(a.flags.writeable for a in arrays)
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+def _damaged(tmp_path, damage):
+    """A checkpoint file cut in half, with a damaged member, or empty, or a
+    file that is no .npz archive at all."""
+    mapper = Mapper(cfg())
+    mapper.process_frame(make_scan(0))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, mapper)
+    if damage == "bad-deflate-block":  # deflated, as 0.2.0 wrote it
+        with np.load(path) as data:
+            np.savez_compressed(path, **{name: data[name] for name in data.files})
+    raw = bytearray(path.read_bytes())
+    if damage == "truncated":
+        raw = raw[:len(raw) // 2]
+    elif damage in ("flipped", "bad-deflate-block"):
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo("grid0_v.npy")
+        # the member's data follows its local header and that header's name and extra
+        name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+        start = info.header_offset + 30 + name_len + extra_len
+        if damage == "flipped":
+            raw[start + info.compress_size // 2] ^= 0xFF
+        else:
+            raw[start] |= 0x06  # deflate block type 3 is reserved
+    elif damage == "empty":
+        raw = b""
+    elif damage == "npy":
+        buf = io.BytesIO()
+        np.save(buf, np.arange(3))
+        raw = buf.getvalue()
+    else:
+        raw = b"frames_done: 3\n"
+    path.write_bytes(raw)
+    return path
+
+
+DAMAGE = {
+    "truncated": "not a readable .npz archive: File is not a zip file",
+    "flipped": "array 'grid0_v' is unreadable: Bad CRC-32 for file 'grid0_v.npy'",
+    "bad-deflate-block": "array 'grid0_v' is unreadable: .*invalid block type",
+    "empty": "not a readable .npz archive: No data left in file",
+    "npy": "a single .npy array, not an .npz archive",
+    "text": "not a readable .npz archive: .*pickled",
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_damaged_file_raises_malformed_file(tmp_path, damage):
+    with pytest.raises(MalformedFile, match=DAMAGE[damage]):
+        load_checkpoint(_damaged(tmp_path, damage))
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_mesh_command_reports_a_damaged_checkpoint(tmp_path, capsys, damage):
+    out = tmp_path / "mesh.ply"
+    rc = main(["mesh", str(_damaged(tmp_path, damage)), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: checkpoint ")
+    assert re.search(DAMAGE[damage], err[0])
+    assert not out.exists()

@@ -147,6 +147,11 @@ def test_validation_happens_at_parse_time():
         ({"sim": {"n_frames": 0}}, "^config section sim: n_frames must be >= 1$"),
         ({"sim": {"max_range": 0}}, "^config section sim: max_range must be positive$"),
         ({"sim": {"max_range": -5}}, "^config section sim: max_range must be positive$"),
+        ({"sim": {"azimuth_count": 0}}, "^config section sim: ray counts must be >= 1$"),
+        ({"sim": {"elevation_count": 0}}, "^config section sim: ray counts must be >= 1$"),
+        ({"sim": {"elevation_min_deg": 10, "elevation_max_deg": -10}},
+         "^config section sim: elevation_min_deg must be <= elevation_max_deg$"),
+        ({"sim": {"beta": -0.1}}, "^config section sim: beta must be nonnegative$"),
     ):
         with pytest.raises(ValueError, match=match):
             build_dataclass(RunConfig, data)

@@ -214,3 +214,5 @@ def test_model_validation():
         LidarModel(elevation_min_deg=10.0, elevation_max_deg=-10.0)
     with pytest.raises(ValueError):
         LidarModel(beta=-0.1)
+    with pytest.raises(ValueError):
+        LidarModel(max_range=0.0)
