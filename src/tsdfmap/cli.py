@@ -23,9 +23,9 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_to_dict, load_config
 from .errors import MappingError, PoseCountMismatch
 from .kernels import JIT_ENABLED
-from .mesher import extract_map_mesh, write_mesh
+from .mesher import extract_map_mesh, load_mesh, write_mesh
 from .metrics import evaluate, write_eval_csv, write_eval_json
-from .plyio import load_ply, load_scan, write_points_ply
+from .plyio import load_scan, write_points_ply
 from .poses import load_poses, save_poses
 from .sim import orbit_poses, scene_from_dicts, simulate_scan
 from .trainer import Mapper
@@ -118,12 +118,8 @@ def cmd_mesh(args) -> int:
 
 
 def _load_eval_input(path):
-    from .mesher import TriMesh
-
-    data = load_ply(path)
-    if data["faces"] is not None and data["faces"].shape[0] > 0:
-        return TriMesh(data["points"], data["faces"])
-    return data["points"]
+    mesh = load_mesh(path)
+    return mesh if mesh.n_faces else mesh.vertices
 
 
 def cmd_eval(args) -> int:

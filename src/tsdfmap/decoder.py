@@ -12,6 +12,8 @@ percent of entries, by at most 8.9e-16, so losses differ from those of
 the logaddexp form in the last bits.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.special import expit
 
@@ -23,17 +25,14 @@ def softplus(x):
         return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-class DecoderCache:
+class DecoderCache(NamedTuple):
     """Forward activations needed by the backward pass."""
 
-    __slots__ = ("x", "z1", "a1", "z2", "a2")
-
-    def __init__(self, x, z1, a1, z2, a2):
-        self.x = x
-        self.z1 = z1
-        self.a1 = a1
-        self.z2 = z2
-        self.a2 = a2
+    x: np.ndarray
+    z1: np.ndarray
+    a1: np.ndarray
+    z2: np.ndarray
+    a2: np.ndarray
 
 
 class SdfDecoder:

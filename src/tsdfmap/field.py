@@ -12,14 +12,14 @@ import numpy as np
 
 from .adam import GradientStore
 from .decoder import SdfDecoder
-from .grid import FeatureGrid, trilinear_weight_gradients
+from .grid import FeatureGrid, cell_of, trilinear_weight_gradients
 from .kernels.scatter import scatter_add_rows
 
 
 class FieldCache(NamedTuple):
     points: np.ndarray
     preds: np.ndarray
-    record: "InterpRecord"  # grid rows/weights/fracs per level
+    record: "InterpRecord"  # grid rows/weights per level
     dec_cache: object
 
 
@@ -73,6 +73,7 @@ class NeuralSdfField:
             corner_feats = lvl.features[rows]  # (n, 8, D)
             # scalar contribution of each corner to the decoder input grad
             s_c = np.einsum("ncd,nd->nc", corner_feats, dfeat)
-            dw = trilinear_weight_gradients(cache.record.fracs[:, li], lvl.voxel_size)
+            frac = cell_of(cache.points, lvl.voxel_size)[1]
+            dw = trilinear_weight_gradients(frac, lvl.voxel_size)
             grad += np.einsum("nc,nca->na", s_c, dw)
         return grad

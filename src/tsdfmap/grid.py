@@ -15,6 +15,8 @@ import numpy as np
 from .errors import UnallocatedQuery
 from .hashmap import COORD_LIMIT, VoxelHash, pack_coords, unpack_key
 
+CELL_LIMIT = COORD_LIMIT - 1  # cell coordinates stay below this, so each +1 corner packs
+
 # Corner c = 4*bx + 2*by + bz, bits along x, y, z.
 CORNER_OFFSETS = np.array(
     [
@@ -45,7 +47,7 @@ def cell_of(points, voxel_size):
 def cell_keys(cells):
     """(n, 3) integer cells -> (n,) packed keys; each cell's +1 corner must pack too."""
     c = np.asarray(cells, dtype=np.int64)
-    if np.any(c >= COORD_LIMIT - 1):
+    if np.any(c >= CELL_LIMIT):
         raise ValueError("grid coordinate outside packable range")
     return pack_coords(c)
 
@@ -111,11 +113,10 @@ class InterpRecord(NamedTuple):
 
     rows: np.ndarray  # (n, L, 8) int64
     weights: np.ndarray  # (n, L, 8) float64
-    fracs: np.ndarray  # (n, L, 3) float64
 
     def take(self, idx):
         """The record of points[idx], given the record of points."""
-        return InterpRecord(self.rows[idx], self.weights[idx], self.fracs[idx])
+        return InterpRecord(self.rows[idx], self.weights[idx])
 
 
 class GridLevel:
@@ -193,13 +194,12 @@ class FeatureGrid:
         return added, skipped
 
     def locate(self, points) -> InterpRecord:
-        """Each point's corner rows (-1 if absent), weights and fractions per level."""
+        """Each point's corner rows (-1 if absent) and weights per level."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         found = [cell_rows(lvl.vertices, lvl.voxel_size, pts) for lvl in self.levels]
         rows = np.stack([cell[inverse] for cell, inverse, _ in found], axis=1)
-        fracs = np.stack([frac for _, _, frac in found], axis=1)
-        return InterpRecord(rows, trilinear_weights(fracs.reshape(-1, 3)).reshape(rows.shape),
-                            fracs)
+        weights = np.stack([trilinear_weights(frac) for _, _, frac in found], axis=1)
+        return InterpRecord(rows, weights)
 
     def interpolate(self, points, record=None):
         """Aggregated features for a batch of points.

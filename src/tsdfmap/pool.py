@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashmap import pack_coords, unpack_key
+from .grid import cell_keys, cell_of
+from .hashmap import unpack_key
 
 
 @dataclass
@@ -75,10 +76,6 @@ class ReplayPool:
     def __len__(self) -> int:
         return self.n
 
-    def bucket_of(self, u):
-        """Integer bucket coordinates floor(u / voxel_size) per axis."""
-        return np.floor(np.asarray(u, dtype=np.float64) / self.voxel_size).astype(np.int64)
-
     def _take(self, idx):
         for name, _, _ in _COLUMNS:
             setattr(self, name, getattr(self, name)[idx])
@@ -92,7 +89,7 @@ class ReplayPool:
         derived = {
             "frame_id": np.full(m, frame_id, dtype=np.int32),
             "seq": np.arange(self._next_seq, self._next_seq + m, dtype=np.int64),
-            "bucket": pack_coords(self.bucket_of(batch.pos)),
+            "bucket": cell_keys(cell_of(batch.pos, self.voxel_size)[0]),
         }
         self._next_seq += m
         for name, _, _ in _COLUMNS:

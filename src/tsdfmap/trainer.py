@@ -7,7 +7,7 @@ into the replay pool, prune the pool window, enforce bucket capacity,
 partition buckets by uncertainty and split the pool rows into uncertain
 and certain once. Replay then draws all `iterations` batches from the
 frame's batch stream, locates the union of drawn rows once (corner
-rows, weights and fractions), and runs `iterations` rounds of predict /
+rows and weights), and runs `iterations` rounds of predict /
 MSE / backward / Adam, each on its batch's slice of that record with
 the current features. Finally Fisher information accumulates over the
 union, each trained sample once, with the post-update weights. Within a
@@ -28,8 +28,7 @@ from .adam import AdamConfig, adam_step
 from .decoder import SdfDecoder
 from .errors import NonFiniteLoss, PoseCountMismatch
 from .field import NeuralSdfField
-from .grid import FeatureGrid
-from .hashmap import COORD_LIMIT
+from .grid import CELL_LIMIT, FeatureGrid
 from .pool import PoolConfig, ReplayPool
 from .sampler import Scan, SamplerConfig, estimate_normals, generate_samples, voxel_downsample
 from .uncertainty import (PerturbField, UncertaintyConfig, draw_batch, partition_voxels,
@@ -123,7 +122,7 @@ class Mapper:
         """
         finite = np.isfinite(scan.points).all(axis=1)
         pts = scan.points[finite]
-        limit = (COORD_LIMIT - 1) * min(self.cfg.voxel_sizes)
+        limit = CELL_LIMIT * min(self.cfg.voxel_sizes)
         reach = np.maximum(np.abs(scan.origin), np.abs(pts)) + self.cfg.sampler.trunc_dist
         in_range = (reach < limit).all(axis=1)
         report.nonfinite_points = int((~finite).sum())
@@ -164,6 +163,10 @@ class Mapper:
         report.pool_size = self.pool.n
         t3 = time.perf_counter()
         report.stage_ms["pool"] = 1e3 * (t3 - t2)
+        if self.pool.n == 0:  # nothing to partition or replay
+            report.skipped = True
+            self.frames_done += 1
+            return report
 
         partition = split = None
         if cfg.active_sampling:

@@ -47,8 +47,10 @@ def _verdict(capsys, num, name, ok, detail=""):
 # ---------------------------------------------------------------- 1
 
 
-def _batch_loss(field, pts, labels):
-    preds, _ = field.predict(pts)
+def _batch_loss(field, pts, labels, record):
+    # a perturbed weight or feature moves no corner row or weight, so the
+    # analytic pass's record stands for a fresh lookup (test_grid pins them equal)
+    preds, _ = field.predict(pts, record)
     r = preds - labels
     return float(r @ r) / r.size
 
@@ -79,9 +81,9 @@ def test_01_gradients_match_finite_differences(capsys):
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + h
-                fp = _batch_loss(field, pts, labels)
+                fp = _batch_loss(field, pts, labels, cache.record)
                 flat[i] = keep - h
-                fm = _batch_loss(field, pts, labels)
+                fm = _batch_loss(field, pts, labels, cache.record)
                 flat[i] = keep
                 fd = (fp - fm) / (2 * h)
                 worst = max(worst, abs(grad[i] - fd) / max(1.0, abs(grad[i]), abs(fd)))
@@ -93,9 +95,9 @@ def test_01_gradients_match_finite_differences(capsys):
                 for d in range(fdim):
                     keep = lvl.features[r, d]
                     lvl.features[r, d] = keep + h
-                    fp = _batch_loss(field, pts, labels)
+                    fp = _batch_loss(field, pts, labels, cache.record)
                     lvl.features[r, d] = keep - h
-                    fm = _batch_loss(field, pts, labels)
+                    fm = _batch_loss(field, pts, labels, cache.record)
                     lvl.features[r, d] = keep
                     fd = (fp - fm) / (2 * h)
                     worst = max(worst,

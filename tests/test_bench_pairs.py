@@ -18,16 +18,19 @@ DECLARED = [
 ]
 
 
-def run_output(fps, mb, failed=0, correct=True, digest="ab" * 32, quality=None):
+def run_output(fps, mb, failed=0, correct=True, digest="ab" * 32, quality=None, wall=None):
     """Two workloads, as `run.py --workload all` prints them; no digest if None.
 
     quality: (chamfer_l1_cm, f1_pct) to report as well, or None.
+    wall: the detail line's `wall` block of raw wall times, or None for none.
     """
     lines = []
     for workload in ("desk-orbit", "street-drive"):
         detail = {"provenance": {"workload": workload}}
         if digest is not None:
             detail["loss_trace_sha256"] = digest
+        if wall is not None:
+            detail["wall"] = wall
         metrics = {"frames_per_s": {"value": fps, "unit": "1/s"},
                    "map_mb": {"value": mb, "unit": "MB"}}
         if quality is not None:
@@ -51,6 +54,30 @@ def test_parse_run_keys_results_by_the_detail_line_workload():
 def test_parse_run_without_a_digest_keeps_none():
     got = bench_pairs.parse_run(run_output(1.5, 37.7, digest=None))
     assert got["desk-orbit"]["loss_trace_sha256"] is None
+
+
+def test_wall_medians_sit_beside_the_scaled_table(monkeypatch, capsys):
+    assert bench_pairs.parse_run(run_output(1.5, 37.7))["desk-orbit"]["wall"] == {}
+    walls = {"old": [{"frames_per_s": 1.0, "mesh_s": 2.0}, {"frames_per_s": 1.2, "mesh_s": 2.0}],
+             "new": [{"frames_per_s": 1.3, "mesh_s": 1.5}, {"frames_per_s": 1.5}]}
+
+    def fake_run(checkout, args):
+        return bench_pairs.parse_run(run_output(1.0, 5.0, wall=walls[checkout].pop(0)))
+
+    pairs = [(fake_run("old", []), fake_run("new", [])) for _ in range(2)]
+    rows = bench_pairs.wall_medians(pairs)
+    # mesh_s is missing from one change run, so only frames_per_s is compared
+    assert [r[:2] for r in rows] == [("desk-orbit", "frames_per_s"),
+                                     ("street-drive", "frames_per_s")]
+    assert rows[0][2:4] == (1.1, 1.4)
+    assert rows[0][4] == pytest.approx(100 * 0.3 / 1.1)
+
+    walls.update(old=[{"frames_per_s": 1.0}] * 2, new=[{"frames_per_s": 1.25}] * 2)
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    bench_pairs.main(["old", "new", "--pairs", "1"])
+    out = capsys.readouterr().out
+    assert "wall time" in out
+    assert "street-drive  frames_per_s                1           1.25   +25.0%" in out
 
 
 def test_quartiles_are_medians_of_the_halves():

@@ -7,7 +7,7 @@ import pytest
 
 from tsdfmap.cli import main
 from tsdfmap.kernels import JIT_ENABLED
-from tsdfmap.plyio import load_ply
+from tsdfmap.plyio import load_ply, write_points_ply
 
 RUN_YAML = """\
 seed: 3
@@ -161,6 +161,22 @@ def test_eval_seed_flag_sets_eval_seed(workdir, map_dir, capsys):
     assert accuracy("--seed", "1") != from_file
 
 
+def test_eval_compares_point_cloud_plys(workdir, capsys):
+    """A PLY without faces is evaluated as its own points, not sampled as a surface."""
+    axis = 0.5 * np.arange(4)
+    gt = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    write_points_ply(workdir / "gt_cloud.ply", gt)
+    write_points_ply(workdir / "recon_cloud.ply", gt + [0.03, 0.0, 0.0])
+    clouds = [str(workdir / "recon_cloud.ply"), str(workdir / "gt_cloud.ply")]
+    assert main(["eval", *clouds]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["accuracy_cm"] == pytest.approx(3.0, rel=1e-5)
+    assert out["completeness_cm"] == pytest.approx(3.0, rel=1e-5)
+    assert out["f1_pct"] == 100.0
+    assert main(["eval", *clouds, "--threshold", "0.02"]) == 0
+    assert json.loads(capsys.readouterr().out)["f1_pct"] == 0.0
+
+
 def test_map_survives_a_far_return(workdir, sim_dir):
     scans = workdir / "far_scans"
     scans.mkdir()
@@ -196,6 +212,26 @@ def test_map_reports_nonfinite_and_far_returns(workdir, sim_dir, capsys):
     assert report["nonfinite_points"] == 1
     assert report["out_of_range_points"] == 1
     assert "dropped 1 non-finite and 1 out-of-range points" in capsys.readouterr().err
+
+
+def test_map_skips_a_frame_that_leaves_the_pool_empty(workdir, sim_dir):
+    """Returns at the sensor origin (a missing-return marker) give no samples."""
+    scans = workdir / "zero_scans"
+    scans.mkdir()
+    np.zeros((64, 4), dtype="<f4").tofile(scans / "frame_00000.bin")
+    pts = load_ply(sorted(sim_dir.glob("frame_*.ply"))[1])["points"]
+    np.column_stack([pts, np.zeros(len(pts))]).astype("<f4").tofile(scans / "frame_00001.bin")
+    poses = (sim_dir / "poses.txt").read_text().splitlines()[:2]
+    (scans / "poses.txt").write_text("\n".join(poses) + "\n")
+    out = workdir / "zero_run"
+    rc = main(["map", "--scans", str(scans), "--poses", str(scans / "poses.txt"),
+               "--config", str(workdir / "run.yaml"), "--out", str(out)])
+    assert rc == 0
+    reports = [json.loads(l) for l in (out / "reports.jsonl").read_text().splitlines()]
+    assert len(reports) == 2
+    assert reports[0]["skipped"] and reports[0]["pool_size"] == 0
+    assert not reports[1]["skipped"] and reports[1]["pool_size"] > 0
+    assert reports[1]["losses"] and np.isfinite(reports[1]["losses"]).all()
 
 
 def test_map_pose_count_mismatch(workdir, sim_dir, capsys):

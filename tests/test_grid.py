@@ -112,7 +112,7 @@ def test_interpolation_matches_manual(rng):
     manual = np.zeros_like(feats)
     loc = g.locate(pts)
     for li, lvl in enumerate(g.levels):
-        rows, frac = loc.rows[:, li], loc.fracs[:, li]
+        rows, frac = loc.rows[:, li], cell_of(pts, lvl.voxel_size)[1]
         w = trilinear_weights(frac)
         for n in range(pts.shape[0]):
             for c in range(8):
@@ -143,7 +143,7 @@ def test_features_sum_over_levels(rng):
     parts = []
     loc = g.locate(pts)
     for li, lvl in enumerate(g.levels):
-        rows, frac = loc.rows[:, li], loc.fracs[:, li]
+        rows, frac = loc.rows[:, li], cell_of(pts, lvl.voxel_size)[1]
         w = trilinear_weights(frac)
         parts.append(np.einsum("nc,ncd->nd", w, lvl.features[rows]))
     np.testing.assert_allclose(total, parts[0] + parts[1], atol=1e-12)
@@ -231,10 +231,9 @@ def test_locate_matches_per_point_lookup(shared_cell_grid):
     pts = np.vstack([inside[:50], outside, inside[50:]])
     rec = grid.locate(pts)
     for li, lvl in enumerate(grid.levels):
-        rows, frac = rec.rows[:, li], rec.fracs[:, li]
+        rows, frac = rec.rows[:, li], cell_of(pts, lvl.voxel_size)[1]
         want = level_rows(grid, pts, li)
         assert np.array_equal(rows, want)
-        assert np.array_equal(frac, cell_of(pts, lvl.voxel_size)[1])
         assert np.array_equal(rec.weights[:, li], trilinear_weights(frac))
         assert (want[50:54] == -1).any(axis=1).all()  # outside points keep their -1 rows
         assert (want[:50] >= 0).all()
@@ -263,7 +262,6 @@ def test_fresh_interpolate_matches_per_point_lookup(shared_cell_grid):
         want += np.einsum("nc,ncd->nd", w, lvl.features[rows])
         assert np.array_equal(rec.rows[:, li], rows)
         assert np.array_equal(rec.weights[:, li], w)
-        assert np.array_equal(rec.fracs[:, li], frac)
     assert np.array_equal(feats, want)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsdfmap.hashmap import COORD_LIMIT, unpack_key
 from tsdfmap.pool import PoolConfig, ReplayPool, reliability_mse
 from tsdfmap.sampler import SampleBatch
 
@@ -44,14 +45,21 @@ def test_reliability_monotonic_in_range_and_incidence(rng):
     assert (np.diff(v) < 0).all()
 
 
-def test_bucket_of_floor_convention():
+def test_bucket_keys_follow_the_floor_convention():
     pool = ReplayPool(voxel_size=0.45)
-    a = pool.bucket_of(np.array([[0.0, 0.0, 0.0]]))
-    b = pool.bucket_of(np.array([[0.44, 0.44, 0.44]]))
-    c = pool.bucket_of(np.array([[-0.01, 0.0, 0.0]]))
-    assert a.tolist() == [[0, 0, 0]]
-    assert b.tolist() == [[0, 0, 0]]
-    assert c.tolist() == [[-1, 0, 0]]
+    pool.insert(make_batch([[0.0, 0.0, 0.0], [0.44, 0.44, 0.44], [-0.01, 0.0, 0.0]]), 0)
+    assert unpack_key(pool.bucket).tolist() == [[0, 0, 0], [0, 0, 0], [-1, 0, 0]]
+
+
+def test_insert_outside_the_lattice_leaves_the_pool_unchanged(rng):
+    pool = ReplayPool(voxel_size=0.5)
+    pool.insert(rand_batch(rng, 4), frame_id=0)
+    edge = 0.5 * (COORD_LIMIT - 1) + 0.1  # cell COORD_LIMIT - 1: its +1 corner does not pack
+    with pytest.raises(ValueError, match="outside packable range"):
+        pool.insert(make_batch([[0.0, 0.0, 0.0], [edge, 0.0, 0.0]]), frame_id=1)
+    assert pool.n == 4 and all(len(getattr(pool, c)) == 4 for c in ("pos", "seq", "bucket"))
+    pool.insert(rand_batch(rng, 2), frame_id=1)
+    assert pool.seq.tolist() == list(range(6))
 
 
 def test_insert_appends_in_order(rng):

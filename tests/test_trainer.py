@@ -35,6 +35,20 @@ def test_empty_scan_is_skipped():
     assert mapper.frames_done == 1
 
 
+@pytest.mark.parametrize("active", [True, False])
+def test_frame_that_leaves_the_pool_empty_is_skipped(rng, active):
+    """Zero-range returns give no samples; the next frame still maps."""
+    mapper = Mapper(small_cfg(active_sampling=active))
+    origin = np.array([0.0, 0.0, 2.0])
+    rep = mapper.process_frame(Scan(origin, np.tile(origin, (64, 1)), 0))
+    assert rep.skipped and rep.losses == [] and rep.pool_size == 0
+    assert mapper.frames_done == 1
+    rep = mapper.process_frame(Scan(origin, plane_cloud(rng), 1))
+    assert not rep.skipped and rep.pool_size > 0
+    assert len(rep.losses) == 3 and np.isfinite(rep.losses).all()
+    assert mapper.frames_done == 2
+
+
 def test_nonfinite_and_far_returns_are_dropped_and_counted(rng):
     origin = np.array([0.0, 0.0, 2.0])
     clean = plane_cloud(rng)

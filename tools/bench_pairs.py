@@ -19,6 +19,11 @@ checked by the same runs that time it. Where the digests differ, it also
 prints each side's median chamfer and F1 to 6 decimals and the move as a
 share of the metric's bound, which the 4-digit table cannot resolve.
 
+run.py scales its end-to-end times by a host-speed gauge. That scale can
+swing between workloads of one run, so after the table it also prints,
+per workload, each side's median of the raw wall times in the detail
+line's `wall` block and the change of that median.
+
 If a run exits non-zero, it prints that run's pair, side, exit code and
 the tail of its stderr, then the summary of the pairs already finished,
 and exits 1.
@@ -41,7 +46,8 @@ def parse_run(stdout):
 
     Each workload prints a `detail {...}` line whose provenance block
     names it, then its one-line JSON result. The detail line's
-    `loss_trace_sha256` (None if absent) is kept in the result.
+    `loss_trace_sha256` (None if absent) and `wall` block ({} if absent)
+    are kept in the result.
     """
     results, detail = {}, None
     for line in stdout.splitlines():
@@ -50,6 +56,7 @@ def parse_run(stdout):
         elif line.startswith("{") and detail is not None:
             result = json.loads(line)
             result["loss_trace_sha256"] = detail.get("loss_trace_sha256")
+            result["wall"] = detail.get("wall", {})
             results[detail["provenance"]["workload"]] = result
             detail = None
     return results
@@ -112,6 +119,23 @@ def digests(pairs):
             for workload in pairs[0][0]}
 
 
+def wall_medians(pairs):
+    """[(workload, name, base median, change median, % change)] of the raw wall times.
+
+    One row per name in the `wall` block that every run of both sides reports.
+    """
+    rows = []
+    for workload in pairs[0][0]:
+        for name in pairs[0][0][workload]["wall"]:
+            if any(name not in side[workload]["wall"] for pair in pairs for side in pair):
+                continue
+            base, change = (stats.median(pair[k][workload]["wall"][name] for pair in pairs)
+                            for k in (0, 1))
+            pct = 100.0 * (change - base) / base if base else float("nan")
+            rows.append((workload, name, base, change, pct))
+    return rows
+
+
 QUALITY = ("chamfer_l1_cm", "f1_pct")
 
 
@@ -161,6 +185,12 @@ def report(pairs, spec):
         print(f"{r['workload']:<13} {r['metric']:<16} {fmt(r['base']):>30} "
               f"{fmt(r['change']):>30} {r['delta_pct']:>+7.1f}% "
               f"{r['wins']:>3}/{r['pairs']:<2}  {'yes' if r['clear'] else 'no'}")
+    walls = wall_medians(pairs)
+    if walls:
+        print(f"{'workload':<13} {'wall time':<16} {'base median':>12} {'change median':>14} "
+              f"{'median':>8}")
+    for workload, name, b, c, pct in walls:
+        print(f"{workload:<13} {name:<16} {b:>12.4g} {c:>14.4g} {pct:>+7.1f}%")
     for workload, (fb, fc, attempted, incorrect) in failures(pairs).items():
         print(f"{workload}: failed base {fb}, change {fc} of {attempted} operations; "
               f"{incorrect} runs with a failed check")
