@@ -24,6 +24,8 @@ class AdamConfig:
     def __post_init__(self):
         if not self.lr > 0:
             raise ValueError("lr must be positive")
+        if not self.lr < np.inf:
+            raise ValueError("lr must be finite")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         if not self.eps > 0:

@@ -21,22 +21,20 @@ import scipy
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_to_dict, load_config
-from .errors import MappingError, PoseCountMismatch
+from .errors import MalformedFile, MappingError, PoseCountMismatch, UnsupportedFormat
 from .kernels import JIT_ENABLED
 from .mesher import extract_map_mesh, load_mesh, write_mesh
 from .metrics import evaluate, write_eval_csv, write_eval_json
-from .plyio import load_scan, write_points_ply
+from .plyio import SCAN_SUFFIXES, load_scan, write_points_ply
 from .poses import load_poses, save_poses
 from .sim import orbit_poses, scene_from_dicts, simulate_scan
 from .trainer import Mapper
-
-SCAN_SUFFIXES = (".ply", ".bin")
 
 
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "threshold", None) is not None:
         cfg.eval = dataclasses.replace(cfg.eval, threshold=args.threshold)
     if getattr(args, "eval_seed", None) is not None:
@@ -50,7 +48,7 @@ def _scan_paths(scans_dir) -> list:
         raise MappingError(f"scan directory not found: {root}")
     paths = sorted(p for p in root.iterdir() if p.suffix.lower() in SCAN_SUFFIXES)
     if not paths:
-        raise MappingError(f"no .ply/.bin scans in {root}")
+        raise MappingError(f"no {'/'.join(SCAN_SUFFIXES)} scans in {root}")
     return paths
 
 
@@ -84,9 +82,16 @@ def cmd_map(args) -> int:
     _write_manifest(out, cfg, {"command": "map", "n_scans": len(scan_paths)})
 
     mapper = Mapper(cfg)
+    unreadable = 0
     with open(out / "reports.jsonl", "w") as log:
         for i, (path, pose) in enumerate(zip(scan_paths, poses)):
-            report = mapper.run_sequence([load_scan(path)], [pose])[0]
+            try:
+                points = load_scan(path)
+            except (MalformedFile, UnsupportedFormat) as exc:
+                # the frame gate skips the empty cloud; later frame ids stay aligned
+                print(f"{path.name}: unreadable, mapped as an empty frame: {exc}", file=sys.stderr)
+                points, unreadable = np.zeros((0, 3)), unreadable + 1
+            report = mapper.run_sequence([points], [pose])[0]
             if report.nonfinite_points or report.out_of_range_points:
                 print(f"{path.name}: dropped {report.nonfinite_points} non-finite and "
                       f"{report.out_of_range_points} out-of-range points", file=sys.stderr)
@@ -101,8 +106,10 @@ def cmd_map(args) -> int:
                                binary=not cfg.mesh.ascii)
                 except MappingError as exc:
                     print(f"mesh at frame {i + 1} skipped: {exc}", file=sys.stderr)
+    if unreadable == len(scan_paths):
+        raise MappingError(f"none of the {unreadable} scans in {args.scans} could be read")
     save_checkpoint(out / "checkpoint.npz", mapper)
-    print(f"mapped {len(scan_paths)} scans -> {out / 'checkpoint.npz'}")
+    print(f"mapped {len(scan_paths)} scans ({unreadable} unreadable) -> {out / 'checkpoint.npz'}")
     return 0
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import EmptyMap, NoSurface
 from .kernels.march import EDGE_AXIS, EDGE_BASE, classify_cells, emit
+from .plyio import load_ply, write_mesh_ply
 
 
 @dataclass
@@ -154,14 +155,10 @@ def extract_map_mesh(field, spacing: float = 0.10, pad: float = 0.0) -> TriMesh:
 
 
 def write_mesh(mesh: TriMesh, path, binary: bool = True):
-    from .plyio import write_mesh_ply
-
     write_mesh_ply(path, mesh.vertices, mesh.faces, binary=binary)
 
 
 def load_mesh(path) -> TriMesh:
-    from .plyio import load_ply
-
     data = load_ply(path)
     faces = data.get("faces")
     if faces is None:

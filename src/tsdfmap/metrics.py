@@ -28,6 +28,8 @@ class EvalConfig:
             raise ValueError("n_points must be positive")
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

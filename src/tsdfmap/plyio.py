@@ -2,11 +2,16 @@
 float32 xyzi scan files.
 
 Writers emit float32 coordinates and int32 triangle indices. The reader
-handles the subset this package writes plus common scalar vertex
-properties from other tools; anything else raises.
+parses each element into one record array in either encoding (the one
+list an element may hold becomes a count field plus a (3,) item field);
+`load_ply` then checks the records once, and every error names the file.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
+from numpy.lib.recfunctions import structured_to_unstructured
 
 from .errors import MalformedFile, UnsupportedFormat
 
@@ -22,26 +27,36 @@ _PLY_TYPES = {
 }
 
 
-def write_points_ply(path, points, scalars=None, binary: bool = True):
-    """Write an xyz cloud with optional named float scalar properties."""
-    pts = np.asarray(points, dtype=np.float32).reshape(-1, 3)
+def _write_ply(path, binary, vertices, scalars, faces):
+    """Write the header, the vertex block and an optional face block."""
+    verts = np.asarray(vertices, dtype=np.float32).reshape(-1, 3)
     scalars = {k: np.asarray(v, dtype=np.float32).reshape(-1) for k, v in (scalars or {}).items()}
     for name, col in scalars.items():
-        if col.shape[0] != pts.shape[0]:
+        if col.shape[0] != verts.shape[0]:
             raise ValueError(f"scalar {name!r} length mismatch")
+    vrec = np.empty(verts.shape[0], dtype=[(k, "<f4") for k in ("x", "y", "z", *scalars)])
+    for k, col in zip(vrec.dtype.names, [*verts.T, *scalars.values()]):
+        vrec[k] = col
     header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
-              f"element vertex {pts.shape[0]}",
-              "property float x", "property float y", "property float z"]
-    header += [f"property float {name}" for name in scalars]
-    header.append("end_header")
-    cols = [pts] + [c[:, None] for c in scalars.values()]
-    rows = np.hstack(cols).astype("<f4")
+              f"element vertex {vrec.size}", *(f"property float {k}" for k in vrec.dtype.names)]
+    blocks = [(vrec, "%.9g")]
+    if faces is not None:
+        frec = np.empty(faces.shape[0], dtype=[("n", "u1"), ("v", "<i4", (3,))])
+        frec["n"], frec["v"] = 3, faces
+        header += [f"element face {frec.size}", "property list uchar int vertex_indices"]
+        blocks.append((frec, "%d"))
     with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            fh.write(rows.tobytes())
-        else:
-            np.savetxt(fh, rows, fmt="%.9g")
+        fh.write(("\n".join(header + ["end_header"]) + "\n").encode("ascii"))
+        for rec, fmt in blocks:
+            if binary:
+                fh.write(rec.tobytes())
+            else:
+                np.savetxt(fh, structured_to_unstructured(rec), fmt=fmt)
+
+
+def write_points_ply(path, points, scalars=None, binary: bool = True):
+    """Write an xyz cloud with optional named float scalar properties."""
+    _write_ply(path, binary, points, scalars, None)
 
 
 def write_mesh_ply(path, vertices, faces, binary: bool = True):
@@ -50,112 +65,85 @@ def write_mesh_ply(path, vertices, faces, binary: bool = True):
     faces = np.asarray(faces, dtype=np.int32).reshape(-1, 3)
     if faces.size and (faces.min() < 0 or faces.max() >= verts.shape[0]):
         raise ValueError("face index out of range")
-    header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
-              f"element vertex {verts.shape[0]}",
-              "property float x", "property float y", "property float z",
-              f"element face {faces.shape[0]}",
-              "property list uchar int vertex_indices",
-              "end_header"]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            fh.write(verts.astype("<f4").tobytes())
-            frec = np.empty(faces.shape[0], dtype=[("n", "u1"), ("v", "<i4", (3,))])
-            frec["n"] = 3
-            frec["v"] = faces
-            fh.write(frec.tobytes())
-        else:
-            np.savetxt(fh, verts, fmt="%.9g")
-            np.savetxt(fh, np.hstack([np.full((faces.shape[0], 1), 3, dtype=np.int64), faces]),
-                       fmt="%d")
+    _write_ply(path, binary, verts, None, faces)
+
+
+def _ply_type(name):
+    if name not in _PLY_TYPES:
+        raise UnsupportedFormat(f"unsupported property type {name!r}")
+    return "<" + _PLY_TYPES[name]
+
+
+def _list_field(dtype):  # the (3,) items field of a list; "<items>_count" holds its count
+    return next((f for f in dtype.names if dtype[f].shape), None)
 
 
 def _parse_header(fh):
-    first = fh.readline().strip()
-    if first != b"ply":
+    """Return (binary, [(element name, count, record dtype)])."""
+    if fh.readline().strip() != b"ply":
         raise UnsupportedFormat("not a PLY file (missing 'ply' magic)")
-    fmt = None
-    elements = []  # (name, count, [(prop_name, dtype-or-'list', ...)])
+    binary, elements = None, []  # elements: (name, count, [(field, type[, shape])])
     while True:
         line = fh.readline()
         if not line:
             raise MalformedFile("header ended before end_header")
-        tokens = line.decode("ascii", "replace").strip().split()
+        tokens = line.decode("ascii", "replace").split()
         if not tokens or tokens[0] == "comment":
             continue
+        if tokens[0] == "end_header":
+            break
+        is_list = tokens[:2] == ["property", "list"]
+        if len(tokens) < {"format": 3, "element": 3, "property": 3 + 2 * is_list}.get(tokens[0], 0):
+            raise MalformedFile(f"header line {' '.join(tokens)!r} lacks tokens")
         if tokens[0] == "format":
-            if tokens[1] == "ascii":
-                fmt = "ascii"
-            elif tokens[1] == "binary_little_endian":
-                fmt = "binary"
-            else:
+            binary = {"ascii": False, "binary_little_endian": True}.get(tokens[1])
+            if binary is None:
                 raise UnsupportedFormat(f"unsupported PLY format {tokens[1]!r}")
         elif tokens[0] == "element":
+            if not tokens[2].isdigit():
+                raise MalformedFile(f"element count {tokens[2]!r} is not a non-negative integer")
             elements.append((tokens[1], int(tokens[2]), []))
         elif tokens[0] == "property":
             if not elements:
                 raise MalformedFile("property before any element")
-            if tokens[1] == "list":
-                count_t, item_t = _PLY_TYPES.get(tokens[2]), _PLY_TYPES.get(tokens[3])
-                if count_t is None or item_t is None:
-                    raise UnsupportedFormat(f"unsupported list types {tokens[2]}/{tokens[3]}")
-                elements[-1][2].append((tokens[4], "list", count_t, item_t))
-            else:
-                t = _PLY_TYPES.get(tokens[1])
-                if t is None:
-                    raise UnsupportedFormat(f"unsupported property type {tokens[1]!r}")
-                elements[-1][2].append((tokens[2], t))
-        elif tokens[0] == "end_header":
-            break
-    if fmt is None:
+            fields = elements[-1][2]
+            if not is_list:
+                fields.append((tokens[2], _ply_type(tokens[1])))
+            elif any(len(f) == 3 for f in fields):
+                raise UnsupportedFormat(f"element {elements[-1][0]!r} holds more than one list")
+            else:  # triangle faces only: the record holds 3 items
+                fields += [(tokens[4] + "_count", _ply_type(tokens[2])),
+                           (tokens[4], _ply_type(tokens[3]), (3,))]
+    if binary is None:
         raise MalformedFile("missing format line")
-    return fmt, elements
+    for name, _, fields in elements:
+        if not fields:
+            raise MalformedFile(f"element {name!r} has no properties")
+        if len({f[0] for f in fields}) < len(fields):
+            raise MalformedFile(f"element {name!r} repeats a property name")
+    return binary, [(name, count, np.dtype(fields)) for name, count, fields in elements]
 
 
-def _read_element_binary(fh, count, props):
-    if any(p[1] == "list" for p in props):
-        if len(props) != 1:
-            raise UnsupportedFormat("mixed list/scalar element not supported")
-        name, _, count_t, item_t = props[0]
-        # triangle meshes only: constant list length 3
-        rec = np.dtype([("n", "<" + count_t), ("v", "<" + item_t, (3,))])
-        raw = fh.read(rec.itemsize * count)
-        if len(raw) != rec.itemsize * count:
-            raise MalformedFile("truncated face data")
-        arr = np.frombuffer(raw, dtype=rec)
-        if count and not (arr["n"] == 3).all():
-            raise MalformedFile("only triangle faces are supported")
-        return {name: arr["v"].astype(np.int64)}
-    rec = np.dtype([(p[0], "<" + p[1]) for p in props])
-    raw = fh.read(rec.itemsize * count)
-    if len(raw) != rec.itemsize * count:
-        raise MalformedFile("truncated vertex data")
-    arr = np.frombuffer(raw, dtype=rec)
-    return {p[0]: arr[p[0]] for p in props}
-
-
-def _read_element_ascii(fh, count, props):
+def _read_element(fh, binary, name, count, dtype):
+    """Read `count` records of `dtype`; ascii values are kept as float64."""
+    if binary:
+        nbytes = count * dtype.itemsize
+        if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise MalformedFile(f"truncated {name} data")
+        return np.frombuffer(fh.read(nbytes), dtype=dtype)
+    f8 = np.dtype([(f, "<f8", dtype[f].shape) for f in dtype.names])
+    width = f8.itemsize // 8
+    note = "; only triangle faces are supported" if _list_field(dtype) else ""
     rows = []
-    for _ in range(count):
-        line = fh.readline()
-        if not line:
-            raise MalformedFile("truncated ascii data")
-        rows.append(line.split())
-    if any(p[1] == "list" for p in props):
-        name = props[0][0]
-        faces = []
-        for r in rows:
-            if int(r[0]) != 3:
-                raise MalformedFile("only triangle faces are supported")
-            faces.append([int(r[1]), int(r[2]), int(r[3])])
-        return {name: np.asarray(faces, dtype=np.int64).reshape(-1, 3)}
-    out = {}
-    table = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, len(props)))
-    if table.size and table.shape[1] != len(props):
-        raise MalformedFile("ascii row width does not match declared properties")
-    for j, p in enumerate(props):
-        out[p[0]] = table[:, j] if table.size else np.zeros(0)
-    return out
+    for i in range(count):
+        rows.append(fh.readline().split())
+        if len(rows[-1]) != width:
+            raise MalformedFile(f"{name} row {i} holds {len(rows[-1])} values, not {width}{note}")
+    try:
+        table = np.array(rows, dtype=np.float64)
+    except ValueError as exc:  # a token that is not a number
+        raise MalformedFile(f"{name} data: {exc}") from None
+    return np.frombuffer(table.tobytes(), dtype=f8)
 
 
 def load_ply(path):
@@ -163,44 +151,55 @@ def load_ply(path):
 
     Returns {"points": (n, 3) float64, "faces": (m, 3) int64 or None,
     "properties": {name: (n,) float64}} for any extra vertex scalars.
+    Raises MalformedFile or UnsupportedFormat, naming `path`.
     """
-    with open(path, "rb") as fh:
-        fmt, elements = _parse_header(fh)
-        data = {}
-        for name, count, props in elements:
-            if not props:
-                raise MalformedFile(f"element {name!r} has no properties")
-            reader = _read_element_binary if fmt == "binary" else _read_element_ascii
-            data[name] = reader(fh, count, props)
-    if "vertex" not in data:
-        raise MalformedFile("no vertex element")
-    v = data["vertex"]
-    for axis in ("x", "y", "z"):
-        if axis not in v:
-            raise MalformedFile(f"vertex element lacks {axis!r}")
-    points = np.stack(
-        [np.asarray(v["x"], np.float64), np.asarray(v["y"], np.float64),
-         np.asarray(v["z"], np.float64)], axis=1)
-    extra = {k: np.asarray(val, np.float64) for k, val in v.items() if k not in ("x", "y", "z")}
-    faces = None
-    if "face" in data:
-        faces = next(iter(data["face"].values()))
+    try:
+        with open(path, "rb") as fh:
+            binary, elements = _parse_header(fh)
+            data = {name: _read_element(fh, binary, name, count, dtype)
+                    for name, count, dtype in elements}
+        v = data.get("vertex")
+        if v is None or not {"x", "y", "z"} <= set(v.dtype.names):
+            raise MalformedFile("no vertex element with x, y and z")
+        for rec in data.values():
+            items = _list_field(rec.dtype)
+            if items and not (rec[items + "_count"] == 3).all():
+                raise MalformedFile("only triangle faces are supported")
+        faces = None
+        if "face" in data:
+            items = _list_field(data["face"].dtype)
+            if items is None:
+                raise MalformedFile("face element has no vertex index list")
+            idx = data["face"][items]
+            if not ((idx >= 0) & (idx < v.size) & (idx % 1 == 0)).all():
+                raise MalformedFile(f"face index outside [0, {v.size}) or not an integer")
+            faces = idx.astype(np.int64)
+    except (MalformedFile, UnsupportedFormat) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    points = np.stack([v["x"], v["y"], v["z"]], axis=1).astype(np.float64)
+    extra = {k: v[k].astype(np.float64) for k in v.dtype.names if k not in ("x", "y", "z")}
     return {"points": points, "faces": faces, "properties": extra}
+
+
+def _load_bin(path):
+    raw = np.fromfile(path, dtype="<f4")
+    if raw.size % 4 != 0:
+        raise MalformedFile(f"{path}: size is not a multiple of 4 float32 (xyzi)")
+    return raw.reshape(-1, 4)[:, :3].astype(np.float64)
+
+
+_SCAN_READERS = {".ply": lambda path: load_ply(path)["points"], ".bin": _load_bin}
+SCAN_SUFFIXES = tuple(_SCAN_READERS)
 
 
 def load_scan(path):
     """Load scan points from .ply or raw float32 xyzi .bin.
 
     Returns (n, 3) float64 points, non-finite rows included: the frame
-    gate in `Mapper.process_frame` drops and counts them.
+    gate in `Mapper.process_frame` drops and counts them. The suffix
+    matches in any case, as `tsdfmap map` lists scans.
     """
-    path = str(path)
-    lower = path.lower()  # suffixes match in any case, as `tsdfmap map` lists scans
-    if lower.endswith(".ply"):
-        return load_ply(path)["points"]
-    if lower.endswith(".bin"):
-        raw = np.fromfile(path, dtype="<f4")
-        if raw.size % 4 != 0:
-            raise MalformedFile(f"{path}: size is not a multiple of 4 float32 (xyzi)")
-        return raw.reshape(-1, 4)[:, :3].astype(np.float64)
-    raise UnsupportedFormat(f"{path}: expected .ply or .bin")
+    reader = _SCAN_READERS.get(Path(path).suffix.lower())
+    if reader is None:
+        raise UnsupportedFormat(f"{path}: expected one of {', '.join(SCAN_SUFFIXES)}")
+    return reader(path)

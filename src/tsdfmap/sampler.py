@@ -53,6 +53,8 @@ class SamplerConfig:
             raise ValueError("sample counts must be nonnegative")
         if not self.trunc_dist > 0:
             raise ValueError("trunc_dist must be positive")
+        if not self.trunc_dist < np.inf:
+            raise ValueError("trunc_dist must be finite")
         if not self.min_range > 0:
             raise ValueError("min_range must be positive")
         if self.normal_k < 1:

@@ -60,6 +60,8 @@ class TrainConfig:
             raise ValueError("iterations must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if min(self.feature_dim, self.hidden_units) < 1:
             raise ValueError("feature_dim and hidden_units must be >= 1")
         sizes = self.voxel_sizes

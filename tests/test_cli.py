@@ -317,3 +317,65 @@ def test_seed_flag_overrides_config(workdir, sim_dir):
     a = load_ply(sorted(sim_dir.glob("frame_*.ply"))[0])["points"]
     b = load_ply(sorted(out.glob("frame_*.ply"))[0])["points"]
     assert not np.array_equal(a, b)  # noise stream differs with the seed
+
+
+def _truncated_header_scans(workdir, sim_dir, name, n_bad):
+    """Two sim frames in a new directory, the first `n_bad` cut inside the header."""
+    scans = workdir / name
+    scans.mkdir()
+    for i, frame in enumerate(sorted(sim_dir.glob("frame_*.ply"))[:2]):
+        raw = frame.read_bytes()
+        (scans / frame.name).write_bytes(raw[:30] if i < n_bad else raw)
+    poses = (sim_dir / "poses.txt").read_text().splitlines()[:2]
+    (scans / "poses.txt").write_text("\n".join(poses) + "\n")
+    return scans
+
+
+def test_map_skips_an_unreadable_scan(workdir, sim_dir, capsys):
+    scans = _truncated_header_scans(workdir, sim_dir, "cut_scans", 1)
+    out = workdir / "cut_run"
+    rc = main(["map", "--scans", str(scans), "--poses", str(scans / "poses.txt"),
+               "--config", str(workdir / "run.yaml"), "--out", str(out)])
+    assert rc == 0
+    reports = [json.loads(l) for l in (out / "reports.jsonl").read_text().splitlines()]
+    assert [r["frame_id"] for r in reports] == [0, 1]
+    assert reports[0]["skipped"] and reports[0]["pool_size"] == 0
+    assert not reports[1]["skipped"] and reports[1]["pool_size"] > 0
+    captured = capsys.readouterr()
+    assert captured.err == ("frame_00000.ply: unreadable, mapped as an empty frame: "
+                            f"{scans / 'frame_00000.ply'}: header line "
+                            "'format binary_little_endia' lacks tokens\n")
+    assert "(1 unreadable)" in captured.out
+
+
+def test_map_fails_when_no_scan_is_readable(workdir, sim_dir, capsys):
+    scans = _truncated_header_scans(workdir, sim_dir, "dead_scans", 2)
+    rc = main(["map", "--scans", str(scans), "--poses", str(scans / "poses.txt"),
+               "--config", str(workdir / "run.yaml"), "--out", str(workdir / "dead_run")])
+    assert rc == 1
+    assert "error: none of the 2 scans" in capsys.readouterr().err
+
+
+def test_eval_names_a_mesh_with_an_out_of_range_index(workdir, capsys):
+    bad = workdir / "bad_index.ply"
+    bad.write_text("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+                   "property float y\nproperty float z\nelement face 1\n"
+                   "property list uchar int vertex_indices\nend_header\n"
+                   "0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n")
+    assert main(["eval", str(bad), str(bad)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: face index outside [0, 3)")
+
+
+@pytest.mark.parametrize("command", ["map", "eval"])
+def test_negative_seed_flag_fails_naming_it(workdir, sim_dir, capsys, command):
+    if command == "map":
+        argv = ["map", "--scans", str(sim_dir), "--poses", str(sim_dir / "poses.txt"),
+                "--out", str(workdir / "neg_seed_run"), "--seed", "-1"]
+    else:
+        cloud = workdir / "seed_cloud.ply"
+        write_points_ply(cloud, np.eye(3))
+        argv = ["eval", str(cloud), str(cloud), "--seed", "-3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not (workdir / "neg_seed_run").exists()

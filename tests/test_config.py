@@ -152,6 +152,11 @@ def test_validation_happens_at_parse_time():
         ({"sim": {"elevation_min_deg": 10, "elevation_max_deg": -10}},
          "^config section sim: elevation_min_deg must be <= elevation_max_deg$"),
         ({"sim": {"beta": -0.1}}, "^config section sim: beta must be nonnegative$"),
+        ({"seed": -1}, "^seed must be >= 0$"),
+        ({"eval": {"seed": -3}}, "^config section eval: seed must be >= 0$"),
+        ({"adam": {"lr": float("inf")}}, "^config section adam: lr must be finite$"),
+        ({"sampler": {"trunc_dist": float("inf")}},
+         "^config section sampler: trunc_dist must be finite$"),
     ):
         with pytest.raises(ValueError, match=match):
             build_dataclass(RunConfig, data)

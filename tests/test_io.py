@@ -285,3 +285,98 @@ def test_external_dataset_loaders_resolve(tmp_path, rng):
     assert len(scans) == len(poses) == 2
     assert scans[0].shape == (10, 3)
     assert gt.n_faces == 1
+
+
+# ------------------------------------------------- malformed and extended PLY
+
+TRI_HEADER = """ply
+format {fmt} 1.0
+element vertex 3
+property float x
+property float y
+property float z
+element face 1
+property list uchar int vertex_indices
+end_header
+"""
+
+
+def _ascii_mesh(path, face_row, header=TRI_HEADER):
+    path.write_text(header.format(fmt="ascii") + "0 0 0\n1 0 0\n0 1 0\n" + face_row + "\n")
+    return path
+
+
+def _rejects(path, error=MalformedFile, match=None):
+    with pytest.raises(error, match=match) as exc:
+        load_ply(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("row, match", [("3 0 1 -1", "face index"),
+                                        ("3 0 1 3", "face index"),
+                                        ("3 0 1", "row 0 holds 3 values, not 4")])
+def test_bad_ascii_face_rows_are_malformed(tmp_path, row, match):
+    _rejects(_ascii_mesh(tmp_path / "bad.ply", row), match=match)
+
+
+def test_binary_face_index_past_the_vertices_is_malformed(tmp_path):
+    path = tmp_path / "far.ply"
+    write_mesh_ply(path, np.eye(3), [[0, 1, 2]])
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-4] + np.int32(3).tobytes())
+    _rejects(path, match=r"face index outside \[0, 3\)")
+
+
+@pytest.mark.parametrize("old, new", [("format {fmt} 1.0", "format"),
+                                      ("element vertex 3", "element vertex"),
+                                      ("property float y", "property float"),
+                                      ("property list uchar int vertex_indices",
+                                       "property list uchar int")])
+def test_header_lines_missing_tokens_are_malformed(tmp_path, old, new):
+    path = _ascii_mesh(tmp_path / "short.ply", "3 0 1 2", TRI_HEADER.replace(old, new))
+    _rejects(path, match="lacks tokens")
+
+
+@pytest.mark.parametrize("count", ["three", "-1", "2.5"])
+def test_non_integer_element_count_is_malformed(tmp_path, count):
+    path = _ascii_mesh(tmp_path / "count.ply", "3 0 1 2",
+                       TRI_HEADER.replace("element vertex 3", f"element vertex {count}"))
+    _rejects(path, match="not a non-negative integer")
+
+
+def test_non_numeric_ascii_value_is_malformed(tmp_path):
+    _rejects(_ascii_mesh(tmp_path / "word.ply", "3 0 one 2"), match="face data")
+
+
+def test_repeated_property_name_is_malformed(tmp_path):
+    path = _ascii_mesh(tmp_path / "twice.ply", "3 0 1 2",
+                       TRI_HEADER.replace("property float z", "property float y"))
+    _rejects(path, match="element 'vertex' repeats a property name")
+
+
+def test_binary_faces_with_a_colour_after_the_list(tmp_path):
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype="<f4")
+    faces = np.array([[0, 1, 2], [1, 3, 2]])
+    rec = np.empty(2, dtype=[("n", "u1"), ("v", "<i4", (3,)), ("red", "u1")])
+    rec["n"], rec["v"], rec["red"] = 3, faces, [200, 7]
+    header = TRI_HEADER.format(fmt="binary_little_endian").replace(
+        "element vertex 3", "element vertex 4").replace(
+        "element face 1", "element face 2").replace(
+        "end_header", "property uchar red\nend_header")
+    path = tmp_path / "colour.ply"
+    path.write_bytes(header.encode() + verts.tobytes() + rec.tobytes())
+    data = load_ply(path)
+    np.testing.assert_array_equal(data["faces"], faces)
+    np.testing.assert_array_equal(data["points"], verts)
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_zero_count_elements(tmp_path, binary):
+    path = tmp_path / "empty.ply"
+    write_mesh_ply(path, np.zeros((0, 3)), np.zeros((0, 3), dtype=int), binary=binary)
+    data = load_ply(path)
+    assert data["points"].shape == (0, 3) and data["faces"].shape == (0, 3)
+    write_mesh_ply(path, np.eye(3), np.zeros((0, 3), dtype=int), binary=binary)
+    data = load_ply(path)
+    np.testing.assert_array_equal(data["points"], np.eye(3))
+    assert data["faces"].shape == (0, 3) and data["faces"].dtype == np.int64

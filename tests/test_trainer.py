@@ -4,7 +4,7 @@ import pytest
 from tsdfmap.adam import adam_step
 from tsdfmap.errors import NonFiniteLoss, PoseCountMismatch
 from tsdfmap.pool import PoolConfig
-from tsdfmap.sampler import Scan
+from tsdfmap.sampler import SamplerConfig, Scan, voxel_downsample
 from tsdfmap.trainer import _TAG_BATCH, Mapper, TrainConfig
 from tsdfmap.uncertainty import draw_batch
 
@@ -158,6 +158,23 @@ def test_shared_batch_geometry_matches_per_iteration_loop(active):
         assert np.array_equal(la.adam_v, lb.adam_v)
     assert np.array_equal(m.perturb.vertices.keys, ref.perturb.vertices.keys)
     assert np.array_equal(m.perturb.fisher, ref.perturb.fisher)
+
+
+def test_downsample_voxel_matches_decimating_by_hand():
+    """Input decimation inside process_frame equals feeding voxel_downsample's output."""
+    on = Mapper(small_cfg(sampler=SamplerConfig(downsample_voxel=0.2)))
+    off = Mapper(small_cfg())
+    for f in range(3):
+        origin = np.array([0.2 * f, 0.0, 2.0])
+        pts = plane_cloud(np.random.default_rng(f), 4000, z=0.05 * f)
+        kept = voxel_downsample(pts, 0.2)
+        assert 0 < len(kept) < len(pts)
+        got = on.process_frame(Scan(origin, pts, f))
+        want = off.process_frame(Scan(origin, kept, f))
+        assert got.losses == want.losses and len(got.losses) == 3
+        assert got.pool_size == want.pool_size > 0
+    for la, lb in zip(on.grid.levels, off.grid.levels):
+        assert np.array_equal(la.features, lb.features)
 
 
 def test_seed_changes_trajectory(rng):
