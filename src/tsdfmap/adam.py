@@ -30,6 +30,8 @@ class AdamConfig:
             raise ValueError("betas must lie in [0, 1)")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
+        if not self.eps < np.inf:
+            raise ValueError("eps must be finite")
 
 
 @dataclass

@@ -86,12 +86,14 @@ def cmd_map(args) -> int:
     with open(out / "reports.jsonl", "w") as log:
         for i, (path, pose) in enumerate(zip(scan_paths, poses)):
             try:
-                points = load_scan(path)
+                points, failed = load_scan(path), False
             except (MalformedFile, UnsupportedFormat) as exc:
                 # the frame gate skips the empty cloud; later frame ids stay aligned
                 print(f"{path.name}: unreadable, mapped as an empty frame: {exc}", file=sys.stderr)
-                points, unreadable = np.zeros((0, 3)), unreadable + 1
+                points, failed = np.zeros((0, 3)), True
             report = mapper.run_sequence([points], [pose])[0]
+            report.unreadable = failed
+            unreadable += failed
             if report.nonfinite_points or report.out_of_range_points:
                 print(f"{path.name}: dropped {report.nonfinite_points} non-finite and "
                       f"{report.out_of_range_points} out-of-range points", file=sys.stderr)

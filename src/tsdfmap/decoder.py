@@ -58,16 +58,24 @@ class SdfDecoder:
         self.adam_m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def forward(self, feats):
-        """(n, feature_dim) features -> ((n,) sdf, cache)."""
+    def hidden(self, feats):
+        """(n, feature_dim) features -> cache up to z2, with a2 None.
+
+        Enough for `backward` without parameter gradients.
+        """
         p = self.params
         x = np.asarray(feats, dtype=np.float64)
         z1 = x @ p["w1"] + p["b1"]
         a1 = softplus(z1)
         z2 = a1 @ p["w2"] + p["b2"]
-        a2 = softplus(z2)
-        s = (a2 @ p["w3"])[:, 0] + p["b3"][0]
-        return s, DecoderCache(x, z1, a1, z2, a2)
+        return DecoderCache(x, z1, a1, z2, None)
+
+    def forward(self, feats):
+        """(n, feature_dim) features -> ((n,) sdf, cache)."""
+        cache = self.hidden(feats)
+        a2 = softplus(cache.z2)
+        s = (a2 @ self.params["w3"])[:, 0] + self.params["b3"][0]
+        return s, cache._replace(a2=a2)
 
     def backward(self, cache, dout, with_param_grads: bool = True):
         """Backprop d(loss)/d(sdf) through the MLP.

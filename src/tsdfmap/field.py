@@ -17,7 +17,6 @@ from .kernels.scatter import scatter_add_rows
 
 
 class FieldCache(NamedTuple):
-    points: np.ndarray
     preds: np.ndarray
     record: "InterpRecord"  # grid rows/weights per level
     dec_cache: object
@@ -37,7 +36,7 @@ class NeuralSdfField:
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         feats, record = self.grid.interpolate(pts, record)
         preds, dec_cache = self.decoder.forward(feats)
-        return preds, FieldCache(pts, preds, record, dec_cache)
+        return preds, FieldCache(preds, record, dec_cache)
 
     def backward_mse(self, cache: FieldCache, labels):
         """MSE loss and its gradients w.r.t. decoder params and grid rows."""
@@ -49,31 +48,36 @@ class NeuralSdfField:
 
         store = GradientStore(decoder=dec_grads)
         for li in range(self.grid.n_levels):
-            rows = cache.record.rows[:, li]  # (n, 8)
             w = cache.record.weights[:, li]  # (n, 8)
             contrib = (w[:, :, None] * dfeat[:, None, :]).reshape(-1, dfeat.shape[1])
-            uniq, inv = np.unique(rows.ravel(), return_inverse=True)
+            # every cell holds a point, so its rows are exactly the touched rows
+            cells = cache.record.cells[li]  # (m, 8)
+            uniq, inv = np.unique(cells.ravel(), return_inverse=True)
+            inv = inv.reshape(cells.shape)[cache.record.cell_index[:, li]].ravel()
             g = np.zeros((uniq.shape[0], dfeat.shape[1]))
             scatter_add_rows(g, inv, contrib)
             store.level_rows.append(uniq)
             store.level_grads.append(g)
         return loss, store
 
-    def spatial_gradient(self, points, cache: FieldCache = None):
-        """Analytic d(sdf)/d(position) (n, 3) at the given points."""
-        if cache is None:
-            _, cache = self.predict(points)
-        n = cache.points.shape[0]
+    def spatial_gradient(self, points, record=None):
+        """Analytic d(sdf)/d(position) (n, 3) at the given points.
+
+        A record of these points (see `FeatureGrid.locate`) skips the
+        corner lookups. The decoder runs only up to its last hidden layer.
+        """
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        feats, record = self.grid.interpolate(pts, record)
+        n = pts.shape[0]
         _, dfeat = self.decoder.backward(
-            cache.dec_cache, np.ones(n), with_param_grads=False
+            self.decoder.hidden(feats), np.ones(n), with_param_grads=False
         )
         grad = np.zeros((n, 3))
         for li, lvl in enumerate(self.grid.levels):
-            rows = cache.record.rows[:, li]
-            corner_feats = lvl.features[rows]  # (n, 8, D)
+            corner_feats = self.grid.corner_features(record, li)  # (n, 8, D)
             # scalar contribution of each corner to the decoder input grad
             s_c = np.einsum("ncd,nd->nc", corner_feats, dfeat)
-            frac = cell_of(cache.points, lvl.voxel_size)[1]
+            frac = cell_of(pts, lvl.voxel_size)[1]
             dw = trilinear_weight_gradients(frac, lvl.voxel_size)
             grad += np.einsum("nc,nca->na", s_c, dw)
         return grad

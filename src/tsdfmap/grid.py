@@ -109,14 +109,37 @@ def trilinear_weight_gradients(frac, voxel_size):
 
 
 class InterpRecord(NamedTuple):
-    """Per-level vertex rows and weights retained for the backward pass."""
+    """Per-level corner rows and weights retained for the backward pass.
 
-    rows: np.ndarray  # (n, L, 8) int64
+    Rows are kept once per distinct cell: level l's point i has corner
+    rows cells[l][cell_index[i, l]]. Every cell of a level is the cell of
+    at least one point.
+    """
+
+    cells: tuple  # per level (m_l, 8) int64 corner rows, -1 if absent
+    cell_index: np.ndarray  # (n, L) int64
     weights: np.ndarray  # (n, L, 8) float64
 
+    @property
+    def rows(self):
+        """(n, L, 8) corner rows of each point."""
+        return np.stack([rows[self.cell_index[:, li]] for li, rows in enumerate(self.cells)],
+                        axis=1)
+
     def take(self, idx):
-        """The record of points[idx], given the record of points."""
-        return InterpRecord(self.rows[idx], self.weights[idx])
+        """The record of points[idx], given the record of points.
+
+        Keeps only the cells that points[idx] fall in, in their order here.
+        """
+        cells, index = [], []
+        for li, rows in enumerate(self.cells):
+            used = np.zeros(rows.shape[0], dtype=bool)
+            sub = self.cell_index[idx, li]
+            used[sub] = True
+            renumber = np.cumsum(used) - 1
+            cells.append(rows[used])
+            index.append(renumber[sub])
+        return InterpRecord(tuple(cells), np.stack(index, axis=1), self.weights[idx])
 
 
 class GridLevel:
@@ -197,9 +220,16 @@ class FeatureGrid:
         """Each point's corner rows (-1 if absent) and weights per level."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         found = [cell_rows(lvl.vertices, lvl.voxel_size, pts) for lvl in self.levels]
-        rows = np.stack([cell[inverse] for cell, inverse, _ in found], axis=1)
-        weights = np.stack([trilinear_weights(frac) for _, _, frac in found], axis=1)
-        return InterpRecord(rows, weights)
+        return InterpRecord(tuple(cells for cells, _, _ in found),
+                            np.stack([inverse for _, inverse, _ in found], axis=1),
+                            np.stack([trilinear_weights(frac) for _, _, frac in found], axis=1))
+
+    def corner_features(self, record: InterpRecord, li: int):
+        """(n, 8, D) level-li corner features of each point in `record`.
+
+        Each cell's (8, D) block is gathered once, then indexed per point.
+        """
+        return self.levels[li].features[record.cells[li]][record.cell_index[:, li]]
 
     def interpolate(self, points, record=None):
         """Aggregated features for a batch of points.
@@ -213,16 +243,17 @@ class FeatureGrid:
         """
         if record is None:
             record = self.locate(points)
-        missing = (record.rows < 0).any(axis=2)  # (n, L)
-        if missing.any():
-            li = int(np.argmax(missing.any(axis=0)))
-            bad = np.asarray(points, dtype=np.float64).reshape(-1, 3)[np.argmax(missing[:, li])]
-            raise UnallocatedQuery(f"point {bad.tolist()} lies in an unallocated voxel "
-                                   f"at level {li}")
-        feats = np.zeros((record.rows.shape[0], self.feature_dim))
-        for li, lvl in enumerate(self.levels):
+        for li, rows in enumerate(record.cells):
+            missing = (rows < 0).any(axis=1)  # (m_l,)
+            if missing.any():
+                first = np.argmax(missing[record.cell_index[:, li]])
+                bad = np.asarray(points, dtype=np.float64).reshape(-1, 3)[first]
+                raise UnallocatedQuery(f"point {bad.tolist()} lies in an unallocated voxel "
+                                       f"at level {li}")
+        feats = np.zeros((record.cell_index.shape[0], self.feature_dim))
+        for li in range(self.n_levels):
             feats += np.einsum("nc,ncd->nd", record.weights[:, li],
-                               lvl.features[record.rows[:, li]])
+                               self.corner_features(record, li))
         return feats, record
 
     def voxels_allocated(self, points):

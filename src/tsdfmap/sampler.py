@@ -57,6 +57,8 @@ class SamplerConfig:
             raise ValueError("trunc_dist must be finite")
         if not self.min_range > 0:
             raise ValueError("min_range must be positive")
+        if not self.min_range < np.inf:
+            raise ValueError("min_range must be finite")
         if self.normal_k < 1:
             raise ValueError("normal_k must be >= 1")
         if not 0 < self.cos_eps <= 1:
@@ -107,7 +109,7 @@ def estimate_normals(scan: Scan, k: int = 20):
         return fallback.copy(), np.ones(n, dtype=bool)
 
     k_eff = min(k, n)
-    tree = cKDTree(pts)
+    tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)  # quicker to build
     _, idx = tree.query(pts, k=k_eff)
     neigh = pts[idx]  # (n, k, 3)
     centered = neigh - neigh.mean(axis=1, keepdims=True)

@@ -75,6 +75,7 @@ class TrainConfig:
 class FrameReport:
     frame_id: int
     skipped: bool = False
+    unreadable: bool = False  # the scan file could not be read; mapped as empty
     losses: list = dc_field(default_factory=list)
     pool_size: int = 0
     n_uncertain_voxels: int = 0
@@ -209,8 +210,7 @@ class Mapper:
 
         # Fisher sees each trained sample once, with the updated weights.
         report.fisher_rows = int(rows.size)
-        _, cache = self.field.predict(pos, record=union)
-        grads = self.field.spatial_gradient(pos, cache)
+        grads = self.field.spatial_gradient(pos, record=union)
         self.perturb.accumulate(pos, grads)
         report.stage_ms["fisher"] = 1e3 * (time.perf_counter() - t1)
 

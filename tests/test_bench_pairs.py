@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -18,11 +19,13 @@ DECLARED = [
 ]
 
 
-def run_output(fps, mb, failed=0, correct=True, digest="ab" * 32, quality=None, wall=None):
+def run_output(fps, mb, failed=0, correct=True, digest="ab" * 32, quality=None, wall=None,
+               block=None):
     """Two workloads, as `run.py --workload all` prints them; no digest if None.
 
     quality: (chamfer_l1_cm, f1_pct) to report as well, or None.
     wall: the detail line's `wall` block of raw wall times, or None for none.
+    block: the detail line's `quality` block, or None for none.
     """
     lines = []
     for workload in ("desk-orbit", "street-drive"):
@@ -31,6 +34,8 @@ def run_output(fps, mb, failed=0, correct=True, digest="ab" * 32, quality=None, 
             detail["loss_trace_sha256"] = digest
         if wall is not None:
             detail["wall"] = wall
+        if block is not None:
+            detail["quality"] = block
         metrics = {"frames_per_s": {"value": fps, "unit": "1/s"},
                    "map_mb": {"value": mb, "unit": "MB"}}
         if quality is not None:
@@ -191,6 +196,45 @@ def test_quality_moves_print_at_full_precision_when_digests_differ(monkeypatch, 
         run_output(1.0, 5.0, quality=base)))
     bench_pairs.main(["old", "new", "--pairs", "2"])
     assert "median base" not in capsys.readouterr().out
+
+
+QUALITY_BLOCK = {"accuracy_cm": 4.084858133078742, "completeness_cm": 13.12151941662857,
+                 "chamfer_l1_cm": 8.603188774853656, "precision_pct": 95.19300000000001,
+                 "recall_pct": 81.2215, "f1_pct": 87.65399952384867}
+
+
+def test_quality_blocks_are_compared_exactly_across_all_runs(monkeypatch, capsys):
+    assert bench_pairs.parse_run(run_output(1.0, 5.0))["desk-orbit"]["quality"] is None
+    same = lambda checkout, args: bench_pairs.parse_run(  # noqa: E731
+        run_output(1.0, 5.0, block=QUALITY_BLOCK))
+    pairs = [(same("old", []), same("new", []))] * 3
+    assert bench_pairs.quality_differences(pairs) == {"desk-orbit": (6, []),
+                                                      "street-drive": (6, [])}
+    monkeypatch.setattr(bench_pairs, "run", same)
+    bench_pairs.main(["old", "new", "--pairs", "2"])
+    out = capsys.readouterr().out
+    assert "desk-orbit: same quality in all 4 runs" in out
+    assert "quality DIFFERS" not in out
+
+    # one run's recall moves in the last bit, another run lacks accuracy_cm
+    moved = dict(QUALITY_BLOCK, recall_pct=math.nextafter(81.2215, 100.0))
+    short = {k: v for k, v in QUALITY_BLOCK.items() if k != "accuracy_cm"}
+    blocks = {"old": [QUALITY_BLOCK, QUALITY_BLOCK], "new": [moved, short]}
+
+    def fake_run(checkout, args):
+        return bench_pairs.parse_run(run_output(1.0, 5.0, block=blocks[checkout].pop(0)))
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    bench_pairs.main(["old", "new", "--pairs", "2"])
+    out = capsys.readouterr().out
+    assert "desk-orbit: quality DIFFERS in accuracy_cm, recall_pct" in out
+    assert "same quality" not in out
+
+    # no run reports a quality block: nothing to compare, nothing printed
+    monkeypatch.setattr(bench_pairs, "run",
+                        lambda checkout, args: bench_pairs.parse_run(run_output(1.0, 5.0)))
+    bench_pairs.main(["old", "new", "--pairs", "1"])
+    assert "quality" not in capsys.readouterr().out
 
 
 def test_a_failed_run_keeps_the_finished_pairs(monkeypatch, capsys):

@@ -341,6 +341,7 @@ def test_map_skips_an_unreadable_scan(workdir, sim_dir, capsys):
     assert [r["frame_id"] for r in reports] == [0, 1]
     assert reports[0]["skipped"] and reports[0]["pool_size"] == 0
     assert not reports[1]["skipped"] and reports[1]["pool_size"] > 0
+    assert [r["unreadable"] for r in reports] == [True, False]
     captured = capsys.readouterr()
     assert captured.err == ("frame_00000.ply: unreadable, mapped as an empty frame: "
                             f"{scans / 'frame_00000.ply'}: header line "

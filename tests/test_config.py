@@ -157,6 +157,10 @@ def test_validation_happens_at_parse_time():
         ({"adam": {"lr": float("inf")}}, "^config section adam: lr must be finite$"),
         ({"sampler": {"trunc_dist": float("inf")}},
          "^config section sampler: trunc_dist must be finite$"),
+        ({"sampler": {"min_range": float("inf")}},
+         "^config section sampler: min_range must be finite$"),
+        ({"adam": {"eps": float("inf")}}, "^config section adam: eps must be finite$"),
+        ({"eval": {"threshold": float("inf")}}, "^config section eval: threshold must be finite$"),
     ):
         with pytest.raises(ValueError, match=match):
             build_dataclass(RunConfig, data)

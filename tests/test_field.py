@@ -29,7 +29,7 @@ def test_predict_composes_interpolate_and_decode(rng):
     feats, _ = field.grid.interpolate(pts)
     expect, _ = field.decoder.forward(feats)
     np.testing.assert_array_equal(preds, expect)
-    assert cache.points.shape == pts.shape
+    assert cache.preds is preds
 
 
 def test_backward_mse_loss_value(rng):

@@ -184,8 +184,15 @@ def test_interpolate_with_a_taken_record_matches_a_fresh_one(rng):
     want, want_rec = grid.interpolate(pts[idx])
     got, got_rec = grid.interpolate(pts[idx], record=rec.take(idx))
     assert np.array_equal(got, want)
-    for a, b in zip(got_rec, want_rec):
+    assert_same_record(got_rec, want_rec)
+
+
+def assert_same_record(got, want):
+    assert len(got.cells) == len(want.cells)
+    for a, b in zip(got.cells, want.cells):
         assert np.array_equal(a, b)
+    assert np.array_equal(got.cell_index, want.cell_index)
+    assert np.array_equal(got.weights, want.weights)
 
 
 def per_point_rows(vertices, voxel_size, pts):
@@ -263,6 +270,25 @@ def test_fresh_interpolate_matches_per_point_lookup(shared_cell_grid):
         assert np.array_equal(rec.rows[:, li], rows)
         assert np.array_equal(rec.weights[:, li], w)
     assert np.array_equal(feats, want)
+
+
+def test_taken_record_matches_locating_the_subset(shared_cell_grid, rng):
+    grid, inside, outside = shared_cell_grid
+    pts = np.vstack([inside, outside])
+    union = grid.locate(pts)
+    for idx in (rng.integers(0, inside.shape[0], size=120),  # repeats, some cells left out
+                np.array([3, 3, 3]), np.arange(pts.shape[0])[::-1]):
+        taken, fresh = union.take(idx), grid.locate(pts[idx])
+        assert_same_record(taken, fresh)
+        for li in range(grid.n_levels):
+            # only the cells of points[idx] are kept
+            assert np.array_equal(np.unique(taken.cell_index[:, li]),
+                                  np.arange(taken.cells[li].shape[0]))
+            assert np.array_equal(taken.rows[:, li], level_rows(grid, pts[idx], li))
+    idx = rng.integers(0, inside.shape[0], size=120)
+    got, _ = grid.interpolate(inside[idx], record=grid.locate(inside).take(idx))
+    want, _ = grid.interpolate(inside[idx])
+    assert np.array_equal(got, want)
 
 
 def test_unallocated_query_names_the_first_bad_point(shared_cell_grid):

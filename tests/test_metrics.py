@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from tsdfmap.errors import EmptyMesh
 from tsdfmap.mesher import TriMesh
@@ -76,6 +77,28 @@ def test_nn_distances_matches_brute_force(rng):
     brute = np.min(np.linalg.norm(src[:, None, :] - dst[None, :, :], axis=2),
                    axis=1)
     np.testing.assert_allclose(d, brute, atol=1e-12)
+
+
+def test_nn_distances_equal_a_plain_tree_query_in_input_order(rng):
+    # two tight clusters 20 m apart, queries near them and far from both
+    dst = np.vstack([rng.normal(0.0, 0.05, (3000, 3)), rng.normal(20.0, 0.05, (3000, 3))])
+    near = dst[rng.integers(0, dst.shape[0], 500)] + rng.normal(0.0, 0.01, (500, 3))
+    far = rng.uniform(-50.0, 70.0, (500, 3))
+    # a square of dst points, each stored twice, around a query equidistant from all four
+    square = np.array([[10.0 + x, -10.0 + y, 5.0] for x in (-1, 1) for y in (-1, 1)])
+    dst = np.vstack([dst, square, square])
+    tie = np.array([[10.0, -10.0, 5.0]])
+    src = np.vstack([far[:250], near, tie, np.repeat(near[:5], 4, axis=0), dst[:50], far[250:]])
+    d = nn_distances(src, dst)
+    assert np.array_equal(d, cKDTree(dst).query(src)[0])
+    assert d[750] == np.sqrt(2.0)
+    assert np.array_equal(d[751:771], np.repeat(d[250:255], 4))  # repeated queries
+    assert not d[771:821].any()  # queries on dst points
+    # input order: each distance belongs to its own query
+    brute = np.min(np.linalg.norm(src[:, None, :] - dst[None, :, :], axis=2), axis=1)
+    np.testing.assert_allclose(d, brute, rtol=0, atol=1e-12)
+    perm = rng.permutation(src.shape[0])
+    assert np.array_equal(nn_distances(src[perm], dst), d[perm])
 
 
 def test_self_evaluation_fixed_point(rng):

@@ -18,6 +18,10 @@ the same loss-trace SHA-256, so a claim of bitwise-identical training is
 checked by the same runs that time it. Where the digests differ, it also
 prints each side's median chamfer and F1 to 6 decimals and the move as a
 share of the metric's bound, which the 4-digit table cannot resolve.
+It also prints, per workload, whether every run on both sides reported
+the same evaluation result (the detail line's `quality` block, every
+field compared exactly) or which fields differ, so a claim of
+bitwise-identical evaluation is checked the same way.
 
 run.py scales its end-to-end times by a host-speed gauge. That scale can
 swing between workloads of one run, so after the table it also prints,
@@ -46,8 +50,8 @@ def parse_run(stdout):
 
     Each workload prints a `detail {...}` line whose provenance block
     names it, then its one-line JSON result. The detail line's
-    `loss_trace_sha256` (None if absent) and `wall` block ({} if absent)
-    are kept in the result.
+    `loss_trace_sha256` (None if absent), `wall` block ({} if absent)
+    and `quality` block (None if absent) are kept in the result.
     """
     results, detail = {}, None
     for line in stdout.splitlines():
@@ -57,6 +61,7 @@ def parse_run(stdout):
             result = json.loads(line)
             result["loss_trace_sha256"] = detail.get("loss_trace_sha256")
             result["wall"] = detail.get("wall", {})
+            result["quality"] = detail.get("quality")
             results[detail["provenance"]["workload"]] = result
             detail = None
     return results
@@ -117,6 +122,24 @@ def digests(pairs):
     return {workload: tuple(tuple(sorted({pair[k][workload]["loss_trace_sha256"]
                                           for pair in pairs}, key=str)) for k in (0, 1))
             for workload in pairs[0][0]}
+
+
+def quality_differences(pairs):
+    """{workload: (runs, fields not equal in every run)} of the `quality` block.
+
+    A field that some run lacks counts as differing. Workloads where no
+    run reported a quality block are left out.
+    """
+    out = {}
+    for workload in pairs[0][0]:
+        blocks = [pair[k][workload]["quality"] for pair in pairs for k in (0, 1)]
+        if all(b is None for b in blocks):
+            continue
+        blocks = [b or {} for b in blocks]
+        names = sorted(set().union(*blocks))
+        out[workload] = (len(blocks), [n for n in names
+                                       if any(b.get(n) != blocks[0].get(n) for b in blocks)])
+    return out
 
 
 def wall_medians(pairs):
@@ -207,6 +230,11 @@ def report(pairs, spec):
                 print(f"{workload}: {name} median base {b:.6f}, change {c:.6f} {unit} "
                       f"({c - b:+.6f}, {100 * share:+.4f}% of its {100 * bound:g}% bound; "
                       f"+ is worse)")
+    for workload, (runs, differ) in quality_differences(pairs).items():
+        if differ:
+            print(f"{workload}: quality DIFFERS in {', '.join(differ)}")
+        else:
+            print(f"{workload}: same quality in all {runs} runs")
 
 
 def main(argv=None):
