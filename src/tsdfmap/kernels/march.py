@@ -8,7 +8,7 @@ compiled twin would buy nothing measurable. Output ordering is fixed
 
 import numpy as np
 
-from .mc_tables import CASE_EDGES, CASE_TRIANGLES, EDGE_CORNERS, MC_CORNERS
+from .mc_tables import CASE_TRIANGLES, EDGE_CORNERS, MC_CORNERS
 
 # triangles per case, derived from the table
 N_TRIS = (CASE_TRIANGLES >= 0).sum(axis=1) // 3

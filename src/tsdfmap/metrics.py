@@ -72,25 +72,31 @@ def _tree(points):
     return cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
-def nn_distances(src, dst):
-    """Exact Euclidean nearest-neighbor distance from each src to dst.
+def nn_distances(a, b):
+    """Exact Euclidean nearest-neighbor distances (a->b, b->a).
 
-    The queries run in the leaf order of a k-d tree over src, so
-    consecutive queries are close and share most of their search path;
-    the distances are scattered back to src order. A nearest distance
-    depends only on the two point sets, so neither that order nor the
-    trees' shape changes a result. Trees split at the midpoint
+    One k-d tree is built per point set and serves both directions: it
+    is searched by the other set's queries and orders its own set's
+    queries. Each direction queries in the leaf order of its own tree,
+    so consecutive queries are close and share most of their search
+    path; the distances are scattered back to input order. A nearest
+    distance depends only on the two point sets, so neither that order
+    nor the trees' shape changes a result. Trees split at the midpoint
     (balanced_tree=False), which builds faster and searches faster far
-    from dst than median splits do.
+    from the other set than median splits do.
     """
-    src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
-    dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
-    if src.shape[0] == 0 or dst.shape[0] == 0:
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 3)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 3)
+    if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("nn_distances needs non-empty point sets")
-    order = _tree(src).indices
-    d = np.empty(src.shape[0])
-    d[order] = _tree(dst).query(src[order])[0]
-    return d
+    ta, tb = _tree(a), _tree(b)
+
+    def query(src, dst):
+        d = np.empty(src.n)
+        d[src.indices] = dst.query(src.data[src.indices])[0]
+        return d
+
+    return query(ta, tb), query(tb, ta)
 
 
 def _as_points(obj, cfg: EvalConfig):
@@ -107,8 +113,7 @@ def evaluate(recon, gt, cfg: EvalConfig = None) -> EvalResult:
     cfg = cfg if cfg is not None else EvalConfig()
     rp = _as_points(recon, cfg)
     gp = _as_points(gt, cfg)
-    d_rg = nn_distances(rp, gp)
-    d_gr = nn_distances(gp, rp)
+    d_rg, d_gr = nn_distances(rp, gp)
     acc = float(d_rg.mean())
     comp = float(d_gr.mean())
     precision = float((d_rg < cfg.threshold).mean() * 100.0)

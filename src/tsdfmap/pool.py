@@ -126,10 +126,6 @@ class ReplayPool:
             self._take(np.sort(keep))  # restore insertion order
         return int(evicted)
 
-    def occupied_buckets(self):
-        """Unique packed bucket keys currently holding samples."""
-        return np.unique(self.bucket)
-
     def bucket_centers(self, keys):
         """World centers of packed bucket keys."""
         return (unpack_key(keys) + 0.5) * self.voxel_size

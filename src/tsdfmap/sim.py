@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSurface
 from .kernels.trace import (
     PRIM_BOX,
     PRIM_PLANE,

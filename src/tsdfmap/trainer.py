@@ -31,8 +31,7 @@ from .field import NeuralSdfField
 from .grid import CELL_LIMIT, FeatureGrid
 from .pool import PoolConfig, ReplayPool
 from .sampler import Scan, SamplerConfig, estimate_normals, generate_samples, voxel_downsample
-from .uncertainty import (PerturbField, UncertaintyConfig, draw_batch, partition_voxels,
-                          split_rows)
+from .uncertainty import PerturbField, UncertaintyConfig, draw_batch, partition_voxels
 
 # rng stream tags (third SeedSequence word)
 _TAG_SAMPLER = 1
@@ -171,25 +170,24 @@ class Mapper:
             self.frames_done += 1
             return report
 
-        partition = split = None
+        partition = None
         if cfg.active_sampling:
             partition = partition_voxels(self.pool, self.perturb, cfg.uncertainty.threshold)
-            split = split_rows(self.pool, partition)
             report.n_uncertain_voxels = int(partition.uncertain.size)
             report.n_certain_voxels = int(partition.certain.size)
         t4 = time.perf_counter()
         report.stage_ms["partition"] = 1e3 * (t4 - t3)
 
-        self._replay(scan.frame_id, partition, split, report)
+        self._replay(scan.frame_id, partition, report)
         self.frames_done += 1
         return report
 
-    def _replay(self, frame_id, partition, split, report):
+    def _replay(self, frame_id, partition, report):
         """Optimize on the frame's batches, then accumulate Fisher over their union."""
         cfg = self.cfg
         t0 = time.perf_counter()
         rng_b = self._rng(frame_id, _TAG_BATCH)
-        drawn = [draw_batch(self.pool, partition, cfg.batch_size, cfg.n_uncertain, rng_b, split)
+        drawn = [draw_batch(self.pool, partition, cfg.batch_size, cfg.n_uncertain, rng_b)
                  for _ in range(cfg.iterations)]
         rows, inv = np.unique(np.concatenate(drawn), return_inverse=True)
         pos = self.pool.pos[rows]

@@ -96,18 +96,19 @@ class PerturbField:
 
 @dataclass
 class VoxelPartition:
-    """Occupied pool buckets split at a normalized-sigma threshold."""
+    """Occupied pool buckets and their rows, split at a normalized-sigma threshold."""
 
     uncertain: np.ndarray  # packed bucket keys, sorted
     certain: np.ndarray
     keys: np.ndarray  # all evaluated bucket keys, sorted
     sigma: np.ndarray  # raw sigma per key
     normalized: np.ndarray  # min-max normalized sigma per key
-    threshold: float
+    uncertain_rows: np.ndarray  # ascending pool rows in uncertain buckets
+    certain_rows: np.ndarray  # ascending pool rows in certain buckets
 
 
-def partition_voxels(pool, field: PerturbField, threshold: float = 0.98) -> VoxelPartition:
-    """Split occupied pool buckets into uncertain/certain sets.
+def partition_voxels(pool, field: PerturbField, threshold: float) -> VoxelPartition:
+    """Split occupied pool buckets and their rows into uncertain/certain sets.
 
     Sigma is evaluated at bucket centers and min-max normalized over
     this call; buckets at or above the threshold are uncertain. If all
@@ -116,7 +117,7 @@ def partition_voxels(pool, field: PerturbField, threshold: float = 0.98) -> Voxe
     """
     if pool.n == 0:
         raise EmptyPool("cannot partition an empty pool")
-    keys = pool.occupied_buckets()
+    keys, inverse = np.unique(pool.bucket, return_inverse=True)
     sigma = field.query_sigma(pool.bucket_centers(keys))
     lo, hi = float(sigma.min()), float(sigma.max())
     if hi == lo:
@@ -124,44 +125,34 @@ def partition_voxels(pool, field: PerturbField, threshold: float = 0.98) -> Voxe
     else:
         normalized = (sigma - lo) / (hi - lo)
     unc = normalized >= threshold
+    row_unc = unc[inverse]
     return VoxelPartition(
         uncertain=keys[unc],
         certain=keys[~unc],
         keys=keys,
         sigma=sigma,
         normalized=normalized,
-        threshold=threshold,
+        uncertain_rows=np.flatnonzero(row_unc),
+        certain_rows=np.flatnonzero(~row_unc),
     )
 
 
-def split_rows(pool, partition):
-    """(uncertain rows, certain rows): pool rows by their bucket's side."""
-    keys = partition.uncertain  # sorted
-    unc_mask = np.zeros(pool.n, dtype=bool)
-    if keys.size:
-        pos = np.minimum(np.searchsorted(keys, pool.bucket), keys.size - 1)
-        unc_mask = keys[pos] == pool.bucket
-    return np.flatnonzero(unc_mask), np.flatnonzero(~unc_mask)
-
-
-def draw_batch(pool, partition, batch_size: int, n_uncertain: int, rng, split=None):
+def draw_batch(pool, partition, batch_size: int, n_uncertain: int, rng):
     """Row indices into the pool for one training batch.
 
     Draws uniformly with replacement: min(n_uncertain, #samples in
-    uncertain buckets) rows from the uncertain side, the remainder from
-    the certain side, backfilling across sides when one is empty. With
-    partition=None the whole pool is drawn uniformly (the non-guided
-    baseline). Always returns exactly batch_size rows. The caller
-    guarantees 0 <= n_uncertain <= batch_size, as `TrainConfig` does.
-    `split` is `split_rows(pool, partition)`, computed here if not given;
-    a caller drawing several batches from one pool and partition passes
-    it once for all of them.
+    uncertain buckets) rows from the uncertain side and the remainder
+    from the certain side; when the certain side is empty every row is
+    uncertain. With partition=None the whole pool is drawn uniformly
+    (the non-guided baseline). Always returns exactly batch_size rows.
+    The caller guarantees 0 <= n_uncertain <= batch_size, as
+    `TrainConfig` does.
     """
     if pool.n == 0:
         raise EmptyPool("cannot draw a batch from an empty pool")
     if partition is None:
         return rng.integers(0, pool.n, size=batch_size)
-    unc_rows, cer_rows = split if split is not None else split_rows(pool, partition)
+    unc_rows, cer_rows = partition.uncertain_rows, partition.certain_rows
     n_unc = min(n_uncertain, unc_rows.size)
     if cer_rows.size == 0:
         n_unc = batch_size  # certain side empty: all draws uncertain
@@ -170,6 +161,5 @@ def draw_batch(pool, partition, batch_size: int, n_uncertain: int, rng, split=No
     if n_unc:
         parts.append(unc_rows[rng.integers(0, unc_rows.size, size=n_unc)])
     if n_cer:
-        src = cer_rows if cer_rows.size else unc_rows
-        parts.append(src[rng.integers(0, src.size, size=n_cer)])
+        parts.append(cer_rows[rng.integers(0, cer_rows.size, size=n_cer)])
     return np.concatenate(parts)

@@ -224,7 +224,7 @@ def test_04_replay_memory_plateaus(capsys):
     nondecreasing = bool(np.all(np.diff(sizes) >= 0))
     tail_flat = bool(np.all(sizes[50:] == sizes[-1]))
     grew = sizes[0] < sizes[-1]
-    capped = sizes[-1] <= tau * pool.occupied_buckets().size
+    capped = sizes[-1] <= tau * pool.bucket_sizes()[0].size
     ok = nondecreasing and tail_flat and grew and capped and dt < 120.0
     _verdict(capsys, 4, "replay memory plateaus on a saturated scene", ok,
              f"{sizes[0]} -> {sizes[-1]} rows, flat last 50 frames, {dt:.1f}s")
@@ -301,14 +301,17 @@ def test_06_batch_composition_exact(capsys):
         pool = ReplayPool(voxel_size=0.45, capacity=1_000_000, prune_radius=1e9)
         pool.insert(SampleBatch(pos=pos, label=np.zeros(m), ray_len=np.ones(m),
                                 cos_inc=np.ones(m), mse=np.zeros(m)), 0)
-        keys = pool.occupied_buckets()
+        keys = pool.bucket_sizes()[0]
         k_unc = int(rng.integers(1, keys.size))  # both sides stay non-empty
         pick = rng.choice(keys.size, size=k_unc, replace=False)
         unc = np.sort(keys[pick])
         cer = np.sort(np.delete(keys, pick))
+        in_unc = np.isin(pool.bucket, unc)
         part = VoxelPartition(uncertain=unc, certain=cer, keys=keys,
                               sigma=np.zeros(keys.size),
-                              normalized=np.zeros(keys.size), threshold=0.98)
+                              normalized=np.zeros(keys.size),
+                              uncertain_rows=np.flatnonzero(in_unc),
+                              certain_rows=np.flatnonzero(~in_unc))
         bs = int(rng.integers(8, 64))
         n_uncertain = int(rng.integers(1, bs + 1))
         rows = draw_batch(pool, part, bs, n_uncertain, rng)

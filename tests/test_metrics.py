@@ -73,10 +73,10 @@ def test_sample_surface_zero_area_mesh():
 def test_nn_distances_matches_brute_force(rng):
     src = rng.standard_normal((100, 3))
     dst = rng.standard_normal((80, 3))
-    d = nn_distances(src, dst)
-    brute = np.min(np.linalg.norm(src[:, None, :] - dst[None, :, :], axis=2),
-                   axis=1)
-    np.testing.assert_allclose(d, brute, atol=1e-12)
+    d, back = nn_distances(src, dst)
+    diff = np.linalg.norm(src[:, None, :] - dst[None, :, :], axis=2)
+    np.testing.assert_allclose(d, diff.min(axis=1), atol=1e-12)
+    np.testing.assert_allclose(back, diff.min(axis=0), atol=1e-12)
 
 
 def test_nn_distances_equal_a_plain_tree_query_in_input_order(rng):
@@ -89,8 +89,9 @@ def test_nn_distances_equal_a_plain_tree_query_in_input_order(rng):
     dst = np.vstack([dst, square, square])
     tie = np.array([[10.0, -10.0, 5.0]])
     src = np.vstack([far[:250], near, tie, np.repeat(near[:5], 4, axis=0), dst[:50], far[250:]])
-    d = nn_distances(src, dst)
+    d, back = nn_distances(src, dst)
     assert np.array_equal(d, cKDTree(dst).query(src)[0])
+    assert np.array_equal(back, cKDTree(src).query(dst)[0])
     assert d[750] == np.sqrt(2.0)
     assert np.array_equal(d[751:771], np.repeat(d[250:255], 4))  # repeated queries
     assert not d[771:821].any()  # queries on dst points
@@ -98,7 +99,9 @@ def test_nn_distances_equal_a_plain_tree_query_in_input_order(rng):
     brute = np.min(np.linalg.norm(src[:, None, :] - dst[None, :, :], axis=2), axis=1)
     np.testing.assert_allclose(d, brute, rtol=0, atol=1e-12)
     perm = rng.permutation(src.shape[0])
-    assert np.array_equal(nn_distances(src[perm], dst), d[perm])
+    d_perm, back_perm = nn_distances(src[perm], dst)
+    assert np.array_equal(d_perm, d[perm])
+    assert np.array_equal(back_perm, back)
 
 
 def test_self_evaluation_fixed_point(rng):

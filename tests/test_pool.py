@@ -162,10 +162,9 @@ def test_bucket_census(rng):
     pool = ReplayPool(voxel_size=1.0)
     pos = np.array([[0.1, 0.1, 0.1], [0.2, 0.3, 0.4], [1.5, 0.0, 0.0]])
     pool.insert(make_batch(pos), frame_id=0)
-    keys = pool.occupied_buckets()
+    keys, counts = pool.bucket_sizes()
     assert keys.size == 2
-    keys2, counts = pool.bucket_sizes()
-    assert np.array_equal(keys, keys2)
+    assert np.array_equal(keys, np.unique(pool.bucket))
     assert sorted(counts.tolist()) == [1, 2]
     centers = pool.bucket_centers(keys)
     assert {tuple(c) for c in centers} == {(0.5, 0.5, 0.5), (1.5, 0.5, 0.5)}

@@ -115,7 +115,7 @@ class PerIterationMapper(Mapper):
     """Reference: each iteration draws its batch and interpolates it afresh,
     and the Fisher pass interpolates the union of drawn rows again."""
 
-    def _replay(self, frame_id, partition, split, report):
+    def _replay(self, frame_id, partition, report):
         cfg = self.cfg
         rng_b = self._rng(frame_id, _TAG_BATCH)
         drawn = []

@@ -14,7 +14,6 @@ from tsdfmap.uncertainty import (
     VoxelPartition,
     draw_batch,
     partition_voxels,
-    split_rows,
 )
 
 
@@ -131,6 +130,12 @@ def pool_with(positions, rng=None, labels=None):
     return pool
 
 
+def isin_rows(pool, uncertain):
+    """Reference row split: pool rows in the given bucket keys, and the rest."""
+    in_unc = np.isin(pool.bucket, uncertain)
+    return np.flatnonzero(in_unc), np.flatnonzero(~in_unc)
+
+
 def test_partition_empty_pool_raises():
     pool = ReplayPool()
     pf = PerturbField()
@@ -144,7 +149,7 @@ def test_partition_all_equal_sigma_is_all_certain(rng):
     pf = PerturbField()
     part = partition_voxels(pool, pf, threshold=0.98)
     assert part.uncertain.size == 0
-    assert part.certain.size == pool.occupied_buckets().size
+    assert part.certain.size == pool.bucket_sizes()[0].size
     assert (part.normalized == 0).all()
 
 
@@ -179,7 +184,7 @@ def test_partition_keys_cover_pool():
     part = partition_voxels(pool, pf, 0.98)
     assert np.array_equal(np.sort(np.concatenate([part.uncertain, part.certain])),
                           np.sort(part.keys))
-    assert np.array_equal(np.sort(part.keys), pool.occupied_buckets())
+    assert np.array_equal(np.sort(part.keys), pool.bucket_sizes()[0])
 
 
 # ---------------------------------------------------------------- draw
@@ -195,6 +200,18 @@ def two_cluster_pool(rng, n_a=60, n_b=40):
     part = partition_voxels(pool, pf, threshold=0.98)
     assert part.uncertain.size and part.certain.size
     return pool, part
+
+
+def test_partition_rows_match_an_isin_reference(rng):
+    mixed = two_cluster_pool(rng)
+    # equal sigma everywhere: every row is certain
+    pool = pool_with(rng.uniform(-1, 1, (30, 3)))
+    all_certain = (pool, partition_voxels(pool, PerturbField(), 0.98))
+    assert all_certain[1].uncertain.size == 0
+    for pool, part in (mixed, all_certain):
+        unc_rows, cer_rows = isin_rows(pool, part.uncertain)
+        assert np.array_equal(part.uncertain_rows, unc_rows)
+        assert np.array_equal(part.certain_rows, cer_rows)
 
 
 def test_draw_batch_size_and_composition(rng):
@@ -213,40 +230,28 @@ def test_draw_batch_caps_at_available_uncertain(rng):
     in_unc = np.isin(pool.bucket[rows], part.uncertain)
     assert in_unc.sum() == n_avail
     assert rows.shape == (32,)
+    # uncertain side empty: a single bucket is certain, every row is drawn from it
+    pool = pool_with([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]])
+    part = partition_voxels(pool, PerturbField(), 0.98)
+    assert part.uncertain.size == 0
+    rows = draw_batch(pool, part, 16, 4, np.random.default_rng(5))
+    expected = part.certain_rows[np.random.default_rng(5).integers(0, 2, size=16)]
+    assert np.array_equal(rows, expected)
 
 
 def test_draw_batch_no_certain_samples_backfills(rng):
     # single bucket: everything certain; with a forced partition the other way
     pos = rng.uniform(0, 0.4, (20, 3))
     pool = pool_with(pos)
-    keys = pool.occupied_buckets()
+    keys = pool.bucket_sizes()[0]
+    unc_rows, cer_rows = isin_rows(pool, keys)
     part = VoxelPartition(uncertain=keys, certain=np.empty(0, np.int64),
                           keys=keys, sigma=np.ones(keys.size),
-                          normalized=np.ones(keys.size), threshold=0.98)
+                          normalized=np.ones(keys.size),
+                          uncertain_rows=unc_rows, certain_rows=cer_rows)
     rows = draw_batch(pool, part, 16, 4, np.random.default_rng(1))
     assert rows.shape == (16,)
     assert np.isin(pool.bucket[rows], keys).all()
-
-
-def test_draw_batch_with_a_passed_split_matches_its_own(rng):
-    mixed = two_cluster_pool(rng)
-    # certain side empty (backfill), as in the test above
-    pool = pool_with(rng.uniform(0, 0.4, (20, 3)))
-    keys = pool.occupied_buckets()
-    no_certain = (pool, VoxelPartition(uncertain=keys, certain=np.empty(0, np.int64),
-                                       keys=keys, sigma=np.ones(keys.size),
-                                       normalized=np.ones(keys.size), threshold=0.98))
-    # uncertain side empty: a single bucket is certain
-    pool = pool_with([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]])
-    no_uncertain = (pool, partition_voxels(pool, PerturbField(), 0.98))
-    assert no_uncertain[1].uncertain.size == 0
-    for pool, part in (mixed, no_certain, no_uncertain):
-        split = split_rows(pool, part)
-        own, passed = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(3):  # one stream, several batches, as a frame draws them
-            a = draw_batch(pool, part, 16, 4, own)
-            b = draw_batch(pool, part, 16, 4, passed, split)
-            assert np.array_equal(a, b)
 
 
 def test_draw_batch_uniform_when_no_partition(rng):
