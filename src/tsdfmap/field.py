@@ -53,7 +53,8 @@ class NeuralSdfField:
             # every cell holds a point, so its rows are exactly the touched rows
             cells = cache.record.cells[li]  # (m, 8)
             uniq, inv = np.unique(cells.ravel(), return_inverse=True)
-            inv = inv.reshape(cells.shape)[cache.record.cell_index[:, li]].ravel()
+            inv = np.take(inv.reshape(cells.shape), cache.record.cell_index[:, li],
+                          axis=0).ravel()
             g = np.zeros((uniq.shape[0], dfeat.shape[1]))
             scatter_add_rows(g, inv, contrib)
             store.level_rows.append(uniq)

@@ -31,10 +31,6 @@ CORNER_OFFSETS = np.array(
     ],
     dtype=np.int64,
 )
-_XB = CORNER_OFFSETS[:, 0]
-_YB = CORNER_OFFSETS[:, 1]
-_ZB = CORNER_OFFSETS[:, 2]
-_SIGN = np.where(CORNER_OFFSETS == 0, -1.0, 1.0)  # (8, 3) d(axis factor)/dt
 
 
 def cell_of(points, voxel_size):
@@ -90,22 +86,41 @@ def grow_rows(buf, n: int):
 
 
 def _axis_factors(frac):
-    """(n, 3) cell fractions -> the x, y and z factor of each corner, each (n, 8)."""
-    f = np.stack([1.0 - frac, frac], axis=2)  # (n, 3, 2)
-    return f[:, 0, _XB], f[:, 1, _YB], f[:, 2, _ZB]
+    """(n, 3) cell fractions -> (3, 2, n): per axis, the factors 1 - t and t of all points."""
+    t = np.asarray(frac, dtype=np.float64).T
+    f = np.empty((3, 2, t.shape[1]))
+    np.subtract(1.0, t, out=f[:, 0])
+    f[:, 1] = t
+    return f
 
 
 def trilinear_weights(frac):
-    """(n, 3) cell fractions -> (n, 8) barycentric corner weights."""
+    """(n, 3) cell fractions -> (n, 8) barycentric corner weights.
+
+    Built corner-major, as whole rows of n: weight 4*bx + 2*by + bz is
+    (fx[bx] * fy[by]) * fz[bz]. The (n, 8) result is a view of that block.
+    """
     fx, fy, fz = _axis_factors(frac)
-    return fx * fy * fz
+    w = (fx[:, None, None] * fy[None, :, None]) * fz[None, None, :]  # (2, 2, 2, n)
+    return w.reshape(8, fx.shape[1]).T
 
 
 def trilinear_weight_gradients(frac, voxel_size):
-    """d(weight)/d(world position): (n, 3) fractions -> (n, 8, 3)."""
+    """d(weight)/d(world position): (n, 3) fractions -> (n, 8, 3).
+
+    Axis a's derivative is the product of the other two axes' factors,
+    divided by the voxel size, and negated at the corners whose bit a is
+    clear. The (n, 8, 3) result is a view of an axis-major block.
+    """
     fx, fy, fz = _axis_factors(frac)
-    return np.stack([_SIGN[:, 0] * fy * fz, _SIGN[:, 1] * fx * fz, _SIGN[:, 2] * fx * fy],
-                    axis=2) / voxel_size
+    n = fx.shape[1]
+    out = np.empty((3, 2, 2, 2, n))
+    for a, (u, v) in enumerate(((fy, fz), (fx, fz), (fx, fy))):
+        hi = (u[:, None] * v[None, :]) / voxel_size  # (2, 2, n) over the other two bits
+        dst = np.moveaxis(out[a], a, 0)  # bit a first
+        np.negative(hi, out=dst[0])
+        dst[1] = hi
+    return out.reshape(3, 8, n).transpose(2, 1, 0)
 
 
 class InterpRecord(NamedTuple):
@@ -120,12 +135,6 @@ class InterpRecord(NamedTuple):
     cell_index: np.ndarray  # (n, L) int64
     weights: np.ndarray  # (n, L, 8) float64
 
-    @property
-    def rows(self):
-        """(n, L, 8) corner rows of each point."""
-        return np.stack([rows[self.cell_index[:, li]] for li, rows in enumerate(self.cells)],
-                        axis=1)
-
     def take(self, idx):
         """The record of points[idx], given the record of points.
 
@@ -136,10 +145,13 @@ class InterpRecord(NamedTuple):
             used = np.zeros(rows.shape[0], dtype=bool)
             sub = self.cell_index[idx, li]
             used[sub] = True
-            renumber = np.cumsum(used) - 1
-            cells.append(rows[used])
+            kept = np.flatnonzero(used)
+            renumber = np.empty(rows.shape[0], dtype=np.int64)
+            renumber[kept] = np.arange(kept.size)
+            cells.append(np.take(rows, kept, axis=0))
             index.append(renumber[sub])
-        return InterpRecord(tuple(cells), np.stack(index, axis=1), self.weights[idx])
+        return InterpRecord(tuple(cells), np.stack(index, axis=1),
+                            np.take(self.weights, idx, axis=0))
 
 
 class GridLevel:
@@ -220,16 +232,20 @@ class FeatureGrid:
         """Each point's corner rows (-1 if absent) and weights per level."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         found = [cell_rows(lvl.vertices, lvl.voxel_size, pts) for lvl in self.levels]
+        weights = np.empty((pts.shape[0], self.n_levels, 8))  # C order: take copies whole rows
+        for li, (_, _, frac) in enumerate(found):
+            weights[:, li] = trilinear_weights(frac)
         return InterpRecord(tuple(cells for cells, _, _ in found),
-                            np.stack([inverse for _, inverse, _ in found], axis=1),
-                            np.stack([trilinear_weights(frac) for _, _, frac in found], axis=1))
+                            np.stack([inverse for _, inverse, _ in found], axis=1), weights)
 
     def corner_features(self, record: InterpRecord, li: int):
         """(n, 8, D) level-li corner features of each point in `record`.
 
-        Each cell's (8, D) block is gathered once, then indexed per point.
+        Each cell's (8, D) block is gathered once, then copied whole to each
+        of its points.
         """
-        return self.levels[li].features[record.cells[li]][record.cell_index[:, li]]
+        cell_feats = np.take(self.levels[li].features, record.cells[li], axis=0)
+        return np.take(cell_feats, record.cell_index[:, li], axis=0)
 
     def interpolate(self, points, record=None):
         """Aggregated features for a batch of points.

@@ -6,10 +6,10 @@ Instant-NGP-style lossy hashing. Rows index the caller's dense payload
 arrays (features, Fisher accumulators, ...) and are assigned in
 first-seen insertion order, which keeps serialization and rebuilds
 deterministic. Keys are non-negative; -1 marks an empty slot, so a
-negative key is rejected. `VoxelHash` alone deduplicates keys, looks up
-the present ones and numbers the new ones; the kernel only places
-distinct new keys. The table is sized by the distinct new keys, so a
-batch that repeats keys (8 corners per sample, shared between
+negative key is rejected. `VoxelHash` alone looks up the present keys,
+deduplicates the missing ones and numbers the new ones; the kernel only
+places distinct new keys. The table is sized by the distinct new keys,
+so a batch that repeats keys (8 corners per sample, shared between
 neighbours) does not inflate it. Slot layout is an internal detail and
 is never serialized.
 """
@@ -92,25 +92,26 @@ class VoxelHash:
         """Insert keys (existing ones are found, new ones get fresh rows).
 
         Rows are those of inserting the keys one by one: a new key gets
-        the next free row at its first occurrence. Only the distinct new
-        keys reach the table, and only they count towards its growth.
+        the next free row at its first occurrence. Every key is looked up
+        first; only the distinct new keys reach the table, and only they
+        count towards its growth.
         """
         keys = _as_keys(keys)
-        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        distinct = uniq[order]  # first-seen order
-        found = hashkern.lookup_rows(self._table_keys, self._table_vals, distinct)
-        miss = np.flatnonzero(found < 0)
+        rows = hashkern.lookup_rows(self._table_keys, self._table_vals, keys)
+        miss = np.flatnonzero(rows < 0)
         if miss.size:
-            self._ensure(miss.size)
-            new_rows = np.empty(miss.size, dtype=np.int64)
+            uniq, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            distinct = uniq[order]  # first-seen order
+            self._ensure(distinct.size)
+            new_rows = np.empty(distinct.size, dtype=np.int64)
             self.size = int(hashkern.insert_rows(
-                self._table_keys, self._table_vals, distinct[miss], new_rows, self.size))
-            found[miss] = new_rows
-            self._stored[new_rows] = distinct[miss]
-        rows = np.empty(uniq.size, dtype=np.int64)
-        rows[order] = found
-        return rows[inverse.ravel()]
+                self._table_keys, self._table_vals, distinct, new_rows, self.size))
+            self._stored[new_rows] = distinct
+            uniq_rows = np.empty(uniq.size, dtype=np.int64)
+            uniq_rows[order] = new_rows
+            rows[miss] = uniq_rows[inverse.ravel()]
+        return rows
 
     def lookup(self, keys):
         """Rows for each key, -1 where absent."""

@@ -18,10 +18,12 @@ def scatter_add_rows_numba(out, rows, contrib):
 
 
 def scatter_add_rows_numpy(out, rows, contrib):
-    # bincount is the fast exact scatter-add; np.add.at is far slower.
-    minlength = out.shape[0]
-    for d in range(contrib.shape[1]):
-        out[:, d] += np.bincount(rows, weights=contrib[:, d], minlength=minlength)
+    # bincount is the fast exact scatter-add; np.add.at is far slower. One
+    # bincount over element (r, d) at r * D + d sums each element's
+    # contributions in row order, then adds the sums to out.
+    width = contrib.shape[1]
+    flat = (rows[:, None] * width + np.arange(width)).ravel()
+    out += np.bincount(flat, weights=contrib.ravel(), minlength=out.size).reshape(out.shape)
 
 
 @njit(cache=True)
@@ -38,12 +40,31 @@ def adam_update_rows_numba(param, m, v, grad, rows, lr, beta1, beta2, eps, bc1, 
             param[r, d] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def _row_items(a):
+    """A C-contiguous (n, D) array as (n,) items of one whole row each."""
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).reshape(a.shape[0])
+
+
 def adam_update_rows_numpy(param, m, v, grad, rows, lr, beta1, beta2, eps, bc1, bc2):
-    m_r = beta1 * m[rows] + (1.0 - beta1) * grad
-    v_r = beta2 * v[rows] + (1.0 - beta2) * grad * grad
-    m[rows] = m_r
-    v[rows] = v_r
-    param[rows] -= lr * (m_r / bc1) / (np.sqrt(v_r / bc2) + eps)
+    # Rows are gathered and written back whole; in between, the numba
+    # loop's arithmetic runs in its order on the gathered block.
+    m_r = np.take(m, rows, axis=0)
+    m_r *= beta1
+    m_r += (1.0 - beta1) * grad
+    v_r = np.take(v, rows, axis=0)
+    v_r *= beta2
+    v_r += (1.0 - beta2) * grad * grad
+    _row_items(m)[rows] = _row_items(m_r)
+    _row_items(v)[rows] = _row_items(v_r)
+    step = m_r / bc1
+    step *= lr
+    den = v_r / bc2
+    np.sqrt(den, out=den)
+    den += eps
+    step /= den
+    p_r = np.take(param, rows, axis=0)
+    p_r -= step
+    _row_items(param)[rows] = _row_items(p_r)
 
 
 if JIT_ENABLED:

@@ -190,10 +190,10 @@ class Mapper:
         drawn = [draw_batch(self.pool, partition, cfg.batch_size, cfg.n_uncertain, rng_b)
                  for _ in range(cfg.iterations)]
         rows, inv = np.unique(np.concatenate(drawn), return_inverse=True)
-        pos = self.pool.pos[rows]
+        pos = np.take(self.pool.pos, rows, axis=0)
         union = self.grid.locate(pos)
         for batch, idx in zip(drawn, np.split(inv, len(drawn))):
-            _, cache = self.field.predict(pos[idx], record=union.take(idx))
+            _, cache = self.field.predict(np.take(pos, idx, axis=0), record=union.take(idx))
             loss, store = self.field.backward_mse(cache, self.pool.label[batch])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(

@@ -28,6 +28,27 @@ def test_softplus_matches_logaddexp_within_2_ulp():
     assert (np.abs(softplus(x) - ref) <= 2 * np.spacing(ref)).all()
 
 
+def five_temporary_softplus(x):
+    """Reference: the same expression with a new array per operation."""
+    with np.errstate(under="ignore"):
+        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def test_one_buffer_softplus_equals_the_five_temporary_form_bitwise():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 100001), [800.0, -800.0, np.inf, -np.inf]])
+    x2d = x[:100000].reshape(-1, 32)
+    for arr in (x, x2d, np.array([np.nan])):
+        before = arr.copy()
+        with np.errstate(all="raise"):
+            got = softplus(arr)
+            want = five_temporary_softplus(arr)
+        assert got.shape == want.shape
+        finite = ~np.isnan(want)
+        assert got[finite].tobytes() == want[finite].tobytes()
+        assert np.isnan(got[~finite]).all()
+        assert np.array_equal(arr, before, equal_nan=True)  # the input is not mutated
+
+
 def test_forward_matches_manual(rng):
     dec = SdfDecoder(feature_dim=8, hidden_units=32, rng=rng)
     x = rng.standard_normal((17, 8))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grid_helpers import record_rows
 from tsdfmap.decoder import PARAM_NAMES, SdfDecoder
 from tsdfmap.field import NeuralSdfField
 from tsdfmap.grid import FeatureGrid
@@ -91,7 +92,7 @@ def test_gradient_rows_cover_all_touched_vertices(rng):
     _, cache = field.predict(pts)
     _, store = field.backward_mse(cache, labels)
     for li in range(2):
-        rows = field.grid.locate(pts).rows[:, li]
+        rows = record_rows(field.grid.locate(pts))[:, li]
         assert np.array_equal(store.level_rows[li], np.unique(rows))
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from grid_helpers import record_rows
 from tsdfmap.errors import UnallocatedQuery
 from tsdfmap.hashmap import COORD_LIMIT, pack_coords, unpack_key
 from tsdfmap.grid import (
@@ -77,6 +78,35 @@ def test_weight_gradients_match_finite_differences(rng):
         np.testing.assert_allclose(grads[:, :, a], fd, rtol=0, atol=1e-8)
 
 
+_SIGN = np.where(CORNER_OFFSETS == 0, -1.0, 1.0)  # (8, 3) d(axis factor)/dt
+
+
+def gathered_factors(frac):
+    """Reference: each corner's x, y and z factor, gathered per point, (n, 8) each."""
+    f = np.stack([1.0 - frac, frac], axis=2)  # (n, 3, 2)
+    bx, by, bz = CORNER_OFFSETS.T
+    return f[:, 0, bx], f[:, 1, by], f[:, 2, bz]
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes, so -0.0 differs from 0.0."""
+    return (a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def test_weights_and_gradients_equal_the_gathered_factor_form_bitwise(rng):
+    ulp_below_one = 1.0 - np.spacing(1.0)
+    edges = np.array([[0.0, 0.0, 0.0], [ulp_below_one] * 3, [0.0, ulp_below_one, 0.5],
+                      [-0.0, 0.25, ulp_below_one]])  # cell_of gives -0.0 at a coordinate of -0.0
+    for frac in (edges, rng.random((1000, 3)), np.zeros((0, 3))):
+        fx, fy, fz = gathered_factors(frac)
+        assert same_bits(trilinear_weights(frac), fx * fy * fz)
+        for vs in (0.3, 0.45):
+            want = np.stack([_SIGN[:, 0] * fy * fz, _SIGN[:, 1] * fx * fz,
+                             _SIGN[:, 2] * fx * fy], axis=2) / vs
+            assert same_bits(trilinear_weight_gradients(frac, vs), want)
+
+
 @settings(deadline=None, max_examples=100)
 @given(arrays(np.float64, (7, 3), elements=st.floats(0, 1, exclude_max=True)))
 def test_weights_sum_to_one_and_nonnegative(frac):
@@ -112,7 +142,7 @@ def test_interpolation_matches_manual(rng):
     manual = np.zeros_like(feats)
     loc = g.locate(pts)
     for li, lvl in enumerate(g.levels):
-        rows, frac = loc.rows[:, li], cell_of(pts, lvl.voxel_size)[1]
+        rows, frac = record_rows(loc)[:, li], cell_of(pts, lvl.voxel_size)[1]
         w = trilinear_weights(frac)
         for n in range(pts.shape[0]):
             for c in range(8):
@@ -143,7 +173,7 @@ def test_features_sum_over_levels(rng):
     parts = []
     loc = g.locate(pts)
     for li, lvl in enumerate(g.levels):
-        rows, frac = loc.rows[:, li], cell_of(pts, lvl.voxel_size)[1]
+        rows, frac = record_rows(loc)[:, li], cell_of(pts, lvl.voxel_size)[1]
         w = trilinear_weights(frac)
         parts.append(np.einsum("nc,ncd->nd", w, lvl.features[rows]))
     np.testing.assert_allclose(total, parts[0] + parts[1], atol=1e-12)
@@ -237,8 +267,9 @@ def test_locate_matches_per_point_lookup(shared_cell_grid):
     grid, inside, outside = shared_cell_grid
     pts = np.vstack([inside[:50], outside, inside[50:]])
     rec = grid.locate(pts)
+    assert rec.weights.flags.c_contiguous  # so take copies each point's weights as one row
     for li, lvl in enumerate(grid.levels):
-        rows, frac = rec.rows[:, li], cell_of(pts, lvl.voxel_size)[1]
+        rows, frac = record_rows(rec)[:, li], cell_of(pts, lvl.voxel_size)[1]
         want = level_rows(grid, pts, li)
         assert np.array_equal(rows, want)
         assert np.array_equal(rec.weights[:, li], trilinear_weights(frac))
@@ -267,7 +298,7 @@ def test_fresh_interpolate_matches_per_point_lookup(shared_cell_grid):
         frac = cell_of(inside, lvl.voxel_size)[1]
         w = trilinear_weights(frac)
         want += np.einsum("nc,ncd->nd", w, lvl.features[rows])
-        assert np.array_equal(rec.rows[:, li], rows)
+        assert np.array_equal(record_rows(rec)[:, li], rows)
         assert np.array_equal(rec.weights[:, li], w)
     assert np.array_equal(feats, want)
 
@@ -284,7 +315,7 @@ def test_taken_record_matches_locating_the_subset(shared_cell_grid, rng):
             # only the cells of points[idx] are kept
             assert np.array_equal(np.unique(taken.cell_index[:, li]),
                                   np.arange(taken.cells[li].shape[0]))
-            assert np.array_equal(taken.rows[:, li], level_rows(grid, pts[idx], li))
+            assert np.array_equal(record_rows(taken)[:, li], level_rows(grid, pts[idx], li))
     idx = rng.integers(0, inside.shape[0], size=120)
     got, _ = grid.interpolate(inside[idx], record=grid.locate(inside).take(idx))
     want, _ = grid.interpolate(inside[idx])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsdfmap.hashmap import COORD_LIMIT, VoxelHash, pack_coords, unpack_key
+from tsdfmap.kernels import hashkern
 
 
 def test_pack_unpack_roundtrip(rng):
@@ -125,3 +126,59 @@ def test_repeated_keys_do_not_inflate_the_table(rng):
     rows = h.insert(np.tile(keys, 8))
     assert np.array_equal(rows, np.tile(np.arange(1000), 8))
     assert h.size / h._table_keys.size >= 0.25
+
+
+def unique_first_insert(h, keys):
+    """Reference: insert by deduplicating every key first, then looking up
+    the distinct keys and placing the missing ones in first-seen order."""
+    keys = np.ascontiguousarray(keys, dtype=np.int64).ravel()
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    distinct = uniq[order]
+    found = hashkern.lookup_rows(h._table_keys, h._table_vals, distinct)
+    miss = np.flatnonzero(found < 0)
+    if miss.size:
+        h._ensure(miss.size)
+        new_rows = np.empty(miss.size, dtype=np.int64)
+        h.size = int(hashkern.insert_rows(h._table_keys, h._table_vals, distinct[miss],
+                                          new_rows, h.size))
+        found[miss] = new_rows
+        h._stored[new_rows] = distinct[miss]
+    rows = np.empty(uniq.size, dtype=np.int64)
+    rows[order] = found
+    return rows[inverse.ravel()]
+
+
+def assert_same_table(a, b):
+    assert a.size == b.size
+    assert np.array_equal(a.keys, b.keys)
+    assert np.array_equal(a._table_keys, b._table_keys)  # same slots, same growth points
+    assert np.array_equal(a._table_vals, b._table_vals)
+
+
+def test_lookup_first_insert_matches_per_key_insert_and_the_unique_first_layout(rng):
+    fresh = 100 + rng.choice(1_000_000, size=60, replace=False).astype(np.int64)
+    batches = [
+        np.array([7, 3, 7, 7, 11, 3], dtype=np.int64),  # repeats
+        np.array([], dtype=np.int64),  # empty
+        np.array([11, 5, 3, 5, 2], dtype=np.int64),  # present and new keys
+        np.array([3, 7, 11], dtype=np.int64),  # present keys only
+        np.concatenate([[2, 5], fresh[:40], fresh[:40:3], [7]]),  # grows the table mid-batch
+        np.tile(fresh[40:], 3),
+    ]
+    got, want = VoxelHash(capacity=8), VoxelHash(capacity=8)
+    ref = {}
+    slots = []
+    for keys in batches:
+        rows = got.insert(keys)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == _reference_insert(ref, keys)
+        assert np.array_equal(rows, unique_first_insert(want, keys))
+        assert_same_table(got, want)
+        slots.append(got._table_keys.size)
+    assert slots[4] > slots[3]
+
+    keys = rng.choice(1_000_000, size=700, replace=False).astype(np.int64)  # all new
+    built, want = VoxelHash.from_keys(keys), VoxelHash(capacity=max(8, int(keys.size / 0.5)))
+    assert np.array_equal(unique_first_insert(want, keys), np.arange(keys.size))
+    assert_same_table(built, want)

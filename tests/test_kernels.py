@@ -114,7 +114,60 @@ def test_scatter_matches_dense_sum(rng):
     expect = np.zeros((12, 3))
     for r, c in zip(rows, contrib):
         expect[r] += c
-    np.testing.assert_allclose(out, expect, atol=1e-12)
+    assert np.array_equal(out, expect)  # the loop sums each row in the kernel's order
+
+
+def scatter_add_rows_loop(out, rows, contrib):
+    """Reference: each element's contributions summed in row order, then added to out."""
+    sums = np.zeros_like(out)
+    for i in range(rows.shape[0]):
+        for d in range(contrib.shape[1]):
+            sums[rows[i], d] += contrib[i, d]
+    out += sums
+
+
+def adam_update_rows_loop(param, m, v, grad, rows, lr, beta1, beta2, eps, bc1, bc2):
+    """Reference: Adam on one element at a time; grad[i] belongs to row rows[i]."""
+    for i in range(rows.shape[0]):
+        r = rows[i]
+        for d in range(param.shape[1]):
+            g = grad[i, d]
+            m[r, d] = beta1 * m[r, d] + (1.0 - beta1) * g
+            v[r, d] = beta2 * v[r, d] + (1.0 - beta2) * g * g
+            param[r, d] -= lr * (m[r, d] / bc1) / (np.sqrt(v[r, d] / bc2) + eps)
+
+
+def test_scatter_matches_the_sequential_loop_bitwise(rng):
+    rows = rng.integers(0, 40, size=500).astype(np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    for d in (8, 3):
+        contrib = rng.standard_normal((500, d))
+        cases = [
+            (np.zeros((40, d)), rows, contrib),  # into a zero buffer, as backward_mse scatters
+            # into a non-zero buffer with spare capacity rows, as the Fisher field accumulates
+            (rng.standard_normal((64, d)), rows, contrib),
+            (rng.standard_normal((64, d)), empty, contrib[:0]),
+        ]
+        for out, r, c in cases:
+            want = out.copy()
+            scatter_add_rows_loop(want, r, c)
+            scatter_add_rows_numpy(out, r, c)
+            assert np.array_equal(out, want)
+
+
+def test_adam_matches_the_sequential_loop_bitwise(rng):
+    n, d = 64, 8
+    args = (0.01, 0.9, 0.999, 1e-8, 0.1, 0.001)
+    for rows in (np.sort(rng.choice(40, size=17, replace=False)), np.zeros(0, dtype=np.int64)):
+        grad = rng.standard_normal((rows.size, d))
+        state = (rng.standard_normal((n, d)), np.abs(rng.standard_normal((n, d))),
+                 np.abs(rng.standard_normal((n, d))))
+        got = [a.copy() for a in state]
+        want = [a.copy() for a in state]
+        adam_update_rows_numpy(*got, grad, rows, *args)
+        adam_update_rows_loop(*want, grad, rows, *args)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_adam_lanes_agree_bitwise(rng):
