@@ -76,9 +76,11 @@ class ReplayPool:
     def __len__(self) -> int:
         return self.n
 
-    def _take(self, idx):
+    def _take(self, keep):
+        """Keep the rows where the boolean mask `keep` is set, in their order."""
+        rows = np.flatnonzero(keep)
         for name, _, _ in _COLUMNS:
-            setattr(self, name, getattr(self, name)[idx])
+            setattr(self, name, np.take(getattr(self, name), rows, axis=0))
 
     def insert(self, batch, frame_id: int):
         """Append a SampleBatch; rows get consecutive sequence numbers."""
@@ -101,7 +103,12 @@ class ReplayPool:
         if self.n == 0:
             return 0
         o = np.asarray(origin, dtype=np.float64).reshape(3)
-        keep = np.linalg.norm(self.pos - o, axis=1) < self.prune_radius
+        # ((dx^2 + dy^2) + dz^2), then sqrt: np.linalg.norm(axis=1), bit for bit
+        dist = np.zeros(self.n)
+        for a in range(3):
+            d = self.pos[:, a] - o[a]
+            dist += d * d
+        keep = np.sqrt(dist, out=dist) < self.prune_radius
         evicted = int(self.n - keep.sum())
         if evicted:
             self._take(keep)
@@ -110,21 +117,26 @@ class ReplayPool:
     def enforce_capacity(self) -> int:
         """Cap each bucket at `capacity` samples, keeping the lowest mse.
 
-        Ties keep newer frames first, then earlier insertion order.
+        Ties keep newer frames first, then earlier insertion order. Only
+        the rows of buckets over capacity are ranked: rows sit in
+        insertion order, and `lexsort` is stable.
         """
         if self.n == 0:
             return 0
-        order = np.lexsort((self.seq, -self.frame_id.astype(np.int64), self.mse, self.bucket))
-        b = self.bucket[order]
-        new_group = np.r_[True, b[1:] != b[:-1]]
-        group_start = np.flatnonzero(new_group)
-        sizes = np.diff(np.r_[group_start, b.size])
-        rank = np.arange(b.size) - np.repeat(group_start, sizes)
-        keep = order[rank < self.capacity]
-        evicted = self.n - keep.size
-        if evicted:
-            self._take(np.sort(keep))  # restore insertion order
-        return int(evicted)
+        _, inverse, counts = np.unique(self.bucket, return_inverse=True, return_counts=True)
+        rows = np.flatnonzero((counts > self.capacity)[inverse])
+        if rows.size == 0:
+            return 0
+        order = rows[np.lexsort((-self.frame_id[rows].astype(np.int64), self.mse[rows],
+                                 inverse[rows]))]
+        b = inverse[order]
+        group_start = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+        rank = np.arange(b.size) - np.repeat(group_start, np.diff(np.r_[group_start, b.size]))
+        evict = order[rank >= self.capacity]
+        keep = np.ones(self.n, dtype=bool)
+        keep[evict] = False
+        self._take(keep)
+        return int(evict.size)
 
     def bucket_centers(self, keys):
         """World centers of packed bucket keys."""

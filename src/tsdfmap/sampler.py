@@ -90,6 +90,38 @@ def voxel_downsample(points, voxel_size):
     return pts[np.sort(first)]
 
 
+# the six distinct entries (a, b), a <= b, of a symmetric 3x3 covariance
+_COV_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _neighbour_covariance(pts, idx):
+    """(n, 3, 3) covariance of each point's neighbours pts[idx[i]], idx (n, k).
+
+    The neighbours are gathered as a (3, k, n) block, so every step runs
+    over a contiguous row of n points. The mean and each covariance
+    entry are sums over the neighbours in order, starting from zero,
+    then divided by k: the arithmetic, in the same order, of
+    `mean(axis=1)` and `einsum("nki,nkj->nij")` over the (n, k, 3) gather.
+    """
+    n, k = idx.shape
+    block = np.take(np.ascontiguousarray(pts.T), np.ascontiguousarray(idx.T), axis=1)
+    mean = np.zeros((3, n))
+    for j in range(k):
+        mean += block[:, j]
+    mean /= k
+    block -= mean[:, None, :]
+    cov = np.empty((n, 3, 3))
+    acc, prod = np.empty(n), np.empty(n)
+    for a, b in _COV_ENTRIES:
+        acc[:] = 0.0
+        for j in range(k):
+            acc += np.multiply(block[a, j], block[b, j], out=prod)
+        acc /= k
+        cov[:, a, b] = acc
+        cov[:, b, a] = acc
+    return cov
+
+
 def estimate_normals(scan: Scan, k: int = 20):
     """PCA normals over k nearest neighbors, oriented toward the sensor.
 
@@ -111,10 +143,7 @@ def estimate_normals(scan: Scan, k: int = 20):
     k_eff = min(k, n)
     tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)  # quicker to build
     _, idx = tree.query(pts, k=k_eff)
-    neigh = pts[idx]  # (n, k, 3)
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k_eff
-    evals, evecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    evals, evecs = np.linalg.eigh(_neighbour_covariance(pts, idx))  # ascending eigenvalues
     normals = evecs[:, :, 0]
 
     degenerate = evals[:, 1] <= _DEGENERATE_RATIO * np.maximum(evals[:, 2], 1e-300)

@@ -79,6 +79,8 @@ class FrameReport:
     pool_size: int = 0
     n_uncertain_voxels: int = 0
     n_certain_voxels: int = 0
+    sigma_min: float | None = None  # raw sigma range over the partitioned buckets; None
+    sigma_max: float | None = None  # when no partition ran (uniform draws, skipped frame)
     new_vertices: int = 0
     nonfinite_points: int = 0  # returns dropped as NaN or infinite
     out_of_range_points: int = 0  # finite returns whose samples would not pack
@@ -175,6 +177,8 @@ class Mapper:
             partition = partition_voxels(self.pool, self.perturb, cfg.uncertainty.threshold)
             report.n_uncertain_voxels = int(partition.uncertain.size)
             report.n_certain_voxels = int(partition.certain.size)
+            report.sigma_min = float(partition.sigma.min())
+            report.sigma_max = float(partition.sigma.max())
         t4 = time.perf_counter()
         report.stage_ms["partition"] = 1e3 * (t4 - t3)
 

@@ -100,9 +100,7 @@ class VoxelPartition:
 
     uncertain: np.ndarray  # packed bucket keys, sorted
     certain: np.ndarray
-    keys: np.ndarray  # all evaluated bucket keys, sorted
-    sigma: np.ndarray  # raw sigma per key
-    normalized: np.ndarray  # min-max normalized sigma per key
+    sigma: np.ndarray  # raw sigma per occupied bucket, in sorted key order
     uncertain_rows: np.ndarray  # ascending pool rows in uncertain buckets
     certain_rows: np.ndarray  # ascending pool rows in certain buckets
 
@@ -129,9 +127,7 @@ def partition_voxels(pool, field: PerturbField, threshold: float) -> VoxelPartit
     return VoxelPartition(
         uncertain=keys[unc],
         certain=keys[~unc],
-        keys=keys,
         sigma=sigma,
-        normalized=normalized,
         uncertain_rows=np.flatnonzero(row_unc),
         certain_rows=np.flatnonzero(~row_unc),
     )

@@ -307,9 +307,7 @@ def test_06_batch_composition_exact(capsys):
         unc = np.sort(keys[pick])
         cer = np.sort(np.delete(keys, pick))
         in_unc = np.isin(pool.bucket, unc)
-        part = VoxelPartition(uncertain=unc, certain=cer, keys=keys,
-                              sigma=np.zeros(keys.size),
-                              normalized=np.zeros(keys.size),
+        part = VoxelPartition(uncertain=unc, certain=cer, sigma=np.zeros(keys.size),
                               uncertain_rows=np.flatnonzero(in_unc),
                               certain_rows=np.flatnonzero(~in_unc))
         bs = int(rng.integers(8, 64))

@@ -20,12 +20,13 @@ DECLARED = [
 
 
 def run_output(fps, mb, failed=0, correct=True, digest="ab" * 32, quality=None, wall=None,
-               block=None):
+               block=None, stages=None):
     """Two workloads, as `run.py --workload all` prints them; no digest if None.
 
     quality: (chamfer_l1_cm, f1_pct) to report as well, or None.
     wall: the detail line's `wall` block of raw wall times, or None for none.
     block: the detail line's `quality` block, or None for none.
+    stages: the detail line's `stage_ms_per_sequence`, or None for none.
     """
     lines = []
     for workload in ("desk-orbit", "street-drive"):
@@ -36,6 +37,8 @@ def run_output(fps, mb, failed=0, correct=True, digest="ab" * 32, quality=None, 
             detail["wall"] = wall
         if block is not None:
             detail["quality"] = block
+        if stages is not None:
+            detail["stage_ms_per_sequence"] = stages
         metrics = {"frames_per_s": {"value": fps, "unit": "1/s"},
                    "map_mb": {"value": mb, "unit": "MB"}}
         if quality is not None:
@@ -70,7 +73,7 @@ def test_wall_medians_sit_beside_the_scaled_table(monkeypatch, capsys):
         return bench_pairs.parse_run(run_output(1.0, 5.0, wall=walls[checkout].pop(0)))
 
     pairs = [(fake_run("old", []), fake_run("new", [])) for _ in range(2)]
-    rows = bench_pairs.wall_medians(pairs)
+    rows = bench_pairs.block_medians(pairs, "wall")
     # mesh_s is missing from one change run, so only frames_per_s is compared
     assert [r[:2] for r in rows] == [("desk-orbit", "frames_per_s"),
                                      ("street-drive", "frames_per_s")]
@@ -83,6 +86,37 @@ def test_wall_medians_sit_beside_the_scaled_table(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "wall time" in out
     assert "street-drive  frames_per_s                1           1.25   +25.0%" in out
+
+
+def test_stage_medians_follow_the_wall_medians(monkeypatch, capsys):
+    assert bench_pairs.parse_run(run_output(1.5, 37.7))["desk-orbit"]["stage_ms"] == {}
+    stages = {"old": [{"sample": 300.0, "pool": 100.0, "optimize": 900.0},
+                      {"sample": 340.0, "pool": 120.0, "optimize": 1000.0},
+                      {"sample": 320.0, "pool": 90.0, "optimize": 950.0}],
+              "new": [{"sample": 200.0, "optimize": 910.0},
+                      {"sample": 260.0, "pool": 50.0, "optimize": 940.0},
+                      {"sample": 210.0, "pool": 60.0, "optimize": 960.0}]}
+
+    def fake_run(checkout, args):
+        return bench_pairs.parse_run(run_output(1.0, 5.0, stages=stages[checkout].pop(0)))
+
+    pairs = [(fake_run("old", []), fake_run("new", [])) for _ in range(3)]
+    rows = bench_pairs.block_medians(pairs, "stage_ms")
+    # pool is missing from one change run, so only sample and optimize are compared
+    assert [r[:2] for r in rows] == [("desk-orbit", "sample"), ("desk-orbit", "optimize"),
+                                     ("street-drive", "sample"), ("street-drive", "optimize")]
+    assert rows[0][2:] == (320.0, 210.0, pytest.approx(100 * -110 / 320))
+    assert rows[1][2:] == (950.0, 940.0, pytest.approx(100 * -10 / 950))
+
+    stages.update(old=[{"sample": 300.0, "fisher": 800.0}] * 2,
+                  new=[{"sample": 240.0, "fisher": 800.0}] * 2)
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    bench_pairs.main(["old", "new", "--pairs", "1"])
+    out = capsys.readouterr().out
+    assert "workload      stage ms/seq      base median  change median   median" in out
+    assert "street-drive  sample                    300            240   -20.0%" in out
+    assert "street-drive  fisher                    800            800    +0.0%" in out
+    assert "wall time" not in out  # no run reported a wall block
 
 
 def test_quartiles_are_medians_of_the_halves():

@@ -16,6 +16,7 @@ from tsdfmap.grid import (
     cell_of,
     corner_keys,
     distinct_cells,
+    sorted_distinct,
     trilinear_weight_gradients,
     trilinear_weights,
 )
@@ -122,6 +123,25 @@ def test_allocate_is_idempotent(rng):
     assert added > 0 and skipped == 0
     again, _ = g.allocate(pts)
     assert again == 0
+
+
+def test_sorted_distinct_equals_np_unique(rng):
+    ends = np.array([np.iinfo(np.int64).min, -1, 0, 1, np.iinfo(np.int64).max])
+    cases = [np.empty(0, np.int64), np.array([7]), np.full((3, 8), -5),
+             rng.integers(-50, 50, size=(400, 8)), rng.permutation(np.repeat(ends, 3)),
+             corner_keys(cell_keys(cell_of(rng.uniform(-2, 2, (500, 3)), 0.3)[0]))]
+    for keys in cases:
+        got, want = sorted_distinct(keys), np.unique(keys)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_allocate_inserts_each_corner_once_in_key_order(rng):
+    g = FeatureGrid(voxel_sizes=(0.3,))
+    pts = rng.uniform(-1, 1, size=(300, 3))
+    g.allocate(pts)
+    keys = np.unique(corner_keys(distinct_cells(pts, 0.3)[0]))
+    # rows are handed out in insertion order, so row i holds the i-th smallest key
+    assert np.array_equal(g.levels[0].vertices.lookup(keys), np.arange(keys.size))
 
 
 def test_allocate_skips_nonfinite():

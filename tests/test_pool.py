@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsdfmap.hashmap import COORD_LIMIT, unpack_key
-from tsdfmap.pool import PoolConfig, ReplayPool, reliability_mse
+from tsdfmap.pool import _COLUMNS, PoolConfig, ReplayPool, reliability_mse
 from tsdfmap.sampler import SampleBatch
 
 
@@ -81,6 +81,38 @@ def test_prune_window_strict_boundary():
     np.testing.assert_allclose(pool.pos[0], pos[0])
 
 
+def columns(pool):
+    """{name: copy} of every pool column."""
+    return {name: getattr(pool, name).copy() for name, _, _ in _COLUMNS}
+
+
+def assert_rows_kept(pool, before, kept):
+    """Every column equals its `before` copy at rows `kept`, bit for bit."""
+    for name, _, _ in _COLUMNS:
+        want = before[name][kept]
+        got = getattr(pool, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_prune_window_equals_the_norm_form_bitwise(rng):
+    o = np.array([1.0, -2.0, 3.0])
+    r = 5.0
+    edge = o + np.array([[3.0, 4.0, 0.0], [0.0, -3.0, 4.0], [-5.0, 0.0, 0.0]])  # exactly r
+    ulps = [np.nextafter(edge, edge + s) for s in (np.inf, -np.inf)]  # one ulp in or out
+    u = rng.normal(size=(2000, 3))
+    sphere = o + r * u / np.linalg.norm(u, axis=1, keepdims=True)  # within ulps of r
+    pos = np.vstack([edge, *ulps, sphere, rng.uniform(-10, 10, (500, 3))])
+    for radius in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)):
+        pool = ReplayPool(prune_radius=radius)
+        pool.insert(make_batch(pos, mse=rng.random(len(pos))), frame_id=0)
+        before = columns(pool)
+        keep = np.linalg.norm(pool.pos - o, axis=1) < radius
+        assert 0 < keep.sum() < len(pos)
+        assert pool.prune_window(o) == int((~keep).sum())
+        assert_rows_kept(pool, before, keep)
+
+
 def test_prune_window_is_idempotent(rng):
     pool = ReplayPool(prune_radius=5.0)
     pool.insert(rand_batch(rng, 200, extent=8.0), frame_id=0)
@@ -111,6 +143,46 @@ def test_enforce_capacity_matches_brute_force(rng):
     evicted = pool.enforce_capacity()
     assert evicted == 1800 - expect_seq.size
     assert np.array_equal(np.sort(pool.seq), np.sort(expect_seq))
+
+
+def capacity_full_sort(pool):
+    """Reference: rank every row by the 4-key lexsort; ascending rows kept."""
+    order = np.lexsort((pool.seq, -pool.frame_id.astype(np.int64), pool.mse, pool.bucket))
+    b = pool.bucket[order]
+    group_start = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+    rank = np.arange(b.size) - np.repeat(group_start, np.diff(np.r_[group_start, b.size]))
+    return np.sort(order[rank < pool.capacity])
+
+
+def test_enforce_capacity_under_capacity_leaves_the_columns_untouched(rng):
+    pool = ReplayPool(voxel_size=1.0, capacity=8)
+    for f in range(2):
+        pool.insert(make_batch(rng.uniform(0, 4, (40, 3)), mse=rng.random(40)), frame_id=f)
+    assert pool.bucket_sizes()[1].max() <= 8
+    before = {name: getattr(pool, name) for name, _, _ in _COLUMNS}
+    assert pool.enforce_capacity() == 0
+    assert all(getattr(pool, name) is before[name] for name in before)
+
+
+def test_enforce_capacity_equals_the_full_sort_bitwise(rng):
+    # buckets of 2 rows (under), cap (exactly at), cap + 1 and 40 (over); mse
+    # ties within and across frames; frames inserted out of order
+    cap = 6
+    cells = np.repeat([3, 0, 1, 2], [2, cap, cap + 1, 40])
+    for trial in range(4):
+        frames = rng.integers(0, 4, cells.size)
+        mse = rng.choice([0.1, 0.2, 0.3], size=cells.size)
+        pos = np.column_stack([cells + rng.uniform(0.1, 0.9, cells.size),
+                               rng.uniform(0.1, 0.9, (cells.size, 2))])
+        pool = ReplayPool(voxel_size=1.0, capacity=cap)
+        for f in rng.permutation(4):
+            sel = frames == f
+            pool.insert(make_batch(pos[sel], mse=mse[sel]), frame_id=int(f))
+        assert sorted(pool.bucket_sizes()[1].tolist()) == [2, cap, cap + 1, 40]
+        before = columns(pool)
+        kept = capacity_full_sort(pool)
+        assert pool.enforce_capacity() == cells.size - kept.size == 1 + 40 - cap
+        assert_rows_kept(pool, before, kept)
 
 
 def test_enforce_capacity_tie_rule_prefers_newer_frame():

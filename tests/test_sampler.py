@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from tsdfmap.errors import EmptyScan
 from tsdfmap.pool import PoolConfig
 from tsdfmap.sampler import (
     SamplerConfig,
     Scan,
+    _neighbour_covariance,
     compute_incidence,
     estimate_normals,
     generate_samples,
@@ -72,6 +74,86 @@ def test_tiny_scan_uses_fallback_normals():
     normals, degenerate = estimate_normals(scan)
     assert degenerate.all()
     np.testing.assert_allclose(normals, -pts, atol=1e-12)
+
+
+def gathered_covariance(pts, idx):
+    """Reference: the (n, k, 3) neighbour gather, `mean(axis=1)` and `einsum` covariance."""
+    neigh = pts[idx]
+    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    return np.einsum("nki,nkj->nij", centered, centered) / idx.shape[1]
+
+
+def estimate_normals_gathered(scan, k=20):
+    """Reference: `estimate_normals` built on `gathered_covariance`."""
+    pts = scan.points
+    n = pts.shape[0]
+    to_sensor = scan.origin[None, :] - pts
+    fallback = to_sensor / np.maximum(np.linalg.norm(to_sensor, axis=1), 1e-300)[:, None]
+    if n < 3:
+        return fallback.copy(), np.ones(n, dtype=bool)
+    _, idx = cKDTree(pts, balanced_tree=False, compact_nodes=False).query(pts, k=min(k, n))
+    evals, evecs = np.linalg.eigh(gathered_covariance(pts, idx))
+    normals = evecs[:, :, 0]
+    degenerate = evals[:, 1] <= 1e-8 * np.maximum(evals[:, 2], 1e-300)
+    degenerate |= ~np.isfinite(normals).all(axis=1)
+    flip = np.einsum("ni,ni->n", normals, to_sensor) < 0
+    normals[flip] *= -1.0
+    normals[degenerate] = fallback[degenerate]
+    return normals, degenerate
+
+
+def bits(a):
+    """The float64 bit patterns of `a`, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def normal_clouds(rng):
+    """(name, points, k): random, plane, signed-zero, collinear, coincident and k >= n clouds."""
+    g = np.arange(-3, 4) * 0.25
+    gx, gy = (a.ravel() for a in np.meshgrid(g, g))
+    flat = np.column_stack([gx, gy, np.zeros(gx.size)])  # centred z exactly 0
+    signed = flat.copy()
+    signed[::2, 2] = -0.0  # -0.0 and 0.0 partners in every neighbourhood
+    signed[gx == 0, 0] = -0.0
+    signed[1::2][gy[1::2] == 0, 1] = -0.0
+    wall = np.column_stack([np.full(gx.size, 1.5), gx, gy])  # 1.5 - 1.5: exact zeros again
+    line = np.zeros((40, 3))
+    line[:, 0] = np.arange(40) * 0.1
+    line[::2, 1:] = -0.0
+    same = np.tile([0.5, -0.0, 2.0], (12, 1))
+    return [
+        ("random", rng.normal(size=(600, 3)) * 4.0, 20),
+        ("random k=7", rng.uniform(-1, 1, (300, 3)), 7),
+        ("plane z=0", flat, 20),
+        ("plane with -0.0", signed, 9),
+        ("plane x=1.5", wall, 20),
+        ("collinear", line, 20),
+        ("coincident", same, 20),
+        ("k >= n", rng.normal(size=(6, 3)), 20),
+        ("k == n", rng.normal(size=(20, 3)), 20),
+    ]
+
+
+def test_neighbour_covariance_equals_the_gathered_form_bitwise(rng):
+    for name, pts, k in normal_clouds(rng):
+        _, idx = cKDTree(pts).query(pts, k=min(k, len(pts)))
+        got, ref = _neighbour_covariance(pts, idx), gathered_covariance(pts, idx)
+        assert got.shape == ref.shape, name
+        assert np.array_equal(bits(got), bits(ref)), name
+
+
+def test_estimate_normals_equals_the_gathered_form_bitwise(rng):
+    degenerate_seen = set()
+    for name, pts, k in normal_clouds(rng):
+        scan = Scan(origin=np.array([0.3, -0.2, 5.0]), points=pts)
+        normals, degenerate = estimate_normals(scan, k=k)
+        ref_normals, ref_degenerate = estimate_normals_gathered(scan, k=k)
+        assert np.array_equal(bits(normals), bits(ref_normals)), name
+        assert np.array_equal(degenerate, ref_degenerate), name
+        if degenerate.all():
+            degenerate_seen.add(name)
+    # the fallback branch is exercised as well as the PCA one
+    assert {"collinear", "coincident"} <= degenerate_seen
 
 
 def test_incidence_clamped(rng):

@@ -80,6 +80,8 @@ def test_frame_report_fields(rng):
                                  "optimize", "fisher"}
     # the distinct pool rows among 3 batches of 256 draws
     assert 0 < rep.fisher_rows <= min(3 * 256, rep.pool_size)
+    # nothing accumulated before the first frame: every bucket reads the prior sigma
+    assert rep.sigma_min == rep.sigma_max == pytest.approx(np.sqrt(3.0))
     d = rep.to_dict()
     assert d["frame_id"] == 0
     assert d["fisher_rows"] == rep.fisher_rows

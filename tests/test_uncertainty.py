@@ -130,6 +130,12 @@ def pool_with(positions, rng=None, labels=None):
     return pool
 
 
+def normalized_sigma(part):
+    """Min-max normalized sigma per occupied bucket, as `partition_voxels` thresholds it."""
+    lo, hi = part.sigma.min(), part.sigma.max()
+    return np.zeros_like(part.sigma) if hi == lo else (part.sigma - lo) / (hi - lo)
+
+
 def isin_rows(pool, uncertain):
     """Reference row split: pool rows in the given bucket keys, and the rest."""
     in_unc = np.isin(pool.bucket, uncertain)
@@ -150,7 +156,7 @@ def test_partition_all_equal_sigma_is_all_certain(rng):
     part = partition_voxels(pool, pf, threshold=0.98)
     assert part.uncertain.size == 0
     assert part.certain.size == pool.bucket_sizes()[0].size
-    assert (part.normalized == 0).all()
+    assert (normalized_sigma(part) == 0).all()
 
 
 def test_partition_single_bucket_is_certain():
@@ -173,18 +179,18 @@ def test_partition_splits_at_normalized_threshold(rng):
     centers_unc = pool.bucket_centers(part.uncertain)
     assert (centers_unc[:, 0] > 2).all()  # the unsupervised cluster
     # normalized sigma of uncertain buckets >= threshold
-    sel = np.isin(part.keys, part.uncertain)
-    assert (part.normalized[sel] >= 0.98).all()
-    assert (part.normalized[~sel] < 0.98).all()
+    sel = np.isin(pool.bucket_sizes()[0], part.uncertain)
+    assert (normalized_sigma(part)[sel] >= 0.98).all()
+    assert (normalized_sigma(part)[~sel] < 0.98).all()
 
 
 def test_partition_keys_cover_pool():
     pool = pool_with([[0.1, 0.1, 0.1], [5.0, 5.0, 5.0], [9.0, 0.0, 0.0]])
     pf = PerturbField()
     part = partition_voxels(pool, pf, 0.98)
-    assert np.array_equal(np.sort(np.concatenate([part.uncertain, part.certain])),
-                          np.sort(part.keys))
-    assert np.array_equal(np.sort(part.keys), pool.bucket_sizes()[0])
+    keys = pool.bucket_sizes()[0]
+    assert np.array_equal(np.sort(np.concatenate([part.uncertain, part.certain])), keys)
+    assert part.sigma.shape == keys.shape
 
 
 # ---------------------------------------------------------------- draw
@@ -246,8 +252,7 @@ def test_draw_batch_no_certain_samples_backfills(rng):
     keys = pool.bucket_sizes()[0]
     unc_rows, cer_rows = isin_rows(pool, keys)
     part = VoxelPartition(uncertain=keys, certain=np.empty(0, np.int64),
-                          keys=keys, sigma=np.ones(keys.size),
-                          normalized=np.ones(keys.size),
+                          sigma=np.ones(keys.size),
                           uncertain_rows=unc_rows, certain_rows=cer_rows)
     rows = draw_batch(pool, part, 16, 4, np.random.default_rng(1))
     assert rows.shape == (16,)

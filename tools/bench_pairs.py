@@ -26,7 +26,10 @@ bitwise-identical evaluation is checked the same way.
 run.py scales its end-to-end times by a host-speed gauge. That scale can
 swing between workloads of one run, so after the table it also prints,
 per workload, each side's median of the raw wall times in the detail
-line's `wall` block and the change of that median.
+line's `wall` block and the change of that median. The same follows for
+the detail line's `stage_ms_per_sequence` (ms per mapped sequence in
+each frame stage: sample, allocate, pool, partition, optimize, fisher),
+so a change can show which stages moved and which stayed flat.
 
 If a run exits non-zero, it prints that run's pair, side, exit code and
 the tail of its stderr, then the summary of the pairs already finished,
@@ -50,8 +53,9 @@ def parse_run(stdout):
 
     Each workload prints a `detail {...}` line whose provenance block
     names it, then its one-line JSON result. The detail line's
-    `loss_trace_sha256` (None if absent), `wall` block ({} if absent)
-    and `quality` block (None if absent) are kept in the result.
+    `loss_trace_sha256` (None if absent), `wall` block ({} if absent),
+    `stage_ms_per_sequence` (as `stage_ms`, {} if absent) and `quality`
+    block (None if absent) are kept in the result.
     """
     results, detail = {}, None
     for line in stdout.splitlines():
@@ -61,6 +65,7 @@ def parse_run(stdout):
             result = json.loads(line)
             result["loss_trace_sha256"] = detail.get("loss_trace_sha256")
             result["wall"] = detail.get("wall", {})
+            result["stage_ms"] = detail.get("stage_ms_per_sequence", {})
             result["quality"] = detail.get("quality")
             results[detail["provenance"]["workload"]] = result
             detail = None
@@ -142,17 +147,19 @@ def quality_differences(pairs):
     return out
 
 
-def wall_medians(pairs):
-    """[(workload, name, base median, change median, % change)] of the raw wall times.
+def block_medians(pairs, block):
+    """[(workload, name, base median, change median, % change)] of a result's block.
 
-    One row per name in the `wall` block that every run of both sides reports.
+    block: "wall" (raw wall times) or "stage_ms" (ms per sequence in each
+    frame stage). One row per name in the block that every run of both
+    sides reports.
     """
     rows = []
     for workload in pairs[0][0]:
-        for name in pairs[0][0][workload]["wall"]:
-            if any(name not in side[workload]["wall"] for pair in pairs for side in pair):
+        for name in pairs[0][0][workload][block]:
+            if any(name not in side[workload][block] for pair in pairs for side in pair):
                 continue
-            base, change = (stats.median(pair[k][workload]["wall"][name] for pair in pairs)
+            base, change = (stats.median(pair[k][workload][block][name] for pair in pairs)
                             for k in (0, 1))
             pct = 100.0 * (change - base) / base if base else float("nan")
             rows.append((workload, name, base, change, pct))
@@ -208,12 +215,13 @@ def report(pairs, spec):
         print(f"{r['workload']:<13} {r['metric']:<16} {fmt(r['base']):>30} "
               f"{fmt(r['change']):>30} {r['delta_pct']:>+7.1f}% "
               f"{r['wins']:>3}/{r['pairs']:<2}  {'yes' if r['clear'] else 'no'}")
-    walls = wall_medians(pairs)
-    if walls:
-        print(f"{'workload':<13} {'wall time':<16} {'base median':>12} {'change median':>14} "
-              f"{'median':>8}")
-    for workload, name, b, c, pct in walls:
-        print(f"{workload:<13} {name:<16} {b:>12.4g} {c:>14.4g} {pct:>+7.1f}%")
+    for heading, block in (("wall time", "wall"), ("stage ms/seq", "stage_ms")):
+        rows = block_medians(pairs, block)
+        if rows:
+            print(f"{'workload':<13} {heading:<16} {'base median':>12} {'change median':>14} "
+                  f"{'median':>8}")
+        for workload, name, b, c, pct in rows:
+            print(f"{workload:<13} {name:<16} {b:>12.4g} {c:>14.4g} {pct:>+7.1f}%")
     for workload, (fb, fc, attempted, incorrect) in failures(pairs).items():
         print(f"{workload}: failed base {fb}, change {fc} of {attempted} operations; "
               f"{incorrect} runs with a failed check")

@@ -14,12 +14,13 @@ it prints one line per digest:
     loss_trace   the per-iteration losses, as `Sequence.loss_sha256` computes it
     fisher       the Fisher rows, then the Fisher field's vertex keys
     level<i>     level i's features, Adam first and second moments, and keys
+    pool         every replay pool column, in `pool._COLUMNS` order
     mesh         `extract_map_mesh` at perfbench's spacing: vertices, then faces
 
 Two checkouts that train bitwise alike print the same lines, so running
 it on both sides checks a bitwise claim on the loss, the Fisher sums, the
-grid arrays the checkpoint stores and the mesh, where perfbench's detail
-line carries only the loss trace.
+grid arrays the checkpoint stores, the replay pool and the mesh, where
+perfbench's detail line carries only the loss trace.
 """
 
 import argparse
@@ -35,7 +36,7 @@ def sha256(*arrays):
     return digest.hexdigest()
 
 
-def map_digests(workloads, mesher, name, seed, frames):
+def map_digests(workloads, mesher, pool_columns, name, seed, frames):
     """[(label, hex digest)] of one workload's map after `frames` scans (None: all)."""
     bench = workloads.Bench()
     inputs = workloads.WORKLOADS[name].setup(seed, bench)
@@ -47,6 +48,7 @@ def map_digests(workloads, mesher, name, seed, frames):
     for i, lvl in enumerate(mapper.grid.levels):
         out.append((f"level{i}", sha256(lvl.features, lvl.adam_m, lvl.adam_v,
                                         lvl.vertices.keys)))
+    out.append(("pool", sha256(*(getattr(mapper.pool, col) for col, _, _ in pool_columns))))
     mesh = mesher.extract_map_mesh(mapper.field, spacing=workloads.MESH_SPACING)
     out.append(("mesh", sha256(mesh.vertices, mesh.faces)))
     return out
@@ -65,13 +67,15 @@ def main(argv=None):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
     from tsdfmap import mesher
+    from tsdfmap.pool import _COLUMNS
 
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
     if not set(names) <= set(workloads.WORKLOADS):
         ap.error(f"unknown workload {args.workload!r}; choose from {sorted(workloads.WORKLOADS)}")
     for name in names:
         frames = "all" if args.frames is None else args.frames
-        for label, digest in map_digests(workloads, mesher, name, args.seed, args.frames):
+        for label, digest in map_digests(workloads, mesher, _COLUMNS, name, args.seed,
+                                          args.frames):
             print(f"{name:<13} seed {args.seed}  frames {frames:<4} {label:<11} {digest}",
                   flush=True)
 
