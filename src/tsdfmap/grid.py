@@ -114,7 +114,11 @@ def trilinear_weights(frac):
     Built corner-major, as whole rows of n: weight 4*bx + 2*by + bz is
     (fx[bx] * fy[by]) * fz[bz]. The (n, 8) result is a view of that block.
     """
-    fx, fy, fz = _axis_factors(frac)
+    return corner_weights(*_axis_factors(frac))
+
+
+def corner_weights(fx, fy, fz):
+    """Per-axis factors 1 - t and t, each (2, n) -> (n, 8) corner weights."""
     w = (fx[:, None, None] * fy[None, :, None]) * fz[None, None, :]  # (2, 2, 2, n)
     return w.reshape(8, fx.shape[1]).T
 
@@ -154,18 +158,20 @@ class InterpRecord(NamedTuple):
 
         Keeps only the cells that points[idx] fall in, in their order here.
         """
-        cells, index = [], []
-        for li, rows in enumerate(self.cells):
-            used = np.zeros(rows.shape[0], dtype=bool)
-            sub = self.cell_index[idx, li]
-            used[sub] = True
-            kept = np.flatnonzero(used)
-            renumber = np.empty(rows.shape[0], dtype=np.int64)
-            renumber[kept] = np.arange(kept.size)
-            cells.append(np.take(rows, kept, axis=0))
-            index.append(renumber[sub])
-        return InterpRecord(tuple(cells), np.stack(index, axis=1),
+        kept = [used_cells(rows, self.cell_index[idx, li]) for li, rows in enumerate(self.cells)]
+        return InterpRecord(tuple(cells for cells, _ in kept),
+                            np.stack([index for _, index in kept], axis=1),
                             np.take(self.weights, idx, axis=0))
+
+
+def used_cells(rows, index):
+    """The rows of the cells that `index` uses, in their order, and `index` renumbered to them."""
+    used = np.zeros(rows.shape[0], dtype=bool)
+    used[index] = True
+    kept = np.flatnonzero(used)
+    renumber = np.empty(rows.shape[0], dtype=np.int64)
+    renumber[kept] = np.arange(kept.size)
+    return np.take(rows, kept, axis=0), renumber[index]
 
 
 class GridLevel:
@@ -286,10 +292,61 @@ class FeatureGrid:
                                self.corner_features(record, li))
         return feats, record
 
+    def locate_lattice(self, axes, nodes):
+        """`voxels_allocated` and `locate` of lattice nodes given by linear index.
+
+        Node (i, j, k) sits at (axes[0][i], axes[1][j], axes[2][k]) and has
+        linear index (i * ny + j) * nz + k. Returns (ok, record): ok (n,) is
+        `voxels_allocated` of the nodes' points, and record is the record of
+        the points of nodes[ok], each point's corner rows and weights bit for
+        bit those of `locate` (cells in key order). Cells and fractions come
+        per axis, from the same floats `cell_of` sees on the points. A node's
+        cell is numbered by the ranks of its axis cells within the chunk's
+        span, so marking those codes lists the distinct cells in key order
+        without a sort, and each is looked up once.
+        """
+        ijk = np.unravel_index(nodes, tuple(len(a) for a in axes))
+        span = [slice(i.min(), i.max() + 1) for i in ijk]
+        ok = np.ones(len(nodes), dtype=bool)
+        found = []
+        for lvl in self.levels:
+            base, frac = zip(*(cell_of(a, lvl.voxel_size) for a in axes))
+            distinct, rank = zip(*(np.unique(b, return_inverse=True) for b in base))
+            lows = [r[s].min() for r, s in zip(rank, span)]
+            shape = tuple(int(r[s].max() - low) + 1 for r, s, low in zip(rank, span, lows))
+            strides = (shape[1] * shape[2], shape[2], 1)
+            gx, gy, gz = ((r - low) * st for r, low, st in zip(rank, lows, strides))
+            code = gx[ijk[0]]
+            code += gy[ijk[1]]
+            code += gz[ijk[2]]
+            mark = np.zeros(np.prod(shape), dtype=bool)
+            mark[code] = True
+            present = np.flatnonzero(mark)  # ascending code is ascending key
+            number = np.empty(mark.size, dtype=np.int64)
+            number[present] = np.arange(present.size)
+            cells = np.stack([d[r + low] for d, r, low
+                              in zip(distinct, np.unravel_index(present, shape), lows)], axis=1)
+            rows = lvl.vertices.lookup(corner_keys(cell_keys(cells))).reshape(-1, 8)
+            index = number[code]
+            ok &= (rows >= 0).all(axis=1)[index]
+            found.append((rows, index, [np.stack([1.0 - f, f]) for f in frac]))  # per-axis factors
+        hit = np.flatnonzero(ok)
+        hit_ijk = [i[hit] for i in ijk]
+        kept = [used_cells(rows, index[hit]) for rows, index, _ in found]
+        weights = np.empty((hit.size, self.n_levels, 8))  # C order, as `locate` lays it out
+        for li, (_, _, factors) in enumerate(found):
+            hit_factors = (np.take(f, i, axis=1) for f, i in zip(factors, hit_ijk))
+            weights[:, li] = corner_weights(*hit_factors)
+        return ok, InterpRecord(tuple(cells for cells, _ in kept),
+                                np.stack([index for _, index in kept], axis=1), weights)
+
     def voxels_allocated(self, points):
         """Boolean mask: point lies in a fully allocated voxel at every level.
 
-        Each distinct cell is checked once and the answer broadcast to its points.
+        Each distinct cell is checked once and the answer broadcast to its
+        points. The mesher uses `locate_lattice`; this per-point form is its
+        oracle in the tests, and perfbench's `grid.voxels_allocated` probe
+        names it.
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         ok = np.ones(pts.shape[0], dtype=bool)

@@ -60,26 +60,33 @@ def eval_sdf_grid(field, bounds, spacing: float = 0.10, batch_size: int = 65536)
 
     Nodes whose enclosing voxels are unallocated at any level get
     valid=False and NaN values. Raises EmptyMap when nothing is valid.
-    Nodes are evaluated batch_size at a time; the batch size can move
-    node values in the last bits, but not which nodes are valid.
+    Nodes are taken batch_size at a time in linear order, and each batch's
+    valid nodes go to the decoder in one call. Keep these batches: the
+    decoder's matrix products are not invariant to row batching (a GEMM
+    treats the tail rows of a block differently), so another batch size, or
+    splitting a batch, can move node values in the last bits, but not which
+    nodes are valid. Only `values`, `valid` and one batch's arrays are held:
+    nodes are located on the lattice by index (`FeatureGrid.locate_lattice`),
+    and coordinates are formed only for the valid nodes of a batch.
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be a positive node count, got {batch_size}")
     lo, dims, axes = _node_grid(bounds, spacing)
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    valid = np.zeros(nodes.shape[0], dtype=bool)
-    values = np.full(nodes.shape[0], np.nan)
-    for s in range(0, nodes.shape[0], batch_size):
-        chunk = nodes[s : s + batch_size]
-        ok = field.grid.voxels_allocated(chunk)
-        valid[s : s + batch_size] = ok
+    shape = tuple(dims)
+    n = int(np.prod(dims))
+    valid = np.zeros(n, dtype=bool)
+    values = np.full(n, np.nan)
+    for s in range(0, n, batch_size):
+        nodes = np.arange(s, min(s + batch_size, n))
+        ok, record = field.grid.locate_lattice(axes, nodes)
+        valid[s : s + nodes.size] = ok
         if ok.any():
-            preds, _ = field.predict(chunk[ok])
-            idx = s + np.flatnonzero(ok)
-            values[idx] = preds
+            idx = nodes[ok]
+            points = np.stack([a[i] for a, i in zip(axes, np.unravel_index(idx, shape))], axis=1)
+            # the forward cache is dropped here, not held through the next batch
+            values[idx] = field.predict(points, record=record)[0]
     if not valid.any():
         raise EmptyMap("no grid node falls inside an allocated voxel")
-    shape = tuple(dims)
     return SdfGrid(lo, float(spacing), values.reshape(shape), valid.reshape(shape))
 
 

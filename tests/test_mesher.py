@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tsdfmap.decoder import SdfDecoder
 from tsdfmap.errors import EmptyMap, NoSurface
 from tsdfmap.field import NeuralSdfField
-from tsdfmap.grid import FeatureGrid
+from tsdfmap.grid import CORNER_OFFSETS, FeatureGrid, cell_of
+from tsdfmap.hashmap import pack_coords
 from tsdfmap.kernels.mc_tables import CASE_EDGES, CASE_TRIANGLES
 from tsdfmap.mesher import (
     SdfGrid,
     TriMesh,
+    _node_grid,
     eval_sdf_grid,
     extract_mesh,
     load_mesh,
@@ -143,12 +147,14 @@ class StubField:
         self.box = np.asarray(box, dtype=np.float64)
         self.grid = self  # mesher reads allocation through field.grid
 
-    def predict(self, pts):
+    def predict(self, pts, record=None):
         return self.fn(np.asarray(pts)), None
 
-    def voxels_allocated(self, pts):
-        p = np.asarray(pts)
-        return ((p >= self.box[0]) & (p <= self.box[1])).all(axis=1)
+    def locate_lattice(self, axes, nodes):
+        """The nodes inside the box; no record, since `predict` needs none."""
+        ijk = np.unravel_index(nodes, tuple(len(a) for a in axes))
+        p = np.stack([a[i] for a, i in zip(axes, ijk)], axis=1)
+        return ((p >= self.box[0]) & (p <= self.box[1])).all(axis=1), None
 
     def bounds(self):
         return self.box[0], self.box[1]
@@ -185,6 +191,115 @@ def test_eval_sdf_grid_batch_size_keeps_the_mask_and_the_values(rng):
     # the batch size may move a value in its last bits, no more
     np.testing.assert_allclose(small.values[small.valid], default.values[default.valid],
                                rtol=0, atol=1e-12)
+
+
+def dense_sdf_grid(field, bounds, spacing, batch_size=65536):
+    """The mesher's former dense path: every node's coordinates, then
+    `voxels_allocated` and a fresh `predict` per batch."""
+    lo, dims, axes = _node_grid(bounds, spacing)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    valid = np.zeros(nodes.shape[0], dtype=bool)
+    values = np.full(nodes.shape[0], np.nan)
+    for s in range(0, nodes.shape[0], batch_size):
+        chunk = nodes[s : s + batch_size]
+        ok = field.grid.voxels_allocated(chunk)
+        valid[s : s + batch_size] = ok
+        if ok.any():
+            preds, _ = field.predict(chunk[ok])
+            values[s + np.flatnonzero(ok)] = preds
+    shape = tuple(dims)
+    return SdfGrid(lo, float(spacing), values.reshape(shape), valid.reshape(shape))
+
+
+@pytest.fixture(scope="module")
+def lattice_field():
+    """A two-level map with a cluster straddling zero, one below zero on every
+    axis, and one level-0 cell, (3, 0, 0), whose level-1 cell is unallocated."""
+    rng = np.random.default_rng(7)
+    grid = FeatureGrid(voxel_sizes=(0.3, 0.45), feature_dim=4)
+    field = NeuralSdfField(grid, SdfDecoder(feature_dim=4, hidden_units=16, rng=rng))
+    grid.allocate(np.vstack([rng.uniform(-0.7, 0.6, size=(600, 3)),
+                             rng.uniform(-2.4, -1.6, size=(300, 3))]))
+    lvl = grid.levels[0]
+    lvl.vertices.insert(pack_coords(np.array([3, 0, 0]) + CORNER_OFFSETS))
+    lvl.ensure_rows(lvl.n_vertices)
+    for lvl in grid.levels:
+        lvl.features[:] = rng.standard_normal(lvl.features.shape)
+    return field
+
+
+def assert_same_sdf_grid(got, want):
+    assert np.array_equal(got.origin, want.origin) and got.spacing == want.spacing
+    assert np.array_equal(got.valid, want.valid)
+    assert np.array_equal(np.isnan(got.values), ~want.valid)
+    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+
+@pytest.mark.parametrize("bounds, spacing, batch_size", [
+    (((-0.83, -0.71, -0.77), (0.69, 0.74, 0.58)), 0.05, 1000),  # straddles zero, off cells
+    (((-0.83, -0.71, -0.77), (0.69, 0.74, 0.58)), 0.05, 65536),
+    (((-0.83, -0.71, -0.77), (0.69, 0.74, 0.58)), 0.10, 7),
+    (((-0.83, -0.71, -0.77), (0.69, 0.74, 0.58)), 0.50, 7),  # coarser than both levels
+    (((-2.57, -2.49, -2.61), (-1.43, -1.52, -1.47)), 0.05, 1000),  # all negative
+    (((-2.57, -2.49, -2.61), (-1.43, -1.52, -1.47)), 0.10, 7),
+    (((-2.6, -2.6, -2.6), (1.3, 0.7, 0.7)), 0.10, 65536),  # both clusters
+    (((-2.6, -2.6, -2.6), (1.3, 0.7, 0.7)), 0.50, 1000),
+    (((0.65, -0.13, -0.11), (1.45, 0.37, 0.33)), 0.05, 7),  # the level-0-only cell
+])
+def test_eval_sdf_grid_equals_the_dense_path_bitwise(lattice_field, bounds, spacing,
+                                                     batch_size):
+    want = dense_sdf_grid(lattice_field, bounds, spacing, batch_size)
+    got = eval_sdf_grid(lattice_field, bounds, spacing, batch_size=batch_size)
+    assert 0 < want.valid.sum() < want.valid.size
+    assert_same_sdf_grid(got, want)
+
+
+def test_lattice_nodes_valid_at_level_0_only_stay_invalid(lattice_field):
+    bounds = ((0.65, -0.13, -0.11), (1.45, 0.37, 0.33))
+    got = eval_sdf_grid(lattice_field, bounds, spacing=0.05, batch_size=7)
+    lo, dims, axes = _node_grid(bounds, 0.05)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    per_level = []
+    for lvl in lattice_field.grid.levels:
+        coords = cell_of(nodes, lvl.voxel_size)[0][:, None, :] + CORNER_OFFSETS
+        per_level.append((lvl.vertices.lookup(pack_coords(coords)).reshape(-1, 8) >= 0)
+                         .all(axis=1))
+    level0_only = per_level[0] & ~per_level[1]
+    assert level0_only.any() and (per_level[0] & per_level[1]).any()
+    assert np.array_equal(got.valid.reshape(-1), per_level[0] & per_level[1])
+
+
+def test_locate_lattice_is_locate_of_the_valid_nodes(lattice_field):
+    grid = lattice_field.grid
+    lo, dims, axes = _node_grid(((-0.83, -0.71, -0.77), (0.69, 0.74, 1.4)), 0.1)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    chunk = np.arange(37, 2100)  # starts and ends mid-row
+    ok, record = grid.locate_lattice(axes, chunk)
+    assert np.array_equal(ok, grid.voxels_allocated(nodes[chunk]))
+    want = grid.locate(nodes[chunk][ok])
+    for li in range(grid.n_levels):
+        assert np.array_equal(record.cells[li][record.cell_index[:, li]],
+                              want.cells[li][want.cell_index[:, li]])
+        # only the cells of valid nodes, each once, in key order
+        assert np.array_equal(np.unique(record.cell_index[:, li]),
+                              np.arange(record.cells[li].shape[0]))
+        assert record.cells[li].shape == want.cells[li].shape
+    assert np.array_equal(record.weights.view(np.uint64), want.weights.view(np.uint64))
+    assert record.weights.flags.c_contiguous
+
+
+def test_eval_sdf_grid_holds_no_box_of_coordinates(lattice_field):
+    bounds = ((-3.0, -3.0, -3.0), (3.3, 3.3, 3.3))  # 127^3 = 2.05 M nodes at 0.05 m
+    tracemalloc.start()
+    try:
+        got = eval_sdf_grid(lattice_field, bounds, spacing=0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nodes = got.valid.size
+    assert nodes >= 2_000_000 and got.valid.any()
+    # a (nodes, 3) float64 coordinate array alone would take 24 bytes a node
+    assert peak < 24 * nodes
 
 
 @pytest.mark.parametrize("batch_size", [0, -5])
