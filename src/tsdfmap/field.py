@@ -1,6 +1,7 @@
 """Neural signed-distance field: sparse feature grid + MLP decoder.
 
-predict() runs grid interpolation and the decoder; backward_mse()
+predict() runs grid interpolation and the decoder, and sdf() does the
+same without the training cache, for reads such as meshing; backward_mse()
 produces the gradients adam_step() consumes; spatial_gradient() is the
 analytic d(sdf)/d(position) used by the Fisher accumulation and by
 surface-normal queries.
@@ -37,6 +38,12 @@ class NeuralSdfField:
         feats, record = self.grid.interpolate(pts, record)
         preds, dec_cache = self.decoder.forward(feats)
         return preds, FieldCache(preds, record, dec_cache)
+
+    def sdf(self, points, record=None):
+        """(n, 3) world points -> (n,) sdf; `predict`'s values, bitwise,
+        without its cache. Raises UnallocatedQuery."""
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        return self.decoder.values(self.grid.interpolate(pts, record)[0])
 
     def backward_mse(self, cache: FieldCache, labels):
         """MSE loss and its gradients w.r.t. decoder params and grid rows."""

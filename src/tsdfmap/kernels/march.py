@@ -21,7 +21,7 @@ EDGE_BASE = np.minimum(_a, _b)
 
 
 def classify_cells(values, valid):
-    """Flat ids + case index of cells that are valid and cut the surface.
+    """Flat ids + uint8 case index of cells that are valid and cut the surface.
 
     A corner is inside when its value < 0; bit i of the case index is
     corner v_i's inside flag. Cells with any invalid corner, or case
@@ -29,17 +29,18 @@ def classify_cells(values, valid):
     """
     nx, ny, nz = values.shape
     if min(nx, ny, nz) < 2:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    inside = values < 0.0
+        return np.empty(0, np.int64), np.empty(0, np.uint8)
+    inside = (values < 0.0).view(np.uint8)
 
     def corner_block(arr, c):
         dx, dy, dz = MC_CORNERS[c]
         return arr[dx : nx - 1 + dx, dy : ny - 1 + dy, dz : nz - 1 + dz]
 
-    case = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.int64)
+    case = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint8)
+    bit = np.empty_like(case)
     ok = np.ones((nx - 1, ny - 1, nz - 1), dtype=bool)
     for c in range(8):
-        case |= corner_block(inside, c).astype(np.int64) << c
+        case |= np.left_shift(corner_block(inside, c), np.uint8(c), out=bit)
         ok &= corner_block(valid, c)
     keep = ok & (case > 0) & (case < 255)
     cell_ids = np.flatnonzero(keep.ravel())

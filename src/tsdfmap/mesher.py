@@ -67,7 +67,8 @@ def eval_sdf_grid(field, bounds, spacing: float = 0.10, batch_size: int = 65536)
     splitting a batch, can move node values in the last bits, but not which
     nodes are valid. Only `values`, `valid` and one batch's arrays are held:
     nodes are located on the lattice by index (`FeatureGrid.locate_lattice`),
-    and coordinates are formed only for the valid nodes of a batch.
+    coordinates are formed only for the valid nodes of a batch, and the
+    decoder runs values-only (`NeuralSdfField.sdf`), keeping no training cache.
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be a positive node count, got {batch_size}")
@@ -83,8 +84,7 @@ def eval_sdf_grid(field, bounds, spacing: float = 0.10, batch_size: int = 65536)
         if ok.any():
             idx = nodes[ok]
             points = np.stack([a[i] for a, i in zip(axes, np.unravel_index(idx, shape))], axis=1)
-            # the forward cache is dropped here, not held through the next batch
-            values[idx] = field.predict(points, record=record)[0]
+            values[idx] = field.sdf(points, record=record)
     if not valid.any():
         raise EmptyMap("no grid node falls inside an allocated voxel")
     return SdfGrid(lo, float(spacing), values.reshape(shape), valid.reshape(shape))

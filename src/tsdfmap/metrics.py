@@ -60,8 +60,13 @@ def sample_surface(mesh, n: int, rng):
     if not total > 0:
         raise EmptyMesh("mesh has zero total area")
     cum = np.cumsum(area)
-    tri = np.searchsorted(cum, rng.random(n) * total, side="right")
-    tri = np.minimum(tri, area.shape[0] - 1)
+    # looked up in ascending order, each search starts near the last one;
+    # a triangle id depends only on its draw, so the order changes nothing
+    draw = rng.random(n) * total
+    order = np.argsort(draw)
+    tri = np.empty(n, dtype=np.int64)
+    tri[order] = np.searchsorted(cum, draw[order], side="right")
+    np.minimum(tri, area.shape[0] - 1, out=tri)
     r1 = np.sqrt(rng.random(n))
     r2 = rng.random(n)
     a, b, c = v[tri, 0], v[tri, 1], v[tri, 2]
@@ -99,9 +104,26 @@ def nn_distances(a, b):
     return query(ta, tb), query(tb, ta)
 
 
-def _as_points(obj, cfg: EvalConfig):
+def _first_nonfinite(points, used=None):
+    """Index of the first row with a NaN or inf coordinate among the rows
+    `used` indexes (all rows by default), or None."""
+    bad = ~np.isfinite(points).all(axis=1)
+    if used is not None and bad.any():
+        bad &= np.isin(np.arange(bad.size), used)
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
+
+
+def _as_points(obj, cfg: EvalConfig, side: str):
     if isinstance(obj, np.ndarray):
-        return obj.reshape(-1, 3)
+        points = obj.reshape(-1, 3)
+        bad = _first_nonfinite(points)
+        if bad is not None:
+            raise ValueError(f"{side}: point {bad} is not finite: {points[bad]}")
+        return points
+    bad = _first_nonfinite(obj.vertices, obj.faces)
+    if bad is not None:
+        raise ValueError(f"{side}: mesh vertex {bad} is not finite: {obj.vertices[bad]}")
     # identical meshes must sample identical points, so each side gets
     # its own rng seeded the same way: evaluate(X, X) is exactly 0/100
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A]))
@@ -109,10 +131,14 @@ def _as_points(obj, cfg: EvalConfig):
 
 
 def evaluate(recon, gt, cfg: EvalConfig = None) -> EvalResult:
-    """Compare a reconstructed mesh against ground truth (mesh or cloud)."""
+    """Compare a reconstructed mesh against ground truth (mesh or cloud).
+
+    Raises ValueError naming the side and the first point, or vertex
+    used by a face, with a NaN or inf coordinate.
+    """
     cfg = cfg if cfg is not None else EvalConfig()
-    rp = _as_points(recon, cfg)
-    gp = _as_points(gt, cfg)
+    rp = _as_points(recon, cfg, "recon")
+    gp = _as_points(gt, cfg, "gt")
     d_rg, d_gr = nn_distances(rp, gp)
     acc = float(d_rg.mean())
     comp = float(d_gr.mean())

@@ -7,7 +7,7 @@ import pytest
 
 from tsdfmap.cli import main
 from tsdfmap.kernels import JIT_ENABLED
-from tsdfmap.plyio import load_ply, write_points_ply
+from tsdfmap.plyio import load_ply, write_mesh_ply, write_points_ply
 
 RUN_YAML = """\
 seed: 3
@@ -366,6 +366,21 @@ def test_eval_names_a_mesh_with_an_out_of_range_index(workdir, capsys):
     assert main(["eval", str(bad), str(bad)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: face index outside [0, 3)")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eval_names_a_non_finite_vertex_or_point(workdir, capsys, bad):
+    square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=np.float64)
+    faces = np.array([[0, 1, 2], [0, 2, 3]])
+    good, broken, cloud = (workdir / f"{name}_{bad}.ply" for name in ("good", "broken", "cloud"))
+    write_mesh_ply(good, square, faces)
+    square[3, 2] = bad
+    write_mesh_ply(broken, square, faces)
+    write_points_ply(cloud, square)
+    assert main(["eval", str(broken), str(good)]) == 1
+    assert capsys.readouterr().err.startswith("error: recon: mesh vertex 3 is not finite")
+    assert main(["eval", str(good), str(cloud)]) == 1
+    assert capsys.readouterr().err.startswith("error: gt: point 3 is not finite")
 
 
 @pytest.mark.parametrize("command", ["map", "eval"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from tsdfmap.decoder import PARAM_NAMES, SdfDecoder, softplus
+from tsdfmap.decoder import BLOCK_ROWS, PARAM_NAMES, SdfDecoder, softplus
 
 
 def manual_forward(dec, x):
@@ -47,6 +47,36 @@ def test_one_buffer_softplus_equals_the_five_temporary_form_bitwise():
         assert got[finite].tobytes() == want[finite].tobytes()
         assert np.isnan(got[~finite]).all()
         assert np.array_equal(arr, before, equal_nan=True)  # the input is not mutated
+
+
+@pytest.mark.parametrize("shape", [(3 * BLOCK_ROWS + 5,), (BLOCK_ROWS - 1, 7),
+                                   (BLOCK_ROWS, 32), (2 * BLOCK_ROWS + 1, 32), (1, 32)])
+def test_in_place_softplus_equals_the_new_buffer_form_bitwise(rng, shape):
+    x = 30.0 * rng.standard_normal(shape)
+    x.flat[:5] = [800.0, -800.0, np.inf, -np.inf, np.nan]
+    before = x.copy()
+    with np.errstate(all="raise"):
+        want = softplus(x)
+        assert x.tobytes() == before.tobytes()  # the default leaves the input as it is
+        assert softplus(x, out=x) is x
+    assert x.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               3 * BLOCK_ROWS + 5])
+def test_values_are_the_forward_values_bitwise(rng, n):
+    dec = SdfDecoder(feature_dim=8, hidden_units=32, rng=rng)
+    dec.params["b1"][:] = rng.standard_normal(32)
+    dec.params["b2"][:] = rng.standard_normal(32)
+    dec.params["b3"][:] = 0.3
+    x = 3.0 * rng.standard_normal((n, 8))
+    for row, v in enumerate([800.0, -800.0, np.inf, -np.inf, np.nan][:n]):
+        x[row * (n // 5)] = v
+    with np.errstate(invalid="ignore"):  # inf and NaN features make NaN products
+        got = dec.values(x)
+        want = dec.forward(x)[0]
+    assert got.shape == (n,)
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
 def test_forward_matches_manual(rng):

@@ -33,6 +33,13 @@ def test_predict_composes_interpolate_and_decode(rng):
     assert cache.preds is preds
 
 
+def test_sdf_is_predict_without_the_cache_bitwise(rng):
+    field, pts = make_field(rng, feature_dim=8, hidden=32)
+    preds, _ = field.predict(pts)
+    assert field.sdf(pts).tobytes() == preds.tobytes()
+    assert field.sdf(pts, record=field.grid.locate(pts)).tobytes() == preds.tobytes()
+
+
 def test_backward_mse_loss_value(rng):
     field, pts = make_field(rng)
     labels = rng.standard_normal(pts.shape[0])

@@ -19,7 +19,7 @@ from tsdfmap.kernels.hashkern import (
     lookup_rows_numpy,
 )
 from tsdfmap.kernels.march import classify_cells, emit_triangles
-from tsdfmap.kernels.mc_tables import CASE_TRIANGLES
+from tsdfmap.kernels.mc_tables import CASE_TRIANGLES, MC_CORNERS
 from tsdfmap.kernels.scatter import (
     adam_update_rows_numba,
     adam_update_rows_numpy,
@@ -195,6 +195,36 @@ def _emit_triangles_per_cell(cases, tri_table, counts, offsets, out_cell, out_ed
             out_edges[o + t, 0] = tri_table[c, 3 * t]
             out_edges[o + t, 1] = tri_table[c, 3 * t + 1]
             out_edges[o + t, 2] = tri_table[c, 3 * t + 2]
+
+
+def _classify_cells_int64(values, valid):
+    """Reference: the case index built in int64, one temporary per corner."""
+    nx, ny, nz = values.shape
+    inside = values < 0.0
+    case = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.int64)
+    ok = np.ones((nx - 1, ny - 1, nz - 1), dtype=bool)
+    for c, (dx, dy, dz) in enumerate(MC_CORNERS):
+        case |= inside[dx : nx - 1 + dx, dy : ny - 1 + dy, dz : nz - 1 + dz].astype(np.int64) << c
+        ok &= valid[dx : nx - 1 + dx, dy : ny - 1 + dy, dz : nz - 1 + dz]
+    cell_ids = np.flatnonzero((ok & (case > 0) & (case < 255)).ravel())
+    return cell_ids, case.ravel()[cell_ids]
+
+
+def test_classify_cells_matches_an_int64_case_index(rng):
+    for shape in [(9, 7, 11), (2, 2, 2), (2, 30, 3)]:
+        values = rng.standard_normal(shape)
+        draw = rng.random(shape)
+        values[draw < 0.1] = 0.0
+        values[(draw >= 0.1) & (draw < 0.2)] = -0.0
+        values[(draw >= 0.2) & (draw < 0.25)] = np.nan
+        valid = rng.random(shape) > 0.05
+        want_ids, want_cases = _classify_cells_int64(values, valid)
+        got_ids, got_cases = classify_cells(values, valid)
+        assert got_cases.dtype == np.uint8
+        assert np.array_equal(got_ids, want_ids)
+        assert np.array_equal(got_cases, want_cases)
+    ids, cases = classify_cells(np.zeros((1, 4, 4)), np.ones((1, 4, 4), dtype=bool))
+    assert ids.size == 0 and cases.size == 0
 
 
 def test_emit_triangles_matches_per_cell_loop(rng):

@@ -147,11 +147,11 @@ class StubField:
         self.box = np.asarray(box, dtype=np.float64)
         self.grid = self  # mesher reads allocation through field.grid
 
-    def predict(self, pts, record=None):
-        return self.fn(np.asarray(pts)), None
+    def sdf(self, pts, record=None):
+        return self.fn(np.asarray(pts))
 
     def locate_lattice(self, axes, nodes):
-        """The nodes inside the box; no record, since `predict` needs none."""
+        """The nodes inside the box; no record, since `sdf` needs none."""
         ijk = np.unravel_index(nodes, tuple(len(a) for a in axes))
         p = np.stack([a[i] for a, i in zip(axes, ijk)], axis=1)
         return ((p >= self.box[0]) & (p <= self.box[1])).all(axis=1), None
@@ -300,6 +300,28 @@ def test_eval_sdf_grid_holds_no_box_of_coordinates(lattice_field):
     assert nodes >= 2_000_000 and got.valid.any()
     # a (nodes, 3) float64 coordinate array alone would take 24 bytes a node
     assert peak < 24 * nodes
+
+
+def test_eval_sdf_grid_holds_no_decoder_cache():
+    rng = np.random.default_rng(3)
+    grid = FeatureGrid(voxel_sizes=(0.3, 0.45), feature_dim=4)
+    ax = np.arange(-1.0, 1.01, 0.1)
+    grid.allocate(np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3))
+    for lvl in grid.levels:
+        lvl.features[:] = rng.standard_normal(lvl.features.shape)
+    dec = SdfDecoder(feature_dim=4, hidden_units=128, rng=rng)
+    batch = 16384
+    tracemalloc.start()
+    try:
+        got = eval_sdf_grid(NeuralSdfField(grid, dec), ((-0.9,) * 3, (0.9,) * 3), spacing=0.05,
+                            batch_size=batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.valid.all() and got.valid.size > 3 * batch
+    # a full batch's forward cache (x, z1, a1, z2, a2) alone would take this
+    cache_bytes = batch * 8 * (dec.feature_dim + 4 * dec.hidden_units)
+    assert peak - got.values.nbytes - got.valid.nbytes < cache_bytes
 
 
 @pytest.mark.parametrize("batch_size", [0, -5])

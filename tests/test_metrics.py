@@ -70,6 +70,90 @@ def test_sample_surface_zero_area_mesh():
         sample_surface(mesh, 10, np.random.default_rng(0))
 
 
+def sample_surface_in_draw_order(mesh, n, rng):
+    """Reference: each area draw looked up in the order it was drawn."""
+    v = mesh.vertices[mesh.faces]
+    cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    area = 0.5 * np.linalg.norm(cross, axis=1)
+    cum = np.cumsum(area)
+    tri = np.searchsorted(cum, rng.random(n) * area.sum(), side="right")
+    tri = np.minimum(tri, area.shape[0] - 1)
+    r1 = np.sqrt(rng.random(n))
+    r2 = rng.random(n)
+    a, b, c = v[tri, 0], v[tri, 1], v[tri, 2]
+    return (1.0 - r1)[:, None] * a + (r1 * (1.0 - r2))[:, None] * b + (r1 * r2)[:, None] * c
+
+
+class ListedDraws:
+    """An rng stand-in whose random(n) returns the next listed array."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, n):
+        out = np.asarray(self.draws.pop(0), dtype=np.float64)
+        assert out.shape == (n,)
+        return out
+
+
+def test_sorted_lookup_samples_the_points_of_draw_order(rng):
+    # right triangles of area 2^k and zero-area ones: every cumsum is exact
+    verts, faces = [], []
+    for i, k in enumerate([0, -1, None, 2, None, None, -3, 1, None]):
+        z = float(i)
+        if k is None:  # collinear
+            tri = [[0, 0, z], [1, 0, z], [2, 0, z]]
+        else:
+            tri = [[0, 0, z], [2.0 ** (k + 1), 0, z], [0, 1, z]]
+        faces.append(np.arange(3) + 3 * i)
+        verts.extend(tri)
+    mesh = TriMesh(np.array(verts, dtype=np.float64), np.array(faces))
+    v = mesh.vertices[mesh.faces]
+    area = 0.5 * np.linalg.norm(np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1)
+    cum = np.cumsum(area)
+    boundaries = cum / area.sum()  # draws that land exactly on a cumsum value
+    assert (boundaries * area.sum() == cum).all()
+    last = np.nextafter(1.0, 0.0)
+    area_draws = np.concatenate([boundaries[::-1], [0.0, last, 0.3, 0.0], boundaries])
+    n = area_draws.size
+    r1, r2 = rng.random(n), rng.random(n)
+    got = sample_surface(mesh, n, ListedDraws(area_draws, r1, r2))
+    want = sample_surface_in_draw_order(mesh, n, ListedDraws(area_draws, r1, r2))
+    assert got.tobytes() == want.tobytes()
+    # below the total, no draw lands on a zero-area triangle; at it, the last one is taken
+    below = area_draws * area.sum() < cum[-1]
+    assert not np.isin(got[below, 2], [2.0, 4.0, 5.0, 8.0]).any()
+    for n in (1, 5000):
+        seed = np.random.SeedSequence(11)
+        got = sample_surface(mesh, n, np.random.default_rng(seed))
+        want = sample_surface_in_draw_order(mesh, n, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_names_a_non_finite_mesh_vertex(bad):
+    square = two_triangle_square()
+    broken = TriMesh(square.vertices.copy(), square.faces)
+    broken.vertices[2, 1] = bad
+    cfg = EvalConfig(n_points=100)
+    with pytest.raises(ValueError, match="^recon: mesh vertex 2 is not finite"):
+        evaluate(broken, square, cfg)
+    with pytest.raises(ValueError, match="^gt: mesh vertex 2 is not finite"):
+        evaluate(square, broken, cfg)
+    # a vertex no face uses is never sampled, so it does not matter
+    unused = TriMesh(np.vstack([square.vertices, [[bad, 0.0, 0.0]]]), square.faces)
+    assert evaluate(unused, square, cfg).chamfer_l1_cm == 0.0
+
+
+def test_evaluate_names_a_non_finite_cloud_point():
+    square = two_triangle_square()
+    cloud = np.array([[0.5, 0.5, 0.0], [0.2, 0.2, 0.0], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]])
+    with pytest.raises(ValueError, match="^gt: point 2 is not finite"):
+        evaluate(square, cloud, EvalConfig(n_points=100))
+    with pytest.raises(ValueError, match="^recon: point 2 is not finite"):
+        evaluate(cloud, square, EvalConfig(n_points=100))
+
+
 def test_nn_distances_matches_brute_force(rng):
     src = rng.standard_normal((100, 3))
     dst = rng.standard_normal((80, 3))

@@ -16,6 +16,8 @@ it prints one line per digest:
     level<i>     level i's features, Adam first and second moments, and keys
     pool         every replay pool column, in `pool._COLUMNS` order
     mesh         `extract_map_mesh` at perfbench's spacing: vertices, then faces
+    eval         that mesh scored against the workload's ground truth with
+                 perfbench's `EVAL`: the six `EvalResult` floats, in field order
 
 Two checkouts that train bitwise alike print the same lines, so running
 it on both sides checks a bitwise claim on the loss, the Fisher sums, the
@@ -24,9 +26,12 @@ perfbench's detail line carries only the loss trace.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
+
+import numpy as np
 
 
 def sha256(*arrays):
@@ -51,6 +56,8 @@ def map_digests(workloads, mesher, pool_columns, name, seed, frames):
     out.append(("pool", sha256(*(getattr(mapper.pool, col) for col, _, _ in pool_columns))))
     mesh = mesher.extract_map_mesh(mapper.field, spacing=workloads.MESH_SPACING)
     out.append(("mesh", sha256(mesh.vertices, mesh.faces)))
+    quality = workloads.metrics.evaluate(mesh, inputs.gt, workloads.EVAL)
+    out.append(("eval", sha256(np.array(dataclasses.astuple(quality)))))
     return out
 
 
