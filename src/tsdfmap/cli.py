@@ -2,8 +2,8 @@
 
 Flag precedence: command-line flags override config-file values, which
 override defaults. Every `map` run writes a manifest.json holding the
-fully resolved config, seed, package version and runtime (kernel lane,
-library versions, CPU count), so any run can be reproduced bit-for-bit
+fully resolved config, seed, package version and runtime (library
+versions, CPU count), so any run can be reproduced bit-for-bit
 from its output directory alone.
 """
 
@@ -22,7 +22,6 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_to_dict, load_config
 from .errors import MalformedFile, MappingError, PoseCountMismatch, UnsupportedFormat
-from .kernels import JIT_ENABLED
 from .mesher import extract_map_mesh, load_mesh, write_mesh
 from .metrics import evaluate, write_eval_csv, write_eval_json
 from .plyio import SCAN_SUFFIXES, load_scan, write_points_ply
@@ -58,7 +57,6 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, extra: dict):
         "seed": cfg.seed,
         "config": config_to_dict(cfg),
         "runtime": {
-            "jit_enabled": JIT_ENABLED,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,

@@ -4,31 +4,20 @@ Tables are power-of-two sized with linear probing and a splitmix64-style
 bit mixer. Keys are non-negative packed coordinate triples; the empty
 slot sentinel is -1. `insert_rows` only places keys: its caller passes
 distinct keys that are absent from the table, and `VoxelHash` owns
-deduplication, lookup of present keys and row numbering. The compiled
-lane probes key by key; the numpy lane advances every pending key one
-slot per round. Both lanes return the same rows, but insertion may
-leave keys in different slots. Either lane's lookup works on a table
-either lane filled: a key always sits after an unbroken run of occupied
-slots from its home slot.
+deduplication, lookup of present keys and row numbering. Both probes
+advance every pending key one slot per round. A key always sits after an
+unbroken run of occupied slots from its home slot, which is what lookup
+relies on, so a table filled by any linear-probe insert reads back the
+same rows.
 """
 
 import numpy as np
-
-from . import JIT_ENABLED, njit
 
 EMPTY = np.int64(-1)
 
 _MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
 _MIX_C = 0x94D049BB133111EB
-
-
-@njit(cache=True)
-def _mix_scalar(key):
-    z = np.uint64(key) + np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_B)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_C)
-    return z ^ (z >> np.uint64(31))
 
 
 def _mix_u64(z):
@@ -39,26 +28,7 @@ def _mix_u64(z):
     return z ^ (z >> np.uint64(31))
 
 
-@njit(cache=True)
-def lookup_rows_numba(table_keys, table_vals, keys):
-    n = keys.shape[0]
-    mask = np.uint64(table_keys.shape[0] - 1)
-    rows = np.full(n, -1, np.int64)
-    for i in range(n):
-        k = keys[i]
-        j = np.int64(_mix_scalar(k) & mask)
-        while True:
-            cur = table_keys[j]
-            if cur == k:
-                rows[i] = table_vals[j]
-                break
-            if cur == EMPTY:
-                break
-            j = np.int64((np.uint64(j) + np.uint64(1)) & mask)
-    return rows
-
-
-def lookup_rows_numpy(table_keys, table_vals, keys):
+def lookup_rows(table_keys, table_vals, keys):
     n = keys.shape[0]
     mask = np.uint64(table_keys.shape[0] - 1)
     rows = np.full(n, -1, np.int64)
@@ -77,36 +47,14 @@ def lookup_rows_numpy(table_keys, table_vals, keys):
     return rows
 
 
-@njit(cache=True)
-def insert_rows_numba(table_keys, table_vals, keys, rows, next_row):
-    mask = np.uint64(table_keys.shape[0] - 1)
-    for i in range(keys.shape[0]):
-        j = np.int64(_mix_scalar(keys[i]) & mask)
-        while table_keys[j] != EMPTY:
-            j = np.int64((np.uint64(j) + np.uint64(1)) & mask)
-        table_keys[j] = keys[i]
-        table_vals[j] = next_row
-        rows[i] = next_row
-        next_row += 1
-    return next_row
+def insert_rows(table_keys, table_vals, keys, rows, next_row):
+    """Place distinct absent keys; key i gets row next_row + i.
 
-
-def insert_rows_numpy(table_keys, table_vals, keys, rows, next_row):
-    """Vectorized twin of insert_rows_numba: the same rows and next_row.
-
-    The keys must be distinct and absent from the table; key i gets row
-    next_row + i. Keys are placed in probe rounds, as in
-    lookup_rows_numpy: when several reach the same empty slot in one
-    round, the lowest index takes it and the rest probe on. The slot
-    layout may therefore differ from the compiled lane's.
+    Returns the next free row. Keys are placed in probe rounds, as in
+    lookup_rows: when several reach the same empty slot in one round,
+    the lowest index takes it and the rest probe on.
     """
     rows[:] = next_row + np.arange(keys.shape[0])
-    _place_numpy(table_keys, table_vals, keys, rows)
-    return next_row + keys.shape[0]
-
-
-def _place_numpy(table_keys, table_vals, keys, vals):
-    """Write distinct absent keys; the lower index wins a contested slot."""
     mask = np.int64(table_keys.shape[0] - 1)
     slots = (_mix_u64(keys.astype(np.uint64)) & np.uint64(mask)).astype(np.int64)
     pending = np.arange(keys.shape[0])
@@ -116,16 +64,9 @@ def _place_numpy(table_keys, table_vals, keys, vals):
         _, first = np.unique(slots[pending[free]], return_index=True)
         won = pending[free[first]]
         table_keys[slots[won]] = keys[won]
-        table_vals[slots[won]] = vals[won]
+        table_vals[slots[won]] = rows[won]
         keep = np.ones(pending.size, dtype=bool)
         keep[free[first]] = False
         pending = pending[keep]
         slots[pending] = (slots[pending] + 1) & mask
-
-
-if JIT_ENABLED:
-    lookup_rows = lookup_rows_numba
-    insert_rows = insert_rows_numba
-else:
-    lookup_rows = lookup_rows_numpy
-    insert_rows = insert_rows_numpy
+    return next_row + keys.shape[0]

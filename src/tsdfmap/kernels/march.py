@@ -1,9 +1,8 @@
 """Marching-cubes cell classification and triangle emission.
 
-Both steps are vectorized gathers over the case tables, so this module
-has one lane only: emission is a small share of meshing time and a
-compiled twin would buy nothing measurable. Output ordering is fixed
-(ascending cell id, table order within a cell).
+Both steps are vectorized gathers over the case tables; emission is a
+small share of meshing time. Output ordering is fixed (ascending cell
+id, table order within a cell).
 """
 
 import numpy as np

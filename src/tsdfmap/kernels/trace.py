@@ -3,13 +3,11 @@
 Primitives are encoded as parallel arrays: types (int8; 0 sphere, 1
 axis-box, 2 plane) and params (p, 6) float64 rows:
   sphere: cx, cy, cz, R        box: minx..z, maxx..z        plane: nx, ny, nz, offset
-Both lanes evaluate the same expressions in the same order, so traced
-ranges are bitwise identical.
+`trace_rays` marches every ray still in flight one step per round, so each
+ray's range is the one a ray-by-ray sphere trace gives, bitwise.
 """
 
 import numpy as np
-
-from . import JIT_ENABLED, njit
 
 PRIM_SPHERE = 0
 PRIM_BOX = 1
@@ -18,33 +16,8 @@ PRIM_PLANE = 2
 _FAR = 1e30
 
 
-@njit(cache=True)
-def _scene_sdf_one(x, y, z, types, params):
-    best = _FAR
-    for i in range(types.shape[0]):
-        t = types[i]
-        if t == PRIM_SPHERE:
-            dx = x - params[i, 0]
-            dy = y - params[i, 1]
-            dz = z - params[i, 2]
-            d = np.sqrt(dx * dx + dy * dy + dz * dz) - params[i, 3]
-        elif t == PRIM_BOX:
-            qx = max(params[i, 0] - x, x - params[i, 3])
-            qy = max(params[i, 1] - y, y - params[i, 4])
-            qz = max(params[i, 2] - z, z - params[i, 5])
-            ox = max(qx, 0.0)
-            oy = max(qy, 0.0)
-            oz = max(qz, 0.0)
-            d = np.sqrt(ox * ox + oy * oy + oz * oz) + min(max(qx, max(qy, qz)), 0.0)
-        else:
-            d = params[i, 0] * x + params[i, 1] * y + params[i, 2] * z - params[i, 3]
-        if d < best:
-            best = d
-    return best
-
-
 def scene_sdf_points(points, types, params):
-    """Vectorized scene SDF over (n, 3) points (same math as the scalar)."""
+    """Scene SDF over (n, 3) points: the minimum over the primitives."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     best = np.full(pts.shape[0], _FAR)
@@ -71,27 +44,7 @@ def scene_sdf_points(points, types, params):
     return best
 
 
-@njit(cache=True)
-def trace_rays_numba(origins, dirs, types, params, max_range, eps, max_steps):
-    n = origins.shape[0]
-    out = np.full(n, -1.0)
-    for i in range(n):
-        t = 0.0
-        for _ in range(max_steps):
-            px = origins[i, 0] + t * dirs[i, 0]
-            py = origins[i, 1] + t * dirs[i, 1]
-            pz = origins[i, 2] + t * dirs[i, 2]
-            d = _scene_sdf_one(px, py, pz, types, params)
-            if d < eps:
-                out[i] = t
-                break
-            t += d
-            if t > max_range:
-                break
-    return out
-
-
-def trace_rays_numpy(origins, dirs, types, params, max_range, eps, max_steps):
+def trace_rays(origins, dirs, types, params, max_range, eps, max_steps):
     n = origins.shape[0]
     out = np.full(n, -1.0)
     t = np.zeros(n)
@@ -110,8 +63,3 @@ def trace_rays_numpy(origins, dirs, types, params, max_range, eps, max_steps):
         active[alive[t[alive] > max_range]] = False
     return out
 
-
-if JIT_ENABLED:
-    trace_rays = trace_rays_numba
-else:
-    trace_rays = trace_rays_numpy

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tsdfmap.cli import main
-from tsdfmap.kernels import JIT_ENABLED
 from tsdfmap.plyio import load_ply, write_mesh_ply, write_points_ply
 
 RUN_YAML = """\
@@ -91,10 +90,9 @@ def test_map_outputs(map_dir):
     assert manifest["n_scans"] == 6
     assert manifest["config"]["iterations"] == 10
     runtime = manifest["runtime"]
-    assert runtime["jit_enabled"] == JIT_ENABLED
     assert runtime["numpy"] == np.__version__
     assert runtime["python"] == platform.python_version()
-    assert set(runtime) == {"jit_enabled", "python", "numpy", "scipy", "cpu_count"}
+    assert set(runtime) == {"python", "numpy", "scipy", "cpu_count"}
     assert runtime["cpu_count"] == os.cpu_count()
     assert all(r["fisher_rows"] > 0 for r in reports)
 

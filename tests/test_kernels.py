@@ -1,44 +1,77 @@
-"""Both kernel lanes (compiled and pure-numpy) must agree.
+"""Each kernel against a test-local sequential reference.
 
-Without numba (or with TSDFMAP_NUMBA=0) `njit` is a no-op, so each
-`_numba` body runs as plain Python against its numpy twin and these
-tests still check the loops the compiled lane would run.
+The references are the plain loops the kernels replace: key-by-key
+linear probing, element-wise scatter-add and Adam, per-cell triangle
+emission and ray-by-ray sphere tracing.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 
 from tsdfmap.kernels.hashkern import (
+    _MIX_A,
+    _MIX_B,
+    _MIX_C,
+    EMPTY,
     _mix_u64,
-    insert_rows_numba,
-    insert_rows_numpy,
-    lookup_rows_numba,
-    lookup_rows_numpy,
+    insert_rows,
+    lookup_rows,
 )
 from tsdfmap.kernels.march import classify_cells, emit_triangles
 from tsdfmap.kernels.mc_tables import CASE_TRIANGLES, MC_CORNERS
-from tsdfmap.kernels.scatter import (
-    adam_update_rows_numba,
-    adam_update_rows_numpy,
-    scatter_add_rows_numba,
-    scatter_add_rows_numpy,
-)
-from tsdfmap.kernels.trace import trace_rays_numba, trace_rays_numpy
+from tsdfmap.kernels.scatter import adam_update_rows, scatter_add_rows
+from tsdfmap.kernels.trace import PRIM_BOX, PRIM_SPHERE, trace_rays
+
+_U64 = (1 << 64) - 1
+
+
+def _mix_int(key):
+    """splitmix64's finalizer on one key, in Python integers."""
+    z = (int(key) + _MIX_A) & _U64
+    z = ((z ^ (z >> 30)) * _MIX_B) & _U64
+    z = ((z ^ (z >> 27)) * _MIX_C) & _U64
+    return z ^ (z >> 31)
+
+
+def insert_rows_loop(table_keys, table_vals, keys, rows, next_row):
+    """Reference: each key in turn walks from its home slot to the first empty one."""
+    mask = table_keys.shape[0] - 1
+    for i in range(keys.shape[0]):
+        j = _mix_int(keys[i]) & mask
+        while table_keys[j] != EMPTY:
+            j = (j + 1) & mask
+        table_keys[j] = keys[i]
+        table_vals[j] = next_row
+        rows[i] = next_row
+        next_row += 1
+    return next_row
+
+
+def lookup_rows_loop(table_keys, table_vals, keys):
+    """Reference: each key walks from its home slot to itself or an empty slot."""
+    mask = table_keys.shape[0] - 1
+    rows = np.full(keys.shape[0], -1, np.int64)
+    for i in range(keys.shape[0]):
+        j = _mix_int(keys[i]) & mask
+        while table_keys[j] != EMPTY:
+            if table_keys[j] == keys[i]:
+                rows[i] = table_vals[j]
+                break
+            j = (j + 1) & mask
+    return rows
+
+
+def test_mix_matches_the_integer_reference(rng):
+    keys = np.concatenate([rng.integers(0, 1 << 62, size=200), [0, 1, (1 << 63) - 1]])
+    got = _mix_u64(keys.astype(np.uint64))
+    assert got.tolist() == [_mix_int(k) for k in keys]
+
 
 def test_hash_lanes_agree(rng):
-    # uncompiled, the splitmix multiply wraps uint64 on purpose and warns
-    with np.errstate(over="ignore"):
-        _check_hash_lanes(rng)
-
-
-def _check_hash_lanes(rng):
-    # The lanes must return the same rows and lookups; the slot layout may
-    # differ, since the numpy lane places contending keys in rounds. Each
-    # batch holds distinct keys absent from the table, as VoxelHash passes;
-    # repeated and present keys are covered in test_hashmap.py.
+    # The kernels and the key-by-key loops must return the same rows and
+    # lookups; the slot layout may differ, since the kernel places
+    # contending keys in rounds. Each batch holds distinct keys absent from
+    # the table, as VoxelHash passes; repeated and present keys are covered
+    # in test_hashmap.py.
     keys = rng.choice(10_000, size=68, replace=False)
     cases = [
         # 30 keys in 64 slots
@@ -57,18 +90,18 @@ def _check_hash_lanes(rng):
             new = np.asarray(new, dtype=np.int64)
             rows_a = np.empty(new.size, dtype=np.int64)
             rows_b = np.empty(new.size, dtype=np.int64)
-            na = insert_rows_numba(keys_a, vals_a, new, rows_a, na)
-            nb = insert_rows_numpy(keys_b, vals_b, new, rows_b, nb)
+            na = insert_rows_loop(keys_a, vals_a, new, rows_a, na)
+            nb = insert_rows(keys_b, vals_b, new, rows_b, nb)
             assert na == nb
             assert np.array_equal(rows_a, rows_b)
         stored = np.concatenate(batches).astype(np.int64)
         probe = np.concatenate([stored, np.array([999_999], dtype=np.int64)])
-        found = lookup_rows_numba(keys_a, vals_a, probe)
+        found = lookup_rows_loop(keys_a, vals_a, probe)
         assert found[-1] == -1
-        assert np.array_equal(found, lookup_rows_numpy(keys_b, vals_b, probe))
-        # each lane finds every key in the table the other lane filled
-        assert np.array_equal(found, lookup_rows_numba(keys_b, vals_b, probe))
-        assert np.array_equal(found, lookup_rows_numpy(keys_a, vals_a, probe))
+        assert np.array_equal(found, lookup_rows(keys_b, vals_b, probe))
+        # each lookup finds every key in the table the other insert filled
+        assert np.array_equal(found, lookup_rows_loop(keys_b, vals_b, probe))
+        assert np.array_equal(found, lookup_rows(keys_a, vals_a, probe))
         assert (keys_a != -1).sum() == (keys_b != -1).sum() == na
 
 
@@ -80,37 +113,18 @@ def test_hash_insert_rounds_give_the_lowest_index_a_contested_slot():
     table_keys = np.full(16, -1, dtype=np.int64)
     table_vals = np.zeros(16, dtype=np.int64)
     rows = np.empty(4, dtype=np.int64)
-    assert insert_rows_numpy(table_keys, table_vals, keys, rows, 5) == 9
+    assert insert_rows(table_keys, table_vals, keys, rows, 5) == 9
     assert rows.tolist() == [5, 6, 7, 8]
     slots = [(home[0] + i) % 16 for i in range(4)]
     assert table_keys[slots].tolist() == keys.tolist()
     assert table_vals[slots].tolist() == [5, 6, 7, 8]
 
 
-def test_scatter_lanes_agree(rng):
-    rows = rng.integers(0, 40, size=500).astype(np.int64)
-    contrib = rng.standard_normal((500, 8))
-    # into a zero buffer, as backward_mse scatters, the lanes match bitwise
-    a = np.zeros((40, 8))
-    b = np.zeros((40, 8))
-    scatter_add_rows_numba(a, rows, contrib)
-    scatter_add_rows_numpy(b, rows, contrib)
-    assert np.array_equal(a, b)
-    # into a non-zero buffer, as PerturbField.accumulate does, the numpy
-    # lane sums each row's contributions before adding them, so the last
-    # bits may differ
-    base = rng.standard_normal((40, 8))
-    a, b = base.copy(), base.copy()
-    scatter_add_rows_numba(a, rows, contrib)
-    scatter_add_rows_numpy(b, rows, contrib)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
-
-
 def test_scatter_matches_dense_sum(rng):
     rows = rng.integers(0, 12, size=200).astype(np.int64)
     contrib = rng.standard_normal((200, 3))
     out = np.zeros((12, 3))
-    scatter_add_rows_numpy(out, rows, contrib)
+    scatter_add_rows(out, rows, contrib)
     expect = np.zeros((12, 3))
     for r, c in zip(rows, contrib):
         expect[r] += c
@@ -151,7 +165,7 @@ def test_scatter_matches_the_sequential_loop_bitwise(rng):
         for out, r, c in cases:
             want = out.copy()
             scatter_add_rows_loop(want, r, c)
-            scatter_add_rows_numpy(out, r, c)
+            scatter_add_rows(out, r, c)
             assert np.array_equal(out, want)
 
 
@@ -164,25 +178,10 @@ def test_adam_matches_the_sequential_loop_bitwise(rng):
                  np.abs(rng.standard_normal((n, d))))
         got = [a.copy() for a in state]
         want = [a.copy() for a in state]
-        adam_update_rows_numpy(*got, grad, rows, *args)
+        adam_update_rows(*got, grad, rows, *args)
         adam_update_rows_loop(*want, grad, rows, *args)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-
-
-def test_adam_lanes_agree_bitwise(rng):
-    n, d = 30, 8
-    rows = np.sort(rng.choice(n, size=11, replace=False)).astype(np.int64)
-    grad = rng.standard_normal((11, d))
-    pa, ma, va = (rng.standard_normal((n, d)), np.abs(rng.standard_normal((n, d))),
-                  np.abs(rng.standard_normal((n, d))))
-    pb, mb, vb = pa.copy(), ma.copy(), va.copy()
-    args = (0.01, 0.9, 0.999, 1e-8, 0.1, 0.001)
-    adam_update_rows_numba(pa, ma, va, grad, rows, *args)
-    adam_update_rows_numpy(pb, mb, vb, grad, rows, *args)
-    assert np.array_equal(pa, pb)
-    assert np.array_equal(ma, mb)
-    assert np.array_equal(va, vb)
 
 
 def _emit_triangles_per_cell(cases, tri_table, counts, offsets, out_cell, out_edges):
@@ -251,7 +250,52 @@ def test_emit_triangles_matches_per_cell_loop(rng):
     assert np.array_equal(oe_a, oe_b)
 
 
+def _scene_sdf_one(x, y, z, types, params):
+    """Reference: the scene SDF at one point, one primitive at a time."""
+    best = 1e30
+    for i in range(types.shape[0]):
+        t = types[i]
+        if t == PRIM_SPHERE:
+            dx = x - params[i, 0]
+            dy = y - params[i, 1]
+            dz = z - params[i, 2]
+            d = np.sqrt(dx * dx + dy * dy + dz * dz) - params[i, 3]
+        elif t == PRIM_BOX:
+            qx = max(params[i, 0] - x, x - params[i, 3])
+            qy = max(params[i, 1] - y, y - params[i, 4])
+            qz = max(params[i, 2] - z, z - params[i, 5])
+            ox = max(qx, 0.0)
+            oy = max(qy, 0.0)
+            oz = max(qz, 0.0)
+            d = np.sqrt(ox * ox + oy * oy + oz * oz) + min(max(qx, max(qy, qz)), 0.0)
+        else:
+            d = params[i, 0] * x + params[i, 1] * y + params[i, 2] * z - params[i, 3]
+        if d < best:
+            best = d
+    return best
+
+
+def trace_rays_loop(origins, dirs, types, params, max_range, eps, max_steps):
+    """Reference: each ray sphere-traced in turn."""
+    out = np.full(origins.shape[0], -1.0)
+    for i in range(origins.shape[0]):
+        t = 0.0
+        for _ in range(max_steps):
+            px = origins[i, 0] + t * dirs[i, 0]
+            py = origins[i, 1] + t * dirs[i, 1]
+            pz = origins[i, 2] + t * dirs[i, 2]
+            d = _scene_sdf_one(px, py, pz, types, params)
+            if d < eps:
+                out[i] = t
+                break
+            t += d
+            if t > max_range:
+                break
+    return out
+
+
 def test_trace_lanes_agree_bitwise(rng):
+    # the vectorized trace and the ray-by-ray loop give the same ranges
     types = np.array([0, 1, 2], dtype=np.int8)
     params = np.zeros((3, 6))
     params[0, :4] = [0.0, 0.0, 1.0, 0.6]        # sphere
@@ -261,32 +305,7 @@ def test_trace_lanes_agree_bitwise(rng):
     d = rng.standard_normal((n, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     o = np.tile([0.0, 0.0, 2.5], (n, 1))
-    ta = trace_rays_numba(np.ascontiguousarray(o), np.ascontiguousarray(d),
-                          types, params, 40.0, 1e-5, 256)
-    tb = trace_rays_numpy(np.ascontiguousarray(o), np.ascontiguousarray(d),
-                          types, params, 40.0, 1e-5, 256)
+    ta = trace_rays_loop(o, d, types, params, 40.0, 1e-5, 256)
+    tb = trace_rays(o, d, types, params, 40.0, 1e-5, 256)
     assert np.array_equal(ta, tb)
     assert (ta >= 0).any() and (ta < 0).any()  # mix of hits and misses
-
-
-def test_numpy_lane_runs_full_pipeline():
-    """The fallback lane must pass a miniature end-to-end run."""
-    code = (
-        "import numpy as np\n"
-        "from tsdfmap.kernels import JIT_ENABLED\n"
-        "assert not JIT_ENABLED\n"
-        "from tsdfmap.trainer import Mapper, TrainConfig\n"
-        "from tsdfmap.sampler import Scan\n"
-        "r = np.random.default_rng(0)\n"
-        "pts = np.column_stack([r.uniform(-2, 2, 120), r.uniform(-2, 2, 120),"
-        " np.zeros(120)])\n"
-        "m = Mapper(TrainConfig(iterations=2, batch_size=128, n_uncertain=32))\n"
-        "rep = m.process_frame(Scan(np.array([0., 0., 2.]), pts, 0))\n"
-        "assert len(rep.losses) == 2 and np.isfinite(rep.losses).all()\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ, TSDFMAP_NUMBA="0")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"

@@ -1,4 +1,7 @@
 import ast
+import importlib
+import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,11 +13,19 @@ PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 PACKAGE = Path(tsdfmap.__file__).resolve().parent
 
 
-def test_version_is_stated_once():
-    """pyproject.toml reads the version from tsdfmap.__version__."""
+# distribution names whose import name differs
+IMPORT_NAMES = {"PyYAML": "yaml"}
+
+
+def project_table():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # older setuptools flag [tool.setuptools] as beta
-        project = read_configuration(PYPROJECT)["project"]
+        return read_configuration(PYPROJECT)["project"]
+
+
+def test_version_is_stated_once():
+    """pyproject.toml reads the version from tsdfmap.__version__."""
+    project = project_table()
     assert "version" in project["dynamic"]
     assert project["version"] == tsdfmap.__version__
 
@@ -56,3 +67,28 @@ def test_no_module_imports_a_name_it_never_uses():
              for path in sorted(PACKAGE.rglob("*.py"))
              for name in unused_imports(path.read_text())]
     assert found == []
+
+
+def imported_modules(source):
+    """Top-level names of the absolute imports anywhere in a module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    """Every third-party import is declared, and every declaration is imported."""
+    declared = set()
+    for requirement in project_table()["dependencies"]:
+        name = re.match(r"[A-Za-z0-9._-]+", requirement).group(0)
+        declared.add(IMPORT_NAMES.get(name, name))
+    imported = set().union(*(imported_modules(path.read_text())
+                             for path in PACKAGE.rglob("*.py")))
+    imported -= set(sys.stdlib_module_names) | {"tsdfmap"}
+    assert declared == imported
+    for name in sorted(declared):
+        importlib.import_module(name)

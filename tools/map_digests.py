@@ -25,13 +25,23 @@ grid arrays the checkpoint stores, the replay pool and the mesh, where
 perfbench's detail line carries only the loss trace.
 """
 
-import argparse
-import dataclasses
-import hashlib
-import sys
-from pathlib import Path
+import os
 
-import numpy as np
+# One BLAS thread, as perfbench/run.py pins it, before numpy loads. A
+# threaded GEMM splits the mesher's large decoder batches into per-thread
+# row blocks, which can move node values in the last bits, so unpinned the
+# mesh digest would follow the host's core count. Unpinned OpenBLAS
+# workers also double a mapping pass's CPU time for the same wall time.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 
 def sha256(*arrays):
