@@ -3,8 +3,9 @@
 Flag precedence: command-line flags override config-file values, which
 override defaults. Every `map` run writes a manifest.json holding the
 fully resolved config, seed, package version and runtime (library
-versions, CPU count), so any run can be reproduced bit-for-bit
-from its output directory alone.
+versions, CPU count, BLAS thread variables), so any run can be reproduced
+bit-for-bit from its output directory alone, its meshes at the same BLAS
+thread count only (a threaded product can move their last bits).
 """
 
 import argparse
@@ -61,6 +62,8 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, extra: dict):
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
+            **{var: os.environ.get(var)  # the BLAS thread settings, None if unset
+               for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         },
     }
     manifest.update(extra)

@@ -158,14 +158,14 @@ class InterpRecord(NamedTuple):
 
         Keeps only the cells that points[idx] fall in, in their order here.
         """
-        kept = [used_cells(rows, self.cell_index[idx, li]) for li, rows in enumerate(self.cells)]
+        kept = [used_rows(rows, self.cell_index[idx, li]) for li, rows in enumerate(self.cells)]
         return InterpRecord(tuple(cells for cells, _ in kept),
                             np.stack([index for _, index in kept], axis=1),
                             np.take(self.weights, idx, axis=0))
 
 
-def used_cells(rows, index):
-    """The rows of the cells that `index` uses, in their order, and `index` renumbered to them."""
+def used_rows(rows, index):
+    """The rows that `index` uses, in their order, and `index` renumbered to them."""
     used = np.zeros(rows.shape[0], dtype=bool)
     used[index] = True
     kept = np.flatnonzero(used)
@@ -332,7 +332,7 @@ class FeatureGrid:
             found.append((rows, index, [np.stack([1.0 - f, f]) for f in frac]))  # per-axis factors
         hit = np.flatnonzero(ok)
         hit_ijk = [i[hit] for i in ijk]
-        kept = [used_cells(rows, index[hit]) for rows, index, _ in found]
+        kept = [used_rows(rows, index[hit]) for rows, index, _ in found]
         weights = np.empty((hit.size, self.n_levels, 8))  # C order, as `locate` lays it out
         for li, (_, _, factors) in enumerate(found):
             hit_factors = (np.take(f, i, axis=1) for f, i in zip(factors, hit_ijk))

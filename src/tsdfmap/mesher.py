@@ -2,10 +2,10 @@
 
 The learned field is sampled at grid nodes (nodes in unallocated voxels
 are masked invalid rather than guessed), then marching cubes walks the
-valid cells: one welded vertex per cut edge at the linear zero crossing,
-triangles from the classic 256-case table. Triangle winding puts
-normals on the positive-value side, i.e. outward for a signed distance
-field.
+valid cells: one vertex per cut edge at the linear zero crossing, welded
+by the edge's key `3 * (linear index of its lower node) + axis`, and
+triangles from the classic 256-case table. Triangle winding puts normals
+on the positive-value side, i.e. outward for a signed distance field.
 """
 
 from dataclasses import dataclass
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMap, NoSurface
+from .grid import used_rows
 from .kernels.march import EDGE_AXIS, EDGE_BASE, classify_cells, emit
 from .plyio import load_ply, write_mesh_ply
 
@@ -100,52 +101,46 @@ def sdf_grid_from_function(fn, bounds, spacing: float = 0.10) -> SdfGrid:
                    np.ones(shape, dtype=bool))
 
 
+def edge_keys(dims):
+    """Node strides of a grid of `dims`, and the 12 cell edges' weld keys less `3 * base node`."""
+    strides = np.array([dims[1] * dims[2], dims[2], 1], dtype=np.int64)
+    return strides, 3 * (EDGE_BASE @ strides) + EDGE_AXIS
+
+
 def extract_mesh(grid: SdfGrid) -> TriMesh:
-    """Marching cubes over the valid cells of an SdfGrid."""
+    """Marching cubes over the valid cells of an SdfGrid.
+
+    A corner's weld key is its cell's `3 * base node` plus its edge's
+    `edge_keys` entry. A table triangle names three distinct edges, so no
+    face repeats a vertex; faces of zero area (exact-zero nodes) are dropped.
+    """
     values, valid = grid.values, grid.valid
-    nx, ny, nz = values.shape
     cell_ids, cases = classify_cells(values, valid)
     if cell_ids.size == 0:
         raise NoSurface("no sign change among fully valid cells")
     tri_cell, tri_edges = emit(cases)
 
-    cx, cy, cz = np.unravel_index(cell_ids, (nx - 1, ny - 1, nz - 1))
-    cell_coords = np.stack([cx, cy, cz], axis=1)  # (m, 3)
-    # weld vertices on shared edges: key = base-node linear index * 3 + axis
-    base = cell_coords[tri_cell][:, None, :] + EDGE_BASE[tri_edges]  # (t, 3, 3)
-    axis = EDGE_AXIS[tri_edges]  # (t, 3)
-    lin = (base[..., 0] * ny + base[..., 1]) * nz + base[..., 2]
-    keys = lin * 3 + axis
-    ukeys, inv = np.unique(keys.ravel(), return_inverse=True)
-    faces = inv.reshape(-1, 3)
-
-    uaxis = ukeys % 3
-    ulin = ukeys // 3
-    a = np.stack([ulin // (ny * nz), (ulin // nz) % ny, ulin % nz], axis=1)
-    step = np.zeros((ukeys.shape[0], 3), dtype=np.int64)
-    step[np.arange(ukeys.shape[0]), uaxis] = 1
-    b = a + step
-    va = values[a[:, 0], a[:, 1], a[:, 2]]
-    vb = values[b[:, 0], b[:, 1], b[:, 2]]
-    t = va / (va - vb)  # cut edges have strictly opposite inside flags
-    verts = grid.origin + (a + t[:, None] * step) * grid.spacing
-
+    strides, edge_key = edge_keys(values.shape)
+    cells = np.unravel_index(cell_ids, tuple(d - 1 for d in values.shape))
+    cell_key = 3 * np.ravel_multi_index(cells, values.shape)
+    keys = cell_key[tri_cell][:, None] + edge_key[tri_edges]
+    ukeys, inv = np.unique(keys, return_inverse=True)
     # winding: the table's order comes out inward for value<0 interiors
-    faces = faces[:, ::-1]
+    faces = inv.reshape(-1, 3)[:, ::-1]
+
+    ulin, uaxis = np.divmod(ukeys, 3)
+    va, vb = np.take(values, [ulin, ulin + strides[uaxis]])  # flat indices
+    t = va / (va - vb)  # cut edges have strictly opposite inside flags
+    pos = np.stack(np.unravel_index(ulin, values.shape), axis=1).astype(np.float64)
+    pos[np.arange(ulin.size), uaxis] += t
+    verts = grid.origin + pos * grid.spacing
 
     p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
     cr = np.cross(p1 - p0, p2 - p0)
-    area2 = np.einsum("ij,ij->i", cr, cr)
-    dup = (
-        (faces[:, 0] == faces[:, 1])
-        | (faces[:, 1] == faces[:, 2])
-        | (faces[:, 0] == faces[:, 2])
-    )
-    faces = faces[(~dup) & (area2 > 0.0)]
+    faces = faces[np.einsum("ij,ij->i", cr, cr) > 0.0]
     if faces.shape[0] == 0:
         raise NoSurface("every candidate triangle was degenerate")
-    used, faces_flat = np.unique(faces.ravel(), return_inverse=True)
-    return TriMesh(vertices=verts[used], faces=faces_flat.reshape(-1, 3))
+    return TriMesh(*used_rows(verts, faces))
 
 
 def map_bounds(field, pad: float = 0.0):

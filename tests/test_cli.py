@@ -92,7 +92,9 @@ def test_map_outputs(map_dir):
     runtime = manifest["runtime"]
     assert runtime["numpy"] == np.__version__
     assert runtime["python"] == platform.python_version()
-    assert set(runtime) == {"python", "numpy", "scipy", "cpu_count"}
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    assert set(runtime) == {"python", "numpy", "scipy", "cpu_count", *blas}
+    assert all(runtime[var] == os.environ.get(var) for var in blas)
     assert runtime["cpu_count"] == os.cpu_count()
     assert all(r["fisher_rows"] > 0 for r in reports)
 

@@ -8,11 +8,13 @@ from tsdfmap.errors import EmptyMap, NoSurface
 from tsdfmap.field import NeuralSdfField
 from tsdfmap.grid import CORNER_OFFSETS, FeatureGrid, cell_of
 from tsdfmap.hashmap import pack_coords
-from tsdfmap.kernels.mc_tables import CASE_EDGES, CASE_TRIANGLES
+from tsdfmap.kernels.march import EDGE_AXIS, EDGE_BASE, classify_cells, emit
+from tsdfmap.kernels.mc_tables import CASE_EDGES, CASE_TRIANGLES, EDGE_CORNERS, MC_CORNERS
 from tsdfmap.mesher import (
     SdfGrid,
     TriMesh,
     _node_grid,
+    edge_keys,
     eval_sdf_grid,
     extract_mesh,
     load_mesh,
@@ -43,6 +45,22 @@ def test_case_tables_are_consistent():
     # complementary cases intersect the same edges
     for case in range(256):
         assert CASE_EDGES[case] == CASE_EDGES[255 - case]
+    # every triangle names three distinct edges of its cell, and a cell's
+    # edges have distinct weld keys, so no face can repeat a vertex
+    tris = CASE_TRIANGLES[CASE_TRIANGLES >= 0].reshape(-1, 3)
+    assert tris.shape[0] == 820
+    assert ((tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
+            & (tris[:, 0] != tris[:, 2])).all()
+    ends = MC_CORNERS[EDGE_CORNERS]
+    for dims in ((2, 2, 2), (5, 2, 3), (4, 3, 2), (3, 7, 11), (9, 17, 4)):
+        strides, edge_key = edge_keys(dims)
+        assert np.unique(edge_key).size == 12
+        assert np.array_equal(strides, np.ravel_multi_index(np.eye(3, dtype=int), dims))
+        # edge e's key names its lower corner and its axis
+        base = np.stack(np.unravel_index(edge_key // 3, dims), axis=1)
+        upper = base + np.eye(3, dtype=int)[edge_key % 3]
+        assert np.array_equal(np.minimum(ends[:, 0], ends[:, 1]), base)
+        assert np.array_equal(np.maximum(ends[:, 0], ends[:, 1]), upper)
 
 
 def test_sphere_mesh_radius_and_volume(rng):
@@ -137,6 +155,99 @@ def test_fully_invalid_grid_raises_no_surface():
     grid.valid[:] = False
     with pytest.raises(NoSurface):
         extract_mesh(grid)
+
+
+def reference_weld(grid):
+    """`extract_mesh` with its former weld: per-corner (t, 3, 3) base nodes and
+    keys, per-vertex coordinate rows, a duplicate-corner filter, and a second
+    `np.unique` to compact the used vertices. Returns the mesh and the number
+    of triangles the area filter dropped."""
+    values, valid = grid.values, grid.valid
+    nx, ny, nz = values.shape
+    cell_ids, cases = classify_cells(values, valid)
+    tri_cell, tri_edges = emit(cases)
+    cx, cy, cz = np.unravel_index(cell_ids, (nx - 1, ny - 1, nz - 1))
+    cell_coords = np.stack([cx, cy, cz], axis=1)
+    base = cell_coords[tri_cell][:, None, :] + EDGE_BASE[tri_edges]
+    axis = EDGE_AXIS[tri_edges]
+    lin = (base[..., 0] * ny + base[..., 1]) * nz + base[..., 2]
+    keys = lin * 3 + axis
+    ukeys, inv = np.unique(keys.ravel(), return_inverse=True)
+    faces = inv.reshape(-1, 3)
+    uaxis = ukeys % 3
+    ulin = ukeys // 3
+    a = np.stack([ulin // (ny * nz), (ulin // nz) % ny, ulin % nz], axis=1)
+    step = np.zeros((ukeys.shape[0], 3), dtype=np.int64)
+    step[np.arange(ukeys.shape[0]), uaxis] = 1
+    b = a + step
+    va = values[a[:, 0], a[:, 1], a[:, 2]]
+    vb = values[b[:, 0], b[:, 1], b[:, 2]]
+    t = va / (va - vb)
+    verts = grid.origin + (a + t[:, None] * step) * grid.spacing
+    faces = faces[:, ::-1]
+    p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    cr = np.cross(p1 - p0, p2 - p0)
+    area2 = np.einsum("ij,ij->i", cr, cr)
+    dup = (faces[:, 0] == faces[:, 1]) | (faces[:, 1] == faces[:, 2]) | (faces[:, 0] == faces[:, 2])
+    assert not dup.any()
+    faces = faces[(~dup) & (area2 > 0.0)]
+    used, faces_flat = np.unique(faces.ravel(), return_inverse=True)
+    dropped = tri_cell.size - faces.shape[0]
+    return TriMesh(vertices=verts[used], faces=faces_flat.reshape(-1, 3)), dropped
+
+
+def sphere_grid(spacing):
+    return sdf_grid_from_function(sphere_sdf((0.05, -0.03, 0.02), 0.8),
+                                  ((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)), spacing)
+
+
+def zero_node_grid():
+    """Values in {-1, 0, 1}: a zero node cut along several edges puts their
+    vertices on one point, so some triangles have zero area."""
+    rng = np.random.default_rng(11)
+    values = rng.integers(-1, 2, size=(13, 9, 11)).astype(np.float64)
+    return SdfGrid(np.array([0.1, -0.2, 0.3]), 0.07, values, np.ones(values.shape, dtype=bool))
+
+
+def partly_invalid_grid():
+    grid = sdf_grid_from_function(sphere_sdf((0.1, 0.0, -0.1), 0.613),
+                                  ((-0.9, -0.8, -0.85), (1.0, 0.7, 0.9)), 0.05)
+    grid.valid[: grid.dims[0] // 3] = False
+    grid.valid[np.random.default_rng(2).random(grid.dims) < 0.02] = False
+    return grid
+
+
+@pytest.mark.parametrize("make_grid, zero_area", [
+    (lambda: sphere_grid(0.04), False),
+    (lambda: sdf_grid_from_function(sphere_sdf((0.0, 0.1, 0.0), 0.7),  # 54 x 40 x 36 nodes
+                                    ((-1.0, -0.8, -0.75), (1.3, 0.9, 0.8)), 0.043), False),
+    (partly_invalid_grid, False),
+    (zero_node_grid, True),
+], ids=["sphere", "non-cubic", "partly-invalid", "zero-nodes"])
+def test_weld_equals_the_per_corner_reference_bitwise(make_grid, zero_area):
+    grid = make_grid()
+    want, dropped = reference_weld(grid)
+    got = extract_mesh(grid)
+    assert want.n_faces > 0
+    assert got.vertices.dtype == want.vertices.dtype and got.faces.dtype == want.faces.dtype
+    assert np.array_equal(got.vertices.view(np.uint64), want.vertices.view(np.uint64))
+    assert np.array_equal(got.faces, want.faces)
+    assert (dropped > 0) == zero_area
+
+
+def test_weld_holds_no_per_corner_coordinates():
+    grid = sphere_grid(0.03)
+    triangles = emit(classify_cells(grid.values, grid.valid)[1])[0].size
+    tracemalloc.start()
+    try:
+        extract_mesh(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a weld with int64 (t, 3, 3) corner coordinates and their edge offsets
+    # peaks at about 560 bytes a candidate triangle here; keying each corner
+    # by one add peaks at about 350
+    assert peak < 450 * triangles
 
 
 class StubField:
