@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decoder import PARAM_NAMES
-from .kernels.scatter import adam_update_rows
+from .kernels.scatter import adam_update, adam_update_rows
 
 
 @dataclass
@@ -54,14 +54,10 @@ def adam_step(grads: GradientStore, grid, decoder, cfg: AdamConfig, step: int):
     bc2 = 1.0 - cfg.beta2 ** step
 
     for name in PARAM_NAMES:
-        g = grads.decoder[name]
-        m = decoder.adam_m[name]
-        v = decoder.adam_v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        decoder.params[name] -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        adam_update(
+            decoder.params[name], decoder.adam_m[name], decoder.adam_v[name],
+            grads.decoder[name], cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, bc1, bc2,
+        )
 
     for lvl, rows, g in zip(grid.levels, grads.level_rows, grads.level_grads):
         if rows.size == 0:

@@ -27,15 +27,11 @@ _PLY_TYPES = {
 }
 
 
-def _write_ply(path, binary, vertices, scalars, faces):
+def _write_ply(path, binary, vertices, faces):
     """Write the header, the vertex block and an optional face block."""
     verts = np.asarray(vertices, dtype=np.float32).reshape(-1, 3)
-    scalars = {k: np.asarray(v, dtype=np.float32).reshape(-1) for k, v in (scalars or {}).items()}
-    for name, col in scalars.items():
-        if col.shape[0] != verts.shape[0]:
-            raise ValueError(f"scalar {name!r} length mismatch")
-    vrec = np.empty(verts.shape[0], dtype=[(k, "<f4") for k in ("x", "y", "z", *scalars)])
-    for k, col in zip(vrec.dtype.names, [*verts.T, *scalars.values()]):
+    vrec = np.empty(verts.shape[0], dtype=[(k, "<f4") for k in "xyz"])
+    for k, col in zip("xyz", verts.T):
         vrec[k] = col
     header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
               f"element vertex {vrec.size}", *(f"property float {k}" for k in vrec.dtype.names)]
@@ -54,9 +50,9 @@ def _write_ply(path, binary, vertices, scalars, faces):
                 np.savetxt(fh, structured_to_unstructured(rec), fmt=fmt)
 
 
-def write_points_ply(path, points, scalars=None, binary: bool = True):
-    """Write an xyz cloud with optional named float scalar properties."""
-    _write_ply(path, binary, points, scalars, None)
+def write_points_ply(path, points, binary: bool = True):
+    """Write an xyz cloud."""
+    _write_ply(path, binary, points, None)
 
 
 def write_mesh_ply(path, vertices, faces, binary: bool = True):
@@ -65,7 +61,7 @@ def write_mesh_ply(path, vertices, faces, binary: bool = True):
     faces = np.asarray(faces, dtype=np.int32).reshape(-1, 3)
     if faces.size and (faces.min() < 0 or faces.max() >= verts.shape[0]):
         raise ValueError("face index out of range")
-    _write_ply(path, binary, verts, None, faces)
+    _write_ply(path, binary, verts, faces)
 
 
 def _ply_type(name):
@@ -149,9 +145,9 @@ def _read_element(fh, binary, name, count, dtype):
 def load_ply(path):
     """Load a PLY cloud or mesh.
 
-    Returns {"points": (n, 3) float64, "faces": (m, 3) int64 or None,
-    "properties": {name: (n,) float64}} for any extra vertex scalars.
-    Raises MalformedFile or UnsupportedFormat, naming `path`.
+    Returns {"points": (n, 3) float64, "faces": (m, 3) int64 or None};
+    extra vertex properties are parsed and ignored. Raises MalformedFile
+    or UnsupportedFormat, naming `path`.
     """
     try:
         with open(path, "rb") as fh:
@@ -177,8 +173,7 @@ def load_ply(path):
     except (MalformedFile, UnsupportedFormat) as exc:
         raise type(exc)(f"{path}: {exc}") from None
     points = np.stack([v["x"], v["y"], v["z"]], axis=1).astype(np.float64)
-    extra = {k: v[k].astype(np.float64) for k in v.dtype.names if k not in ("x", "y", "z")}
-    return {"points": points, "faces": faces, "properties": extra}
+    return {"points": points, "faces": faces}
 
 
 def _load_bin(path):

@@ -1,13 +1,12 @@
-"""Replay pool: window-pruned, voxel-bucketed sample store.
+"""Replay pool: the active-pooling policy, under one `PoolConfig`.
 
-Samples are bucketed on the coarsest grid level's voxel lattice; the
-Mapper derives that spacing from `max(voxel_sizes)` and hands it to the
-pool, so the pool and the perturbation field share one lattice. Each
-frame the pool drops samples outside a sliding window around the sensor
-and caps every bucket at `capacity` samples, keeping the lowest expected
-squared error (bias^2 + variance, from incidence angle and range). Old,
-oblique, far samples die first; memory plateaus once the local window
-saturates.
+`insert` scores each sample's expected squared error (bias^2 + variance,
+from its ray's incidence angle and range) and buckets it on the coarsest
+grid level's lattice, which the Mapper shares with the perturbation
+field. Each frame the pool drops samples outside a sliding window around
+the sensor and caps every bucket at `capacity` samples, keeping the
+lowest scores. Old, oblique, far samples die first; memory plateaus once
+the local window saturates.
 """
 
 from dataclasses import dataclass
@@ -60,14 +59,16 @@ _COLUMNS = (
 class ReplayPool:
     """Columnar sample store; rows stay in insertion order."""
 
-    def __init__(self, voxel_size: float = 0.45, capacity: int = 256,
-                 prune_radius: float = 50.0):
+    def __init__(self, voxel_size: float = 0.45, cfg: PoolConfig = None):
         self.voxel_size = float(voxel_size)
-        self.capacity = int(capacity)
-        self.prune_radius = float(prune_radius)
+        self.cfg = cfg if cfg is not None else PoolConfig()
         for name, dtype, shape in _COLUMNS:
             setattr(self, name, np.zeros((0, *shape), dtype=dtype))
         self._next_seq = 0
+
+    @property
+    def capacity(self) -> int:
+        return self.cfg.capacity
 
     @property
     def n(self) -> int:
@@ -83,12 +84,13 @@ class ReplayPool:
             setattr(self, name, np.take(getattr(self, name), rows, axis=0))
 
     def insert(self, batch, frame_id: int):
-        """Append a SampleBatch; rows get consecutive sequence numbers."""
+        """Append a SampleBatch, scored; rows get consecutive sequence numbers."""
         m = len(batch)
         if m == 0:
             return
         # the other columns come from the batch's fields of the same name
         derived = {
+            "mse": reliability_mse(batch.ray_len, batch.cos_inc, self.cfg),
             "frame_id": np.full(m, frame_id, dtype=np.int32),
             "seq": np.arange(self._next_seq, self._next_seq + m, dtype=np.int64),
             "bucket": cell_keys(cell_of(batch.pos, self.voxel_size)[0]),
@@ -108,7 +110,7 @@ class ReplayPool:
         for a in range(3):
             d = self.pos[:, a] - o[a]
             dist += d * d
-        keep = np.sqrt(dist, out=dist) < self.prune_radius
+        keep = np.sqrt(dist, out=dist) < self.cfg.prune_radius
         evicted = int(self.n - keep.sum())
         if evicted:
             self._take(keep)

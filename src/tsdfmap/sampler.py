@@ -8,7 +8,7 @@ Per ray with endpoint p and origin o (range ||r||, r = p - o):
 Labels are the projective distance ||r|| - d clamped to [-trunc, +trunc],
 so free-space samples sit exactly at +trunc. Each sample also carries the
 generating ray's length and incidence cosine, from which the replay pool
-scores reliability.
+scores reliability; the sampler emits geometry only.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyScan
-from .pool import PoolConfig, reliability_mse
 
 # eigenvalue ratio below which a PCA neighborhood counts as degenerate
 # (collinear or coincident points: the normal direction is ambiguous)
@@ -69,13 +68,12 @@ class SamplerConfig:
 
 @dataclass
 class SampleBatch:
-    """Columnar supervision samples (one row per sample)."""
+    """Columnar supervision samples (one row per sample); the pool scores them."""
 
     pos: np.ndarray  # (m, 3)
     label: np.ndarray  # (m,) in [-trunc, +trunc]
     ray_len: np.ndarray  # (m,) generating-ray length
     cos_inc: np.ndarray  # (m,) incidence cosine of the generating ray
-    mse: np.ndarray  # (m,) reliability score (expected squared error)
 
     def __len__(self) -> int:
         return self.pos.shape[0]
@@ -164,9 +162,7 @@ def compute_incidence(rays, normals, cos_eps: float = 1e-3):
     return np.clip(cos, cos_eps, 1.0)
 
 
-def generate_samples(
-    scan: Scan, normals, cfg: SamplerConfig, pool_cfg: PoolConfig, rng
-) -> SampleBatch:
+def generate_samples(scan: Scan, normals, cfg: SamplerConfig, rng) -> SampleBatch:
     """Emit supervision samples for every ray of a scan.
 
     Sample order is fixed (surface block, then front, behind, free-space
@@ -209,8 +205,7 @@ def generate_samples(
     depth = np.concatenate([b.ravel() for b in depth_blocks])
     ray_idx = np.concatenate(ray_blocks)
     pos = scan.origin[None, :] + depth[:, None] * dirs[ray_idx]
-    label = np.clip(ray_len[ray_idx] - depth, -dt, dt)
-    label[: n] = 0.0  # surface block: exact zeros, no roundoff residue
     rl = ray_len[ray_idx]
-    ci = cos[ray_idx]
-    return SampleBatch(pos, label, rl, ci, reliability_mse(rl, ci, pool_cfg))
+    label = np.clip(rl - depth, -dt, dt)
+    label[: n] = 0.0  # surface block: exact zeros, no roundoff residue
+    return SampleBatch(pos, label, rl, cos[ray_idx])

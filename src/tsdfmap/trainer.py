@@ -109,7 +109,7 @@ class Mapper:
         self.field = NeuralSdfField(self.grid, self.decoder)
         # pool buckets and Fisher vertices share the coarsest level's lattice
         lattice = max(c.voxel_sizes)
-        self.pool = ReplayPool(lattice, c.pool.capacity, c.pool.prune_radius)
+        self.pool = ReplayPool(lattice, c.pool)
         self.perturb = PerturbField(lattice, c.uncertainty.gamma)
         self.adam_steps = 0  # Adam updates applied so far (bias correction)
         self.frames_done = 0
@@ -153,7 +153,7 @@ class Mapper:
         normals, degenerate = estimate_normals(scan, k=cfg.sampler.normal_k)
         report.degenerate_normals = int(degenerate.sum())
         rng_s = self._rng(scan.frame_id, _TAG_SAMPLER)
-        batch = generate_samples(scan, normals, cfg.sampler, cfg.pool, rng_s)
+        batch = generate_samples(scan, normals, cfg.sampler, rng_s)
         t1 = time.perf_counter()
         report.stage_ms["sample"] = 1e3 * (t1 - t0)
 

@@ -130,8 +130,7 @@ def test_02_projective_label_bias_law(capsys):
     assert np.all(t >= 0)
     scan = Scan(origin=origin, points=origin + t[:, None] * dirs, frame_id=0)
     normals, _ = estimate_normals(scan)
-    batch = generate_samples(scan, normals, SamplerConfig(),
-                             PoolConfig(), np.random.default_rng(0))
+    batch = generate_samples(scan, normals, SamplerConfig(), np.random.default_rng(0))
 
     trunc = SamplerConfig().trunc_dist
     sel = (np.abs(batch.label) > 0) & (np.abs(batch.label) < trunc)
@@ -160,7 +159,7 @@ def test_03_capacity_matches_bruteforce_oracle(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     tau = 8
-    pool = ReplayPool(voxel_size=0.45, capacity=tau, prune_radius=1e9)
+    pool = ReplayPool(voxel_size=0.45, cfg=PoolConfig(capacity=tau, prune_radius=1e9))
     coords = np.unique(rng.integers(-25, 25, size=(1600, 3)), axis=0)[:1000]
     assert coords.shape[0] == 1000
     for frame in range(6):
@@ -168,9 +167,10 @@ def test_03_capacity_matches_bruteforce_oracle(capsys):
         pos = (np.repeat(coords, counts, axis=0)
                + rng.random((int(counts.sum()), 3))) * 0.45
         m = pos.shape[0]
-        batch = SampleBatch(pos=pos, label=np.zeros(m), ray_len=np.ones(m),
-                            cos_inc=np.ones(m),
-                            mse=rng.choice([0.1, 0.2, 0.3, 0.4], size=m))
+        # the score rises with range: at normal incidence, mse = (range / 1e9)^2
+        batch = SampleBatch(pos=pos, label=np.zeros(m),
+                            ray_len=rng.choice([0.1, 0.2, 0.3, 0.4], size=m),
+                            cos_inc=np.ones(m))
         pool.insert(batch, frame_id=frame)
 
     seq = pool.seq.copy()
@@ -207,11 +207,10 @@ def test_04_replay_memory_plateaus(capsys):
     pose = np.hstack([np.eye(3), [[0.0], [0.0], [1.5]]])
     scan, _ = simulate_scan(pose, model, scene, frame_id=0)
     normals, _ = estimate_normals(scan)
-    batch = generate_samples(scan, normals, SamplerConfig(),
-                             PoolConfig(), np.random.default_rng(99))
+    batch = generate_samples(scan, normals, SamplerConfig(), np.random.default_rng(99))
 
     tau = 32
-    pool = ReplayPool(voxel_size=0.45, capacity=tau, prune_radius=50.0)
+    pool = ReplayPool(voxel_size=0.45, cfg=PoolConfig(capacity=tau, prune_radius=50.0))
     sizes = []
     for frame in range(100):
         pool.insert(batch, frame_id=frame)
@@ -298,9 +297,9 @@ def test_06_batch_composition_exact(capsys):
         pos = (np.repeat(coords, counts, axis=0)
                + rng.random((int(counts.sum()), 3))) * 0.45
         m = pos.shape[0]
-        pool = ReplayPool(voxel_size=0.45, capacity=1_000_000, prune_radius=1e9)
-        pool.insert(SampleBatch(pos=pos, label=np.zeros(m), ray_len=np.ones(m),
-                                cos_inc=np.ones(m), mse=np.zeros(m)), 0)
+        pool = ReplayPool(voxel_size=0.45, cfg=PoolConfig(capacity=1_000_000, prune_radius=1e9))
+        pool.insert(SampleBatch(pos=pos, label=np.zeros(m), ray_len=np.zeros(m),
+                                cos_inc=np.ones(m)), 0)
         keys = pool.bucket_sizes()[0]
         k_unc = int(rng.integers(1, keys.size))  # both sides stay non-empty
         pick = rng.choice(keys.size, size=k_unc, replace=False)

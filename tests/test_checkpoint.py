@@ -42,11 +42,11 @@ def assert_mappers_equal(a: Mapper, b: Mapper):
     np.testing.assert_array_equal(a.perturb.vertices.keys,
                                   b.perturb.vertices.keys)
     np.testing.assert_array_equal(a.perturb.fisher, b.perturb.fisher)
-    for col in ("pos", "label", "ray_len", "cos_inc", "mse", "frame_id",
-                "seq", "bucket"):
+    for col, _, _ in POOL_COLUMNS:
         np.testing.assert_array_equal(getattr(a.pool, col),
                                       getattr(b.pool, col))
     assert a.pool._next_seq == b.pool._next_seq
+    assert a.pool.cfg == b.pool.cfg
 
 
 def test_save_load_restores_state(tmp_path):

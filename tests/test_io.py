@@ -17,21 +17,27 @@ def test_points_roundtrip_binary(tmp_path, rng):
     assert data["faces"] is None
 
 
-def test_points_roundtrip_ascii_with_scalars(tmp_path, rng):
+def test_extra_vertex_property_is_parsed_and_ignored(tmp_path, rng):
     pts = rng.standard_normal((20, 3)).astype(np.float32)
-    mse = rng.random(20).astype(np.float32)
-    path = tmp_path / "p.ply"
-    write_points_ply(path, pts, scalars={"mse": mse}, binary=False)
-    data = load_ply(path)
-    np.testing.assert_array_equal(data["points"].astype(np.float32), pts)
-    np.testing.assert_array_equal(data["properties"]["mse"].astype(np.float32),
-                                  mse)
-
-
-def test_scalar_length_mismatch(tmp_path):
-    with pytest.raises(ValueError):
-        write_points_ply(tmp_path / "x.ply", np.zeros((3, 3)),
-                         scalars={"a": np.zeros(2)})
+    intensity = rng.random(20).astype(np.float32)
+    fields = ("intensity", "x", "y", "z")  # binary: the extra property comes first
+    rec = np.empty(20, dtype=[(k, "<f4") for k in fields])
+    rec["intensity"] = intensity
+    for k, col in zip("xyz", pts.T):
+        rec[k] = col
+    for binary, order in ((False, ("x", "y", "z", "intensity")), (True, fields)):
+        header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
+                  "element vertex 20", *(f"property float {k}" for k in order), "end_header\n"]
+        if binary:
+            body = rec.tobytes()
+        else:
+            rows = np.column_stack([pts, intensity])
+            body = "".join(" ".join(f"{x:.9g}" for x in row) + "\n" for row in rows).encode()
+        path = tmp_path / f"cloud_{binary}.ply"
+        path.write_bytes("\n".join(header).encode() + body)
+        data = load_ply(path)
+        assert set(data) == {"points", "faces"} and data["faces"] is None
+        np.testing.assert_array_equal(data["points"].astype(np.float32), pts)
 
 
 def test_mesh_face_index_validation(tmp_path):

@@ -15,7 +15,7 @@ def test_two_runs_on_a_desk_prefix_print_the_same_digests():
         assert run.returncode == 0, run.stderr
     lines = runs[0].stdout.splitlines()
     assert [line.split()[5] for line in lines] == ["loss_trace", "fisher", "level0", "level1",
-                                                   "pool", "mesh", "eval"]
+                                                   "pool", "decoder", "mesh", "eval"]
     assert all(line.startswith("desk-orbit    seed 1  frames 2 ") for line in lines)
     assert all(len(line.split()[6]) == 64 for line in lines)
     assert runs[1].stdout == runs[0].stdout

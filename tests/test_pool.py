@@ -5,21 +5,21 @@ from hypothesis import strategies as st
 
 from tsdfmap.hashmap import COORD_LIMIT, unpack_key
 from tsdfmap.pool import _COLUMNS, PoolConfig, ReplayPool, reliability_mse
-from tsdfmap.sampler import SampleBatch
+from tsdfmap.sampler import SampleBatch, SamplerConfig, Scan, estimate_normals, generate_samples
 
 
-def make_batch(pos, mse=None, label=None):
+def make_batch(pos, ray_len=None, label=None):
+    """Samples at normal incidence, so the pool's score rises with `ray_len`."""
     pos = np.asarray(pos, dtype=np.float64).reshape(-1, 3)
     n = pos.shape[0]
-    mse = np.full(n, 0.5) if mse is None else np.asarray(mse, dtype=np.float64)
+    ray_len = np.ones(n) if ray_len is None else np.asarray(ray_len, dtype=np.float64)
     label = np.zeros(n) if label is None else np.asarray(label, dtype=np.float64)
-    return SampleBatch(pos=pos, label=label, ray_len=np.ones(n),
-                       cos_inc=np.ones(n), mse=mse)
+    return SampleBatch(pos=pos, label=label, ray_len=ray_len, cos_inc=np.ones(n))
 
 
 def rand_batch(rng, n, extent=5.0):
     return make_batch(rng.uniform(-extent, extent, size=(n, 3)),
-                      mse=rng.random(n))
+                      ray_len=rng.random(n))
 
 
 def test_reliability_examples():
@@ -43,6 +43,33 @@ def test_reliability_monotonic_in_range_and_incidence(rng):
     c = np.linspace(0.01, 1.0, 20)
     v = reliability_mse(np.full(20, 10.0), c, p)
     assert (np.diff(v) < 0).all()
+
+
+def test_insert_scores_each_sample_with_the_pool_config(rng):
+    cfg = PoolConfig(alpha=2.0, prune_radius=7.0)
+    pool = ReplayPool(0.45, cfg)
+    n = 300
+    batch = SampleBatch(pos=rng.uniform(-3, 3, (n, 3)), label=np.zeros(n),
+                        ray_len=rng.uniform(0.1, 20.0, n), cos_inc=rng.uniform(1e-3, 1.0, n))
+    pool.insert(batch, frame_id=0)
+    want = reliability_mse(batch.ray_len, batch.cos_inc, cfg)
+    assert np.array_equal(pool.mse.view(np.uint64), want.view(np.uint64))
+
+
+def test_sampled_rays_score_positive(rng):
+    pts = np.column_stack([rng.uniform(-4, 4, 200), rng.uniform(-4, 4, 200), np.zeros(200)])
+    scan = Scan(origin=np.array([0.0, 0.0, 3.0]), points=pts, frame_id=0)
+    normals, _ = estimate_normals(scan)
+    pool = ReplayPool()
+    pool.insert(generate_samples(scan, normals, SamplerConfig(), rng), frame_id=0)
+    assert pool.n > 0 and (pool.mse > 0).all()
+
+
+def test_zero_capacity_is_rejected():
+    with pytest.raises(ValueError, match="capacity must be at least 1"):
+        ReplayPool(cfg=PoolConfig(capacity=0))
+    with pytest.raises(TypeError):
+        ReplayPool(capacity=0)  # the settings come whole, as a checked PoolConfig
 
 
 def test_bucket_keys_follow_the_floor_convention():
@@ -72,7 +99,7 @@ def test_insert_appends_in_order(rng):
 
 
 def test_prune_window_strict_boundary():
-    pool = ReplayPool(prune_radius=50.0)
+    pool = ReplayPool(cfg=PoolConfig(prune_radius=50.0))
     pos = np.array([[49.99, 0, 0], [50.0, 0, 0], [50.01, 0, 0]])
     pool.insert(make_batch(pos), frame_id=0)
     evicted = pool.prune_window(np.zeros(3))
@@ -104,8 +131,8 @@ def test_prune_window_equals_the_norm_form_bitwise(rng):
     sphere = o + r * u / np.linalg.norm(u, axis=1, keepdims=True)  # within ulps of r
     pos = np.vstack([edge, *ulps, sphere, rng.uniform(-10, 10, (500, 3))])
     for radius in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)):
-        pool = ReplayPool(prune_radius=radius)
-        pool.insert(make_batch(pos, mse=rng.random(len(pos))), frame_id=0)
+        pool = ReplayPool(cfg=PoolConfig(prune_radius=radius))
+        pool.insert(make_batch(pos, ray_len=rng.random(len(pos))), frame_id=0)
         before = columns(pool)
         keep = np.linalg.norm(pool.pos - o, axis=1) < radius
         assert 0 < keep.sum() < len(pos)
@@ -114,7 +141,7 @@ def test_prune_window_equals_the_norm_form_bitwise(rng):
 
 
 def test_prune_window_is_idempotent(rng):
-    pool = ReplayPool(prune_radius=5.0)
+    pool = ReplayPool(cfg=PoolConfig(prune_radius=5.0))
     pool.insert(rand_batch(rng, 200, extent=8.0), frame_id=0)
     pool.prune_window(np.zeros(3))
     n = pool.n
@@ -135,7 +162,7 @@ def brute_force_capacity(pool, capacity):
 
 
 def test_enforce_capacity_matches_brute_force(rng):
-    pool = ReplayPool(voxel_size=0.45, capacity=4)
+    pool = ReplayPool(0.45, PoolConfig(capacity=4))
     for f in range(6):
         pool.insert(rand_batch(rng, 300, extent=2.0), frame_id=f)
     expect = brute_force_capacity(pool, 4)
@@ -155,9 +182,9 @@ def capacity_full_sort(pool):
 
 
 def test_enforce_capacity_under_capacity_leaves_the_columns_untouched(rng):
-    pool = ReplayPool(voxel_size=1.0, capacity=8)
+    pool = ReplayPool(1.0, PoolConfig(capacity=8))
     for f in range(2):
-        pool.insert(make_batch(rng.uniform(0, 4, (40, 3)), mse=rng.random(40)), frame_id=f)
+        pool.insert(make_batch(rng.uniform(0, 4, (40, 3)), ray_len=rng.random(40)), frame_id=f)
     assert pool.bucket_sizes()[1].max() <= 8
     before = {name: getattr(pool, name) for name, _, _ in _COLUMNS}
     assert pool.enforce_capacity() == 0
@@ -171,13 +198,13 @@ def test_enforce_capacity_equals_the_full_sort_bitwise(rng):
     cells = np.repeat([3, 0, 1, 2], [2, cap, cap + 1, 40])
     for trial in range(4):
         frames = rng.integers(0, 4, cells.size)
-        mse = rng.choice([0.1, 0.2, 0.3], size=cells.size)
+        score = rng.choice([0.1, 0.2, 0.3], size=cells.size)
         pos = np.column_stack([cells + rng.uniform(0.1, 0.9, cells.size),
                                rng.uniform(0.1, 0.9, (cells.size, 2))])
-        pool = ReplayPool(voxel_size=1.0, capacity=cap)
+        pool = ReplayPool(1.0, PoolConfig(capacity=cap))
         for f in rng.permutation(4):
             sel = frames == f
-            pool.insert(make_batch(pos[sel], mse=mse[sel]), frame_id=int(f))
+            pool.insert(make_batch(pos[sel], ray_len=score[sel]), frame_id=int(f))
         assert sorted(pool.bucket_sizes()[1].tolist()) == [2, cap, cap + 1, 40]
         before = columns(pool)
         kept = capacity_full_sort(pool)
@@ -186,35 +213,35 @@ def test_enforce_capacity_equals_the_full_sort_bitwise(rng):
 
 
 def test_enforce_capacity_tie_rule_prefers_newer_frame():
-    pool = ReplayPool(voxel_size=1.0, capacity=1)
+    pool = ReplayPool(1.0, PoolConfig(capacity=1))
     p = [[0.5, 0.5, 0.5]]
-    pool.insert(make_batch(p, mse=[0.7]), frame_id=0)
-    pool.insert(make_batch(p, mse=[0.7]), frame_id=3)
-    pool.insert(make_batch(p, mse=[0.7]), frame_id=1)
+    pool.insert(make_batch(p, ray_len=[0.7]), frame_id=0)
+    pool.insert(make_batch(p, ray_len=[0.7]), frame_id=3)
+    pool.insert(make_batch(p, ray_len=[0.7]), frame_id=1)
     pool.enforce_capacity()
     assert pool.n == 1
     assert pool.frame_id[0] == 3
 
 
 def test_enforce_capacity_tie_rule_then_insertion_order():
-    pool = ReplayPool(voxel_size=1.0, capacity=2)
+    pool = ReplayPool(1.0, PoolConfig(capacity=2))
     p = [[0.5, 0.5, 0.5]]
     for _ in range(4):
-        pool.insert(make_batch(p, mse=[0.7]), frame_id=5)
+        pool.insert(make_batch(p, ray_len=[0.7]), frame_id=5)
     pool.enforce_capacity()
     assert pool.seq.tolist() == [0, 1]
 
 
 def test_enforce_capacity_keeps_low_mse():
-    pool = ReplayPool(voxel_size=1.0, capacity=2)
+    pool = ReplayPool(1.0, PoolConfig(capacity=2))
     p = np.tile([[0.5, 0.5, 0.5]], (5, 1))
-    pool.insert(make_batch(p, mse=[0.9, 0.1, 0.5, 0.05, 0.8]), frame_id=0)
+    pool.insert(make_batch(p, ray_len=[0.9, 0.1, 0.5, 0.05, 0.8]), frame_id=0)
     pool.enforce_capacity()
-    assert sorted(pool.mse.tolist()) == [0.05, 0.1]
+    assert sorted(pool.ray_len.tolist()) == [0.05, 0.1]
 
 
 def test_rows_stay_sequence_ordered_after_enforcement(rng):
-    pool = ReplayPool(voxel_size=0.45, capacity=3)
+    pool = ReplayPool(0.45, PoolConfig(capacity=3))
     for f in range(5):
         pool.insert(rand_batch(rng, 100, extent=1.5), frame_id=f)
     pool.enforce_capacity()
@@ -222,7 +249,7 @@ def test_rows_stay_sequence_ordered_after_enforcement(rng):
 
 
 def test_enforce_capacity_idempotent(rng):
-    pool = ReplayPool(voxel_size=0.45, capacity=5)
+    pool = ReplayPool(0.45, PoolConfig(capacity=5))
     pool.insert(rand_batch(rng, 500, extent=2.0), frame_id=0)
     pool.enforce_capacity()
     n = pool.n
@@ -246,10 +273,10 @@ def test_bucket_census(rng):
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6))
 def test_capacity_enforcement_oracle_property(seed, capacity):
     r = np.random.default_rng(seed)
-    pool = ReplayPool(voxel_size=0.9, capacity=capacity)
+    pool = ReplayPool(0.9, PoolConfig(capacity=capacity))
     for f in range(3):
         n = int(r.integers(1, 60))
-        pool.insert(make_batch(r.uniform(-1, 1, size=(n, 3)), mse=r.random(n)),
+        pool.insert(make_batch(r.uniform(-1, 1, size=(n, 3)), ray_len=r.random(n)),
                     frame_id=f)
     expect_seq = pool.seq[brute_force_capacity(pool, capacity)]
     pool.enforce_capacity()

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from tsdfmap.errors import EmptyScan
-from tsdfmap.pool import PoolConfig
 from tsdfmap.sampler import (
     SamplerConfig,
     Scan,
@@ -170,7 +169,7 @@ def test_incidence_clamped(rng):
 def make_batch(rng, scan, cfg=None):
     cfg = cfg or SamplerConfig()
     normals, _ = estimate_normals(scan, k=cfg.normal_k)
-    return generate_samples(scan, normals, cfg, PoolConfig(), rng), cfg
+    return generate_samples(scan, normals, cfg, rng), cfg
 
 
 def test_sample_layout_and_surface_labels(rng):
@@ -220,8 +219,7 @@ def test_front_labels_nonnegative_behind_nonpositive(rng):
     scan = plane_scan(rng, n=50)
     cfg = SamplerConfig()
     normals, _ = estimate_normals(scan, k=cfg.normal_k)
-    batch = generate_samples(scan, normals, cfg, PoolConfig(),
-                             np.random.default_rng(0))
+    batch = generate_samples(scan, normals, cfg, np.random.default_rng(0))
     n = scan.points.shape[0]
     front = batch.label[n:n + n * cfg.n_front]
     behind = batch.label[n + n * cfg.n_front:n + n * (cfg.n_front + cfg.n_behind)]
@@ -235,8 +233,7 @@ def test_free_space_skipped_for_short_rays(rng):
     scan = Scan(origin=np.zeros(3), points=pts, frame_id=0)
     cfg = SamplerConfig()
     normals, _ = estimate_normals(scan)
-    batch = generate_samples(scan, normals, cfg, PoolConfig(),
-                             np.random.default_rng(0))
+    batch = generate_samples(scan, normals, cfg, np.random.default_rng(0))
     n = pts.shape[0]
     assert len(batch) == n * (1 + cfg.n_front + cfg.n_behind)
 
@@ -256,8 +253,7 @@ def test_measured_bias_law_on_plane(rng):
     scan = plane_scan(rng, n=300, z=0.0, origin=(0.0, 0.0, 3.0))
     cfg = SamplerConfig()
     normals, _ = estimate_normals(scan, k=cfg.normal_k)
-    batch = generate_samples(scan, normals, cfg, PoolConfig(),
-                             np.random.default_rng(2))
+    batch = generate_samples(scan, normals, cfg, np.random.default_rng(2))
     n = scan.points.shape[0]
     sl = slice(n, n + n * (cfg.n_front + cfg.n_behind))
     pos, label = batch.pos[sl], batch.label[sl]
@@ -273,10 +269,8 @@ def test_generate_is_seed_deterministic(rng):
     scan = plane_scan(rng, n=30)
     cfg = SamplerConfig()
     normals, _ = estimate_normals(scan)
-    a = generate_samples(scan, normals, cfg, PoolConfig(),
-                         np.random.default_rng(42))
-    b = generate_samples(scan, normals, cfg, PoolConfig(),
-                         np.random.default_rng(42))
+    a = generate_samples(scan, normals, cfg, np.random.default_rng(42))
+    b = generate_samples(scan, normals, cfg, np.random.default_rng(42))
     assert np.array_equal(a.pos, b.pos)
     assert np.array_equal(a.label, b.label)
 
@@ -287,8 +281,7 @@ def test_zero_length_rays_dropped():
     scan = Scan(origin=pts[0].copy(), points=pts, frame_id=0)
     cfg = SamplerConfig(normal_k=4)
     normals, _ = estimate_normals(scan, k=4)
-    batch = generate_samples(scan, normals, cfg, PoolConfig(),
-                             np.random.default_rng(0))
+    batch = generate_samples(scan, normals, cfg, np.random.default_rng(0))
     kept = pts.shape[0] - 1
     assert (batch.label[:kept] == 0).all()
     assert not np.any(np.all(np.isclose(batch.pos[:kept], pts[0]), axis=1))
@@ -309,8 +302,6 @@ def test_label_bounds_property(seed):
     scan = plane_scan(r, n=25, origin=(0.0, 0.0, r.uniform(1.0, 6.0)))
     cfg = SamplerConfig(normal_k=8)
     normals, _ = estimate_normals(scan, k=8)
-    batch = generate_samples(scan, normals, cfg, PoolConfig(),
-                             np.random.default_rng(seed))
+    batch = generate_samples(scan, normals, cfg, np.random.default_rng(seed))
     assert (np.abs(batch.label) <= cfg.trunc_dist).all()
     assert (batch.cos_inc >= 1e-3).all() and (batch.cos_inc <= 1.0).all()
-    assert (batch.mse > 0).all()

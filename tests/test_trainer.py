@@ -247,8 +247,8 @@ def test_pool_and_perturb_share_coarsest_lattice():
                       pool=PoolConfig(capacity=99, prune_radius=12.0))
     mapper = Mapper(cfg)
     assert mapper.pool.voxel_size == mapper.perturb.grid_size == 0.6
+    assert mapper.pool.cfg == cfg.pool
     assert mapper.pool.capacity == 99
-    assert mapper.pool.prune_radius == 12.0
 
 
 def test_config_validation():

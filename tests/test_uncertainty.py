@@ -121,11 +121,11 @@ def test_sigma_decreases_with_supervision(rng):
 
 
 def pool_with(positions, rng=None, labels=None):
-    pool = ReplayPool(voxel_size=0.45, capacity=256)
+    pool = ReplayPool(voxel_size=0.45)
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     n = pos.shape[0]
     batch = SampleBatch(pos=pos, label=np.zeros(n) if labels is None else labels,
-                        ray_len=np.ones(n), cos_inc=np.ones(n), mse=np.full(n, .1))
+                        ray_len=np.ones(n), cos_inc=np.ones(n))
     pool.insert(batch, frame_id=0)
     return pool
 

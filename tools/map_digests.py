@@ -15,13 +15,16 @@ it prints one line per digest:
     fisher       the Fisher rows, then the Fisher field's vertex keys
     level<i>     level i's features, Adam first and second moments, and keys
     pool         every replay pool column, in `pool._COLUMNS` order
+    decoder      each decoder parameter and its Adam first and second moments,
+                 in `PARAM_NAMES` order, then the Adam step and frame counters
     mesh         `extract_map_mesh` at perfbench's spacing: vertices, then faces
     eval         that mesh scored against the workload's ground truth with
                  perfbench's `EVAL`: the six `EvalResult` floats, in field order
 
 Two checkouts that train bitwise alike print the same lines, so running
 it on both sides checks a bitwise claim on the loss, the Fisher sums, the
-grid arrays the checkpoint stores, the replay pool and the mesh, where
+grid and decoder arrays the checkpoint stores, the replay pool, the mesh
+and its scores, where
 perfbench's detail line carries only the loss trace.
 """
 
@@ -51,7 +54,7 @@ def sha256(*arrays):
     return digest.hexdigest()
 
 
-def map_digests(workloads, mesher, pool_columns, name, seed, frames):
+def map_digests(workloads, mesher, pool_columns, param_names, name, seed, frames):
     """[(label, hex digest)] of one workload's map after `frames` scans (None: all)."""
     bench = workloads.Bench()
     inputs = workloads.WORKLOADS[name].setup(seed, bench)
@@ -64,6 +67,10 @@ def map_digests(workloads, mesher, pool_columns, name, seed, frames):
         out.append((f"level{i}", sha256(lvl.features, lvl.adam_m, lvl.adam_v,
                                         lvl.vertices.keys)))
     out.append(("pool", sha256(*(getattr(mapper.pool, col) for col, _, _ in pool_columns))))
+    dec = mapper.decoder
+    out.append(("decoder", sha256(*(store[p] for p in param_names
+                                    for store in (dec.params, dec.adam_m, dec.adam_v)),
+                                  np.int64(mapper.adam_steps), np.int64(mapper.frames_done))))
     mesh = mesher.extract_map_mesh(mapper.field, spacing=workloads.MESH_SPACING)
     out.append(("mesh", sha256(mesh.vertices, mesh.faces)))
     quality = workloads.metrics.evaluate(mesh, inputs.gt, workloads.EVAL)
@@ -84,6 +91,7 @@ def main(argv=None):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
     from tsdfmap import mesher
+    from tsdfmap.decoder import PARAM_NAMES
     from tsdfmap.pool import _COLUMNS
 
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
@@ -91,8 +99,8 @@ def main(argv=None):
         ap.error(f"unknown workload {args.workload!r}; choose from {sorted(workloads.WORKLOADS)}")
     for name in names:
         frames = "all" if args.frames is None else args.frames
-        for label, digest in map_digests(workloads, mesher, _COLUMNS, name, args.seed,
-                                          args.frames):
+        for label, digest in map_digests(workloads, mesher, _COLUMNS, PARAM_NAMES, name,
+                                          args.seed, args.frames):
             print(f"{name:<13} seed {args.seed}  frames {frames:<4} {label:<11} {digest}",
                   flush=True)
 
