@@ -92,19 +92,19 @@ def cmd_map(args) -> int:
                 # the frame gate skips the empty cloud; later frame ids stay aligned
                 print(f"{path.name}: unreadable, mapped as an empty frame: {exc}", file=sys.stderr)
                 points, failed = np.zeros((0, 3)), True
-            report = mapper.run_sequence([points], [pose])[0]
+            report = mapper.map_cloud(points, pose)
             report.unreadable = failed
             unreadable += failed
-            if report.nonfinite_points or report.out_of_range_points:
+            if report.nonfinite_points or report.out_of_range_points or report.zero_range_points:
                 print(f"{path.name}: dropped {report.nonfinite_points} non-finite and "
-                      f"{report.out_of_range_points} out-of-range points", file=sys.stderr)
+                      f"{report.out_of_range_points} out-of-range points, "
+                      f"{report.zero_range_points} at the sensor origin", file=sys.stderr)
             log.write(json.dumps(report.to_dict()) + "\n")
             log.flush()
             if args.mesh_every and (i + 1) % args.mesh_every == 0:
                 save_checkpoint(out / "checkpoint.npz", mapper)
                 try:
-                    mesh = extract_map_mesh(mapper.field, spacing=cfg.mesh.spacing,
-                                            pad=cfg.mesh.pad)
+                    mesh = extract_map_mesh(mapper.field, spacing=cfg.mesh.spacing)
                     write_mesh(mesh, out / f"mesh_{i + 1:05d}.ply",
                                binary=not cfg.mesh.ascii)
                 except MappingError as exc:
@@ -120,7 +120,7 @@ def cmd_mesh(args) -> int:
     cfg = _load_run_config(args)
     mapper = load_checkpoint(args.checkpoint)
     spacing = args.spacing if args.spacing is not None else cfg.mesh.spacing
-    mesh = extract_map_mesh(mapper.field, spacing=spacing, pad=cfg.mesh.pad)
+    mesh = extract_map_mesh(mapper.field, spacing=spacing)
     binary = not (args.ascii or cfg.mesh.ascii)
     write_mesh(mesh, args.out, binary=binary)
     print(f"{mesh.n_vertices} vertices, {mesh.n_faces} faces -> {args.out}")
@@ -153,7 +153,7 @@ def cmd_sim(args) -> int:
         raise MappingError("sim config has an empty scene (add sphere/box/plane/room entries)")
     scene = scene_from_dicts(s.scene)
     model = s.lidar(cfg.seed)
-    poses = orbit_poses(s.n_frames, s.orbit_radius, s.orbit_height, s.orbit_center)
+    poses = orbit_poses(s.n_frames, s.orbit_radius, s.orbit_height)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out, cfg, {"command": "sim", "n_scans": int(s.n_frames)})

@@ -24,14 +24,11 @@ from .trainer import TrainConfig
 @dataclass
 class MeshConfig:
     spacing: float = 0.10
-    pad: float = 0.0
     ascii: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError("spacing must be positive and finite")
-        if not math.isfinite(self.pad):
-            raise ValueError("pad must be finite")
 
 
 @dataclass
@@ -39,7 +36,6 @@ class SimConfig:
     n_frames: int = 50
     orbit_radius: float = 4.5
     orbit_height: float = 3.0
-    orbit_center: tuple = (0.0, 0.0, 0.0)
     azimuth_count: int = 256
     elevation_count: int = 32
     elevation_min_deg: float = -45.0
@@ -51,6 +47,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
+        if not (math.isfinite(self.orbit_radius) and math.isfinite(self.orbit_height)):
+            raise ValueError("orbit_radius and orbit_height must be finite")
         self.lidar()  # the ray model checks its own values
 
     def lidar(self, seed: int = 0) -> LidarModel:

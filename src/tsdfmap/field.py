@@ -3,8 +3,7 @@
 predict() runs grid interpolation and the decoder, and sdf() does the
 same without the training cache, for reads such as meshing; backward_mse()
 produces the gradients adam_step() consumes; spatial_gradient() is the
-analytic d(sdf)/d(position) used by the Fisher accumulation and by
-surface-normal queries.
+analytic d(sdf)/d(position) that the Fisher accumulation reads.
 """
 
 from typing import NamedTuple

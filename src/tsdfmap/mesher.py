@@ -143,17 +143,17 @@ def extract_mesh(grid: SdfGrid) -> TriMesh:
     return TriMesh(*used_rows(verts, faces))
 
 
-def map_bounds(field, pad: float = 0.0):
-    """World bounds of the allocated map, optionally padded."""
+def map_bounds(field):
+    """World bounds of the allocated map: no node outside them is valid."""
     b = field.grid.bounds()
     if b is None:
         raise EmptyMap("the map has no allocated vertices")
-    return b[0] - pad, b[1] + pad
+    return b
 
 
-def extract_map_mesh(field, spacing: float = 0.10, pad: float = 0.0) -> TriMesh:
+def extract_map_mesh(field, spacing: float = 0.10) -> TriMesh:
     """Mesh the learned field over its allocated extent."""
-    return extract_mesh(eval_sdf_grid(field, map_bounds(field, pad), spacing))
+    return extract_mesh(eval_sdf_grid(field, map_bounds(field), spacing))
 
 
 def write_mesh(mesh: TriMesh, path, binary: bool = True):

@@ -74,9 +74,6 @@ class ReplayPool:
     def n(self) -> int:
         return self.pos.shape[0]
 
-    def __len__(self) -> int:
-        return self.n
-
     def _take(self, keep):
         """Keep the rows where the boolean mask `keep` is set, in their order."""
         rows = np.flatnonzero(keep)

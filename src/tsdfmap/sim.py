@@ -116,12 +116,18 @@ class LidarModel:
     def __post_init__(self):
         if min(self.azimuth_count, self.elevation_count) < 1:
             raise ValueError("ray counts must be >= 1")
+        if not np.isfinite([self.elevation_min_deg, self.elevation_max_deg]).all():
+            raise ValueError("elevation_min_deg and elevation_max_deg must be finite")
         if self.elevation_min_deg > self.elevation_max_deg:
             raise ValueError("elevation_min_deg must be <= elevation_max_deg")
         if not self.max_range > 0:
             raise ValueError("max_range must be positive")
+        if not self.max_range < np.inf:
+            raise ValueError("max_range must be finite")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
+        if not self.beta < np.inf:
+            raise ValueError("beta must be finite")
 
 
 def ray_directions(model: LidarModel):
@@ -139,11 +145,12 @@ def ray_directions(model: LidarModel):
     return dirs.reshape(-1, 3)
 
 
-def simulate_scan(pose, model: LidarModel, scene: Scene, frame_id: int = 0, rng=None):
+def simulate_scan(pose, model: LidarModel, scene: Scene, frame_id: int = 0):
     """Trace one raster scan; returns (Scan, true normals at the hits).
 
-    Misses are omitted. Noise perturbs each return along its ray; the
-    reported normals are the SDF gradients at the noiseless hits.
+    Misses are omitted. Noise perturbs each return along its ray, drawn
+    from the model's stream for this frame; the reported normals are the
+    SDF gradients at the noiseless hits.
     """
     pose = np.asarray(pose, dtype=np.float64).reshape(3, 4)
     origin = pose[:, 3]
@@ -162,8 +169,7 @@ def simulate_scan(pose, model: LidarModel, scene: Scene, frame_id: int = 0, rng=
     ranges = t[hit]
     hit_dirs = dirs[hit]
     exact = origin + ranges[:, None] * hit_dirs
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([model.seed, frame_id]))
+    rng = np.random.default_rng(np.random.SeedSequence([model.seed, frame_id]))
     noisy_range = ranges + rng.standard_normal(ranges.shape[0]) * (model.beta * ranges)
     points = origin + noisy_range[:, None] * hit_dirs
     normals = scene.normals(exact) if exact.shape[0] else np.zeros((0, 3))

@@ -1,19 +1,19 @@
 """Per-frame training orchestration.
 
-Frame pipeline, in order: drop and count returns that are non-finite
-or whose samples would leave the packable grid range, estimate normals,
-generate samples, allocate grid voxels at the sample positions, insert
-into the replay pool, prune the pool window, enforce bucket capacity,
-partition buckets by uncertainty and split the pool rows into uncertain
-and certain once. Replay then draws all `iterations` batches from the
-frame's batch stream, locates the union of drawn rows once (corner
-rows and weights), and runs `iterations` rounds of predict /
-MSE / backward / Adam, each on its batch's slice of that record with
-the current features. Finally Fisher information accumulates over the
-union, each trained sample once, with the post-update weights. Within a
-frame the pool, the partition and the grid vertices do not change, so
-this gives bitwise the results of drawing and interpolating each batch
-on its own.
+Frame pipeline, in order: drop and count returns that are non-finite,
+whose samples would leave the packable grid range, or that lie at the
+sensor origin, estimate normals, generate samples, allocate grid voxels
+at the sample positions, insert into the replay pool, prune the pool
+window, enforce bucket capacity, partition buckets by uncertainty and
+split the pool rows into uncertain and certain once. Replay then draws
+all `iterations` batches from the frame's batch stream, locates the
+union of drawn rows once (corner rows and weights), and runs
+`iterations` rounds of predict / MSE / backward / Adam, each on its
+batch's slice of that record with the current features. Finally Fisher
+information accumulates over the union, each trained sample once, with
+the post-update weights. Within a frame the pool, the partition and the
+grid vertices do not change, so this gives bitwise the results of
+drawing and interpolating each batch on its own.
 
 Everything is seeded per (global seed, frame, purpose), so runs are
 bitwise reproducible.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .adam import AdamConfig, adam_step
 from .decoder import SdfDecoder
-from .errors import NonFiniteLoss, PoseCountMismatch
+from .errors import NonFiniteLoss
 from .field import NeuralSdfField
 from .grid import CELL_LIMIT, FeatureGrid
 from .pool import PoolConfig, ReplayPool
@@ -84,6 +84,7 @@ class FrameReport:
     new_vertices: int = 0
     nonfinite_points: int = 0  # returns dropped as NaN or infinite
     out_of_range_points: int = 0  # finite returns whose samples would not pack
+    zero_range_points: int = 0  # packable returns at the sensor origin (no ray)
     degenerate_normals: int = 0
     evicted_window: int = 0
     evicted_capacity: int = 0
@@ -118,20 +119,25 @@ class Mapper:
         return np.random.default_rng(np.random.SeedSequence([self.cfg.seed, *words]))
 
     def _gate(self, scan: Scan, report: FrameReport) -> Scan:
-        """Drop non-finite returns, then returns whose samples would not pack.
+        """Drop non-finite returns, returns whose samples would not pack, and
+        returns at the sensor origin.
 
         A sample lies on the ray or at most trunc_dist past its return, so
         each coordinate stays within max(|origin|, |return|) + trunc_dist;
-        that bound must keep the finest level's corner cells packable.
+        that bound must keep the finest level's corner cells packable. A
+        return at the origin has no ray, so it yields no samples and no
+        normal of its own.
         """
         finite = np.isfinite(scan.points).all(axis=1)
         pts = scan.points[finite]
         limit = CELL_LIMIT * min(self.cfg.voxel_sizes)
         reach = np.maximum(np.abs(scan.origin), np.abs(pts)) + self.cfg.sampler.trunc_dist
         in_range = (reach < limit).all(axis=1)
+        ranged = np.linalg.norm(pts - scan.origin, axis=1) > 0  # generate_samples' test
         report.nonfinite_points = int((~finite).sum())
         report.out_of_range_points = int((~in_range).sum())
-        return Scan(scan.origin, pts[in_range], scan.frame_id)
+        report.zero_range_points = int((in_range & ~ranged).sum())
+        return Scan(scan.origin, pts[in_range & ranged], scan.frame_id)
 
     def process_frame(self, scan: Scan) -> FrameReport:
         cfg = self.cfg
@@ -216,22 +222,13 @@ class Mapper:
         self.perturb.accumulate(pos, grads)
         report.stage_ms["fisher"] = 1e3 * (time.perf_counter() - t1)
 
-    def run_sequence(self, point_clouds, poses) -> list:
-        """Transform sensor-frame clouds to world scans and fold them in.
+    def map_cloud(self, points, pose) -> FrameReport:
+        """Fold in one sensor-frame cloud taken at `pose`, as frame `frames_done`.
 
-        poses are (3, 4) row-major rigid transforms (sensor -> world).
+        pose is a (3, 4) row-major rigid transform (sensor -> world).
         """
-        point_clouds = list(point_clouds)
-        poses = list(poses)
-        if len(point_clouds) != len(poses):
-            raise PoseCountMismatch(
-                f"{len(point_clouds)} scans vs {len(poses)} poses"
-            )
-        reports = []
-        for cloud, pose in zip(point_clouds, poses):
-            pose = np.asarray(pose, dtype=np.float64).reshape(3, 4)
-            pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-            world = pts @ pose[:, :3].T + pose[:, 3]
-            scan = Scan(origin=pose[:, 3], points=world, frame_id=self.frames_done)
-            reports.append(self.process_frame(scan))
-        return reports
+        pose = np.asarray(pose, dtype=np.float64).reshape(3, 4)
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        world = pts @ pose[:, :3].T + pose[:, 3]
+        scan = Scan(origin=pose[:, 3], points=world, frame_id=self.frames_done)
+        return self.process_frame(scan)

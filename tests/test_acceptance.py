@@ -8,12 +8,14 @@ an external dataset is configured.
 """
 
 import collections
+import json
 import os
 import time
 
 import numpy as np
 import pytest
 
+from tsdfmap.cli import main
 from tsdfmap.decoder import PARAM_NAMES, SdfDecoder
 from tsdfmap.field import NeuralSdfField
 from tsdfmap.grid import FeatureGrid
@@ -461,11 +463,12 @@ def test_09_runs_are_bitwise_deterministic(capsys, desk, active_run):
 REFERENCE_F1_PCT = 92.29  # published benchmark figure for this sequence
 
 
-def test_10_external_dataset_benchmark(capsys):
-    """Optional: full-scale run on a real sequence if one is configured.
+def test_10_external_dataset_benchmark(capsys, tmp_path):
+    """Optional: full-scale `tsdfmap map`, `mesh` and `eval` on a real sequence.
 
     Point TSDFMAP_MAICITY at a directory holding scans/ (.ply or .bin),
-    poses.txt and gt.ply; the check is skipped otherwise.
+    poses.txt and gt.ply; the check is skipped otherwise. It runs the CLI
+    with default settings, as a user would, and reads F1 from eval.json.
     """
     root = os.environ.get("TSDFMAP_MAICITY", "")
     if not root:
@@ -474,20 +477,13 @@ def test_10_external_dataset_benchmark(capsys):
                   "(set TSDFMAP_MAICITY to enable)", flush=True)
         pytest.skip("external dataset not configured")
 
-    from tsdfmap.cli import _scan_paths
-    from tsdfmap.plyio import load_scan
-    from tsdfmap.poses import load_poses
-    from tsdfmap.mesher import load_mesh
-
-    scans = [load_scan(p) for p in _scan_paths(os.path.join(root, "scans"))]
-    poses = load_poses(os.path.join(root, "poses.txt"))
-    mapper = Mapper(TrainConfig(seed=0))
-    mapper.run_sequence(scans, poses)
-    mesh = extract_map_mesh(mapper.field, spacing=0.10)
-    gt = load_mesh(os.path.join(root, "gt.ply"))
-    gt_in = gt if gt.n_faces else gt.vertices
-    res = evaluate(mesh, gt_in, EvalConfig())
-    ok = abs(res.f1_pct - REFERENCE_F1_PCT) <= 5.0
+    run, mesh = tmp_path / "run", tmp_path / "mesh.ply"
+    assert main(["map", "--scans", os.path.join(root, "scans"),
+                 "--poses", os.path.join(root, "poses.txt"), "--out", str(run)]) == 0
+    assert main(["mesh", str(run / "checkpoint.npz"), "--out", str(mesh)]) == 0
+    assert main(["eval", str(mesh), os.path.join(root, "gt.ply"), "--out", str(run)]) == 0
+    f1_pct = json.loads((run / "eval.json").read_text())["f1_pct"]
+    ok = abs(f1_pct - REFERENCE_F1_PCT) <= 5.0
     _verdict(capsys, 10, "external dataset benchmark", ok,
-             f"F1@10cm {res.f1_pct:.2f}% vs reference {REFERENCE_F1_PCT}%")
+             f"F1@10cm {f1_pct:.2f}% vs reference {REFERENCE_F1_PCT}%")
     assert ok

@@ -5,8 +5,12 @@ import platform
 import numpy as np
 import pytest
 
-from tsdfmap.cli import main
-from tsdfmap.plyio import load_ply, write_mesh_ply, write_points_ply
+from tsdfmap.checkpoint import save_checkpoint
+from tsdfmap.cli import _scan_paths, main
+from tsdfmap.config import load_config
+from tsdfmap.plyio import load_ply, load_scan, write_mesh_ply, write_points_ply
+from tsdfmap.poses import load_poses
+from tsdfmap.trainer import Mapper
 
 RUN_YAML = """\
 seed: 3
@@ -97,6 +101,19 @@ def test_map_outputs(map_dir):
     assert all(runtime[var] == os.environ.get(var) for var in blas)
     assert runtime["cpu_count"] == os.cpu_count()
     assert all(r["fisher_rows"] > 0 for r in reports)
+
+
+def test_map_checkpoint_equals_a_map_cloud_loop(workdir, sim_dir, map_dir):
+    """The CLI's frame loop is the Python API's: same loaders, same map_cloud calls."""
+    mapper = Mapper(load_config(workdir / "run.yaml"))
+    poses = load_poses(sim_dir / "poses.txt")
+    for path, pose in zip(_scan_paths(sim_dir), poses, strict=True):
+        mapper.map_cloud(load_scan(path), pose)
+    save_checkpoint(workdir / "api.npz", mapper)
+    with np.load(map_dir / "checkpoint.npz") as cli, np.load(workdir / "api.npz") as api:
+        assert sorted(cli.files) == sorted(api.files)
+        for name in cli.files:
+            assert np.array_equal(cli[name], api[name]), name
 
 
 def test_mesh_command(workdir, map_dir):
@@ -212,6 +229,26 @@ def test_map_reports_nonfinite_and_far_returns(workdir, sim_dir, capsys):
     assert report["nonfinite_points"] == 1
     assert report["out_of_range_points"] == 1
     assert "dropped 1 non-finite and 1 out-of-range points" in capsys.readouterr().err
+
+
+def test_map_drops_and_reports_returns_at_the_sensor_origin(workdir, sim_dir, capsys):
+    """(0, 0, 0) missing-return markers in a scan that also holds real returns."""
+    scans = workdir / "origin_scans"
+    scans.mkdir()
+    pts = load_ply(sorted(sim_dir.glob("frame_*.ply"))[0])["points"]
+    pts = np.vstack([pts, np.zeros((200, 3))])
+    np.column_stack([pts, np.zeros(len(pts))]).astype("<f4").tofile(scans / "frame_00000.bin")
+    poses = (sim_dir / "poses.txt").read_text().splitlines()[:1]
+    (scans / "poses.txt").write_text(poses[0] + "\n")
+    out = workdir / "origin_run"
+    rc = main(["map", "--scans", str(scans), "--poses", str(scans / "poses.txt"),
+               "--config", str(workdir / "run.yaml"), "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "reports.jsonl").read_text())
+    assert report["zero_range_points"] == 200
+    assert report["degenerate_normals"] < 200 and report["pool_size"] > 0
+    assert ("frame_00000.bin: dropped 0 non-finite and 0 out-of-range points, "
+            "200 at the sensor origin") in capsys.readouterr().err
 
 
 def test_map_skips_a_frame_that_leaves_the_pool_empty(workdir, sim_dir):

@@ -142,8 +142,6 @@ def test_validation_happens_at_parse_time():
          "^config section sampler: downsample_voxel must be finite and nonnegative"),
         ({"uncertainty": {"gamma": float("inf")}},
          "^config section uncertainty: gamma must be positive and finite$"),
-        ({"mesh": {"pad": float("inf")}}, "^config section mesh: pad must be finite$"),
-        ({"mesh": {"pad": float("nan")}}, "^config section mesh: pad must be finite$"),
         ({"sim": {"n_frames": 0}}, "^config section sim: n_frames must be >= 1$"),
         ({"sim": {"max_range": 0}}, "^config section sim: max_range must be positive$"),
         ({"sim": {"max_range": -5}}, "^config section sim: max_range must be positive$"),
@@ -152,6 +150,14 @@ def test_validation_happens_at_parse_time():
         ({"sim": {"elevation_min_deg": 10, "elevation_max_deg": -10}},
          "^config section sim: elevation_min_deg must be <= elevation_max_deg$"),
         ({"sim": {"beta": -0.1}}, "^config section sim: beta must be nonnegative$"),
+        ({"sim": {"orbit_radius": float("nan")}},
+         "^config section sim: orbit_radius and orbit_height must be finite$"),
+        ({"sim": {"orbit_height": float("inf")}},
+         "^config section sim: orbit_radius and orbit_height must be finite$"),
+        ({"sim": {"beta": float("nan")}}, "^config section sim: beta must be finite$"),
+        ({"sim": {"elevation_min_deg": float("nan")}},
+         "^config section sim: elevation_min_deg and elevation_max_deg must be finite$"),
+        ({"sim": {"max_range": float("inf")}}, "^config section sim: max_range must be finite$"),
         ({"seed": -1}, "^seed must be >= 0$"),
         ({"eval": {"seed": -3}}, "^config section eval: seed must be >= 0$"),
         ({"adam": {"lr": float("inf")}}, "^config section adam: lr must be finite$"),
@@ -164,10 +170,10 @@ def test_validation_happens_at_parse_time():
     ):
         with pytest.raises(ValueError, match=match):
             build_dataclass(RunConfig, data)
-    # a negative pad crops the mesh, zero downsampling is off: both stay allowed
-    cfg = build_dataclass(RunConfig, {"mesh": {"pad": -0.2}, "sampler": {"downsample_voxel": 0}})
-    assert cfg.mesh.pad == -0.2 and cfg.sampler.downsample_voxel == 0.0
-    assert len(leaves(config_to_dict(RunConfig()))) == 42
+    # zero downsampling is off: it stays allowed
+    cfg = build_dataclass(RunConfig, {"sampler": {"downsample_voxel": 0}})
+    assert cfg.sampler.downsample_voxel == 0.0
+    assert len(leaves(config_to_dict(RunConfig()))) == 40
 
 
 @pytest.mark.parametrize("spacing", ["0", "-0.1", ".nan", ".inf"])

@@ -267,32 +267,6 @@ def test_save_load_roundtrip(tmp_path, rng):
         np.testing.assert_allclose(a, b, atol=1e-11)
 
 
-def test_external_dataset_loaders_resolve(tmp_path, rng):
-    """The loaders acceptance check 10 imports, on its dataset layout.
-
-    Check 10 is skipped unless a real dataset is configured, so this test
-    keeps its imports and calls from rotting unseen.
-    """
-    from tsdfmap.cli import _scan_paths
-    from tsdfmap.mesher import load_mesh
-    from tsdfmap.plyio import load_scan
-    from tsdfmap.poses import load_poses
-
-    (tmp_path / "scans").mkdir()
-    for i in range(2):
-        write_points_ply(tmp_path / "scans" / f"{i:06d}.ply", rng.standard_normal((10, 3)))
-    pose = np.hstack([np.eye(3), np.zeros((3, 1))])
-    save_poses(tmp_path / "poses.txt", [pose, pose])
-    write_mesh_ply(tmp_path / "gt.ply", np.eye(3), [[0, 1, 2]])
-
-    scans = [load_scan(p) for p in _scan_paths(tmp_path / "scans")]
-    poses = load_poses(tmp_path / "poses.txt")
-    gt = load_mesh(tmp_path / "gt.ply")
-    assert len(scans) == len(poses) == 2
-    assert scans[0].shape == (10, 3)
-    assert gt.n_faces == 1
-
-
 # ------------------------------------------------- malformed and extended PLY
 
 TRI_HEADER = """ply

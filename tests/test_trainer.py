@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsdfmap.adam import adam_step
-from tsdfmap.errors import NonFiniteLoss, PoseCountMismatch
+from tsdfmap.errors import NonFiniteLoss
 from tsdfmap.pool import PoolConfig
 from tsdfmap.sampler import SamplerConfig, Scan, voxel_downsample
 from tsdfmap.trainer import _TAG_BATCH, Mapper, TrainConfig
@@ -27,6 +27,10 @@ def identity_pose(t=(0.0, 0.0, 2.0)):
     return pose
 
 
+def map_clouds(mapper, clouds, poses):
+    return [mapper.map_cloud(cloud, pose) for cloud, pose in zip(clouds, poses)]
+
+
 def test_empty_scan_is_skipped():
     mapper = Mapper(small_cfg())
     rep = mapper.process_frame(Scan(np.zeros(3), np.zeros((0, 3)), 0))
@@ -37,11 +41,12 @@ def test_empty_scan_is_skipped():
 
 @pytest.mark.parametrize("active", [True, False])
 def test_frame_that_leaves_the_pool_empty_is_skipped(rng, active):
-    """Zero-range returns give no samples; the next frame still maps."""
-    mapper = Mapper(small_cfg(active_sampling=active))
+    """Samples all past the pool window are evicted at once; the next frame still maps."""
+    mapper = Mapper(small_cfg(active_sampling=active, sampler=SamplerConfig(n_free=0)))
     origin = np.array([0.0, 0.0, 2.0])
-    rep = mapper.process_frame(Scan(origin, np.tile(origin, (64, 1)), 0))
+    rep = mapper.process_frame(Scan(origin, plane_cloud(rng, z=-100.0), 0))
     assert rep.skipped and rep.losses == [] and rep.pool_size == 0
+    assert rep.evicted_window == 200 * 5 and rep.fisher_rows == 0
     assert mapper.frames_done == 1
     rep = mapper.process_frame(Scan(origin, plane_cloud(rng), 1))
     assert not rep.skipped and rep.pool_size > 0
@@ -58,6 +63,17 @@ def test_nonfinite_and_far_returns_are_dropped_and_counted(rng):
     assert rep.losses == ref.losses
     assert (rep.nonfinite_points, rep.out_of_range_points) == (1, 1)
     assert (ref.nonfinite_points, ref.out_of_range_points) == (0, 0)
+
+
+def test_returns_at_the_sensor_origin_are_dropped_before_normals_and_counted(rng):
+    origin = np.array([0.0, 0.0, 2.0])
+    clean = plane_cloud(rng)
+    dirty = np.insert(clean, np.arange(0, 200, 10).repeat(10), origin, axis=0)
+    ref = Mapper(small_cfg()).process_frame(Scan(origin, clean, 0))
+    rep = Mapper(small_cfg()).process_frame(Scan(origin, dirty, 0))
+    assert (rep.zero_range_points, ref.zero_range_points) == (200, 0)
+    assert rep.degenerate_normals == ref.degenerate_normals
+    assert rep.losses == ref.losses and rep.pool_size == ref.pool_size
 
 
 def test_origin_out_of_range_skips_the_frame(rng):
@@ -102,13 +118,12 @@ def test_losses_decrease_over_frames(rng):
 def test_mapper_runs_deterministically(rng):
     clouds = [plane_cloud(np.random.default_rng(f), 150) for f in range(3)]
     poses = [identity_pose((0.0, 0.0, 2.0 + 0.1 * f)) for f in range(3)]
-    rep_a = Mapper(small_cfg()).run_sequence(clouds, poses)
-    rep_b = Mapper(small_cfg()).run_sequence(clouds, poses)
+    m_a, m_b = Mapper(small_cfg()), Mapper(small_cfg())
+    rep_a = map_clouds(m_a, clouds, poses)
+    rep_b = map_clouds(m_b, clouds, poses)
+    assert [r.frame_id for r in rep_a] == [0, 1, 2]
     for a, b in zip(rep_a, rep_b):
         assert a.losses == b.losses
-    m_a, m_b = Mapper(small_cfg()), Mapper(small_cfg())
-    m_a.run_sequence(clouds, poses)
-    m_b.run_sequence(clouds, poses)
     for la, lb in zip(m_a.grid.levels, m_b.grid.levels):
         assert np.array_equal(la.features, lb.features)
 
@@ -182,25 +197,23 @@ def test_downsample_voxel_matches_decimating_by_hand():
 def test_seed_changes_trajectory(rng):
     clouds = [plane_cloud(rng, 150)]
     poses = [identity_pose()]
-    rep_a = Mapper(small_cfg(seed=1)).run_sequence(clouds, poses)
-    rep_b = Mapper(small_cfg(seed=2)).run_sequence(clouds, poses)
+    rep_a = map_clouds(Mapper(small_cfg(seed=1)), clouds, poses)
+    rep_b = map_clouds(Mapper(small_cfg(seed=2)), clouds, poses)
     assert rep_a[0].losses != rep_b[0].losses
 
 
-def test_run_sequence_transforms_to_world(rng):
+def test_map_cloud_transforms_to_world(rng):
     # sensor-frame points + pose translation: map bounds follow the pose
     cloud = plane_cloud(rng, 100, z=-2.0)  # sensor 2 m above the plane
     pose = identity_pose((10.0, 10.0, 2.0))
     mapper = Mapper(small_cfg())
-    mapper.run_sequence([cloud], [pose])
+    rep = mapper.map_cloud(cloud, pose)
     lo, hi = mapper.grid.bounds()
     assert lo[0] > 5.0  # allocations live near x,y ~ 10
     assert hi[0] < 15.0
-
-
-def test_pose_count_mismatch(rng):
-    with pytest.raises(PoseCountMismatch):
-        Mapper(small_cfg()).run_sequence([plane_cloud(rng)], [])
+    # the same frame, given in world coordinates to process_frame
+    ref = Mapper(small_cfg()).process_frame(Scan(pose[:, 3], cloud + pose[:, 3], 0))
+    assert rep.losses == ref.losses and mapper.frames_done == 1
 
 
 def test_nonfinite_loss_aborts(rng):
