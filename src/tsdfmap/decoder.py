@@ -25,6 +25,22 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 BLOCK_ROWS = 4096
 
 
+def row_blocks(n: int):
+    """(start, stop) pairs that cover rows [0, n) in order, BLOCK_ROWS at a time.
+
+    The last block runs to n, so it holds BLOCK_ROWS to 2 * BLOCK_ROWS - 1
+    rows, and fewer than 2 * BLOCK_ROWS rows stay one block. Decoding in
+    these blocks gives bitwise the rows of one call: every product's tail
+    stays where a whole call puts it. A short last block would not, since
+    the scalar head's gemv and the backward's transposed products give a
+    short call's rows other last bits.
+    """
+    if n <= 0:
+        return []
+    starts = list(range(0, max(n - BLOCK_ROWS, 0) + 1, BLOCK_ROWS))
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def softplus(x, out=None):
     """Elementwise softplus of a float64 array, BLOCK_ROWS rows at a time.
 

@@ -4,6 +4,11 @@ predict() runs grid interpolation and the decoder, and sdf() does the
 same without the training cache, for reads such as meshing; backward_mse()
 produces the gradients adam_step() consumes; spatial_gradient() is the
 analytic d(sdf)/d(position) that the Fisher accumulation reads.
+
+sdf() and spatial_gradient() read any number of points, so they locate
+them once and then interpolate and decode them in `row_blocks`: their
+intermediates follow one block, not the input, and the rows come out
+bitwise those of one call over all points.
 """
 
 from typing import NamedTuple
@@ -11,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adam import GradientStore
-from .decoder import SdfDecoder
+from .decoder import SdfDecoder, row_blocks
 from .grid import FeatureGrid, cell_of, trilinear_weight_gradients
 from .kernels.scatter import scatter_add_rows
 
@@ -41,8 +46,20 @@ class NeuralSdfField:
     def sdf(self, points, record=None):
         """(n, 3) world points -> (n,) sdf; `predict`'s values, bitwise,
         without its cache. Raises UnallocatedQuery."""
+        pts, record = self._located(points, record)
+        out = np.empty(pts.shape[0])
+        for s, e, rec in _blocks(record, pts.shape[0]):
+            out[s:e] = self.decoder.values(self.grid.interpolate(pts[s:e], rec)[0])
+        return out
+
+    def _located(self, points, record):
+        """Points as (n, 3) float64 and their record, checked whole so that
+        an error names the point a single `interpolate` would."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        return self.decoder.values(self.grid.interpolate(pts, record)[0])
+        if record is None:
+            record = self.grid.locate(pts)
+        self.grid.require_allocated(pts, record)
+        return pts, record
 
     def backward_mse(self, cache: FieldCache, labels):
         """MSE loss and its gradients w.r.t. decoder params and grid rows."""
@@ -72,19 +89,30 @@ class NeuralSdfField:
 
         A record of these points (see `FeatureGrid.locate`) skips the
         corner lookups. The decoder runs only up to its last hidden layer.
+        Raises UnallocatedQuery.
         """
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        feats, record = self.grid.interpolate(pts, record)
-        n = pts.shape[0]
+        pts, record = self._located(points, record)
+        grad = np.empty((pts.shape[0], 3))
+        for s, e, rec in _blocks(record, pts.shape[0]):
+            grad[s:e] = self._block_gradient(pts[s:e], rec)
+        return grad
+
+    def _block_gradient(self, pts, record):
+        feats, _, corners = self.grid.interpolate(pts, record, with_corners=True)
         _, dfeat = self.decoder.backward(
-            self.decoder.hidden(feats), np.ones(n), with_param_grads=False
+            self.decoder.hidden(feats), np.ones(pts.shape[0]), with_param_grads=False
         )
-        grad = np.zeros((n, 3))
-        for li, lvl in enumerate(self.grid.levels):
-            corner_feats = self.grid.corner_features(record, li)  # (n, 8, D)
+        grad = np.zeros((pts.shape[0], 3))
+        for lvl, corner_feats in zip(self.grid.levels, corners):
             # scalar contribution of each corner to the decoder input grad
             s_c = np.einsum("ncd,nd->nc", corner_feats, dfeat)
             frac = cell_of(pts, lvl.voxel_size)[1]
             dw = trilinear_weight_gradients(frac, lvl.voxel_size)
             grad += np.einsum("nc,nca->na", s_c, dw)
         return grad
+
+
+def _blocks(record, n):
+    """(start, stop, record of those rows) for each of `row_blocks(n)`."""
+    for s, e in row_blocks(n):
+        yield s, e, record if e - s == n else record.take(np.arange(s, e))

@@ -267,18 +267,31 @@ class FeatureGrid:
         cell_feats = np.take(self.levels[li].features, record.cells[li], axis=0)
         return np.take(cell_feats, record.cell_index[:, li], axis=0)
 
-    def interpolate(self, points, record=None):
+    def interpolate(self, points, record=None, with_corners=False):
         """Aggregated features for a batch of points.
 
-        Returns (features (n, feature_dim), InterpRecord). Raises
-        UnallocatedQuery if any point lies in a voxel with missing
-        corners at any level (naming the first such level's first such
-        point): unknown space is an error, not zero. Given the record of
-        these points from `locate`, only the current features are
-        gathered: a vertex keeps its row once allocated.
+        Returns (features (n, feature_dim), InterpRecord), and with
+        `with_corners` also the list of each level's `corner_features`.
+        Raises UnallocatedQuery as `require_allocated` does. Given the
+        record of these points from `locate`, only the current features
+        are gathered: a vertex keeps its row once allocated.
         """
         if record is None:
             record = self.locate(points)
+        self.require_allocated(points, record)
+        feats = np.zeros((record.cell_index.shape[0], self.feature_dim))
+        corners = []
+        for li in range(self.n_levels):
+            corner_feats = self.corner_features(record, li)
+            feats += np.einsum("nc,ncd->nd", record.weights[:, li], corner_feats)
+            if with_corners:
+                corners.append(corner_feats)
+        return (feats, record, corners) if with_corners else (feats, record)
+
+    def require_allocated(self, points, record: InterpRecord):
+        """Raise UnallocatedQuery if any of the points lies in a voxel with
+        missing corners at any level, naming the first such level's first
+        such point: unknown space is an error, not zero."""
         for li, rows in enumerate(record.cells):
             missing = (rows < 0).any(axis=1)  # (m_l,)
             if missing.any():
@@ -286,11 +299,6 @@ class FeatureGrid:
                 bad = np.asarray(points, dtype=np.float64).reshape(-1, 3)[first]
                 raise UnallocatedQuery(f"point {bad.tolist()} lies in an unallocated voxel "
                                        f"at level {li}")
-        feats = np.zeros((record.cell_index.shape[0], self.feature_dim))
-        for li in range(self.n_levels):
-            feats += np.einsum("nc,ncd->nd", record.weights[:, li],
-                               self.corner_features(record, li))
-        return feats, record
 
     def locate_lattice(self, axes, nodes):
         """`voxels_allocated` and `locate` of lattice nodes given by linear index.

@@ -52,9 +52,10 @@ def emit_triangles(cases, tri_table, counts, offsets, out_cell, out_edges):
     `counts` holds the per-cell triangle counts and `offsets` their
     exclusive prefix sum, where a per-cell loop would write each cell;
     this gather does not need `offsets`. The outputs are preallocated to
-    counts.sum() rows.
+    counts.sum() rows. Edge numbers run 0-11 and -1, so the gather reads
+    an int8 copy of the table: 16 bytes a cell.
     """
-    rows = tri_table[cases]
+    rows = tri_table.astype(np.int8)[cases]
     out_edges[:] = rows[rows >= 0].reshape(-1, 3)
     out_cell[:] = np.repeat(np.arange(cases.shape[0]), counts)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decoder import row_blocks
 from .errors import EmptyMap, NoSurface
 from .grid import used_rows
 from .kernels.march import EDGE_AXIS, EDGE_BASE, classify_cells, emit
@@ -61,15 +62,17 @@ def eval_sdf_grid(field, bounds, spacing: float = 0.10, batch_size: int = 65536)
 
     Nodes whose enclosing voxels are unallocated at any level get
     valid=False and NaN values. Raises EmptyMap when nothing is valid.
-    Nodes are taken batch_size at a time in linear order, and each batch's
-    valid nodes go to the decoder in one call. Keep these batches: the
-    decoder's matrix products are not invariant to row batching (a GEMM
-    treats the tail rows of a block differently), so another batch size, or
-    splitting a batch, can move node values in the last bits, but not which
-    nodes are valid. Only `values`, `valid` and one batch's arrays are held:
-    nodes are located on the lattice by index (`FeatureGrid.locate_lattice`),
-    coordinates are formed only for the valid nodes of a batch, and the
-    decoder runs values-only (`NeuralSdfField.sdf`), keeping no training cache.
+    Nodes are taken batch_size at a time in linear order, and `NeuralSdfField.sdf`
+    decodes each batch's valid nodes in `decoder.row_blocks`, whose last
+    block takes the remainder: that gives the bits of one decoder call over
+    the batch. Another batch size, or blocks that leave a short last one,
+    can move node values in the last bits (the scalar head's gemv and the
+    transposed products give a short call's rows other bits), but not which
+    nodes are valid. Only `values`, `valid`, one batch's record and one
+    block's decoder arrays are held: nodes are located on the lattice by
+    index (`FeatureGrid.locate_lattice`), coordinates are formed only for
+    the valid nodes of a batch, and the decoder runs values-only, keeping
+    no training cache.
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be a positive node count, got {batch_size}")
@@ -112,7 +115,8 @@ def extract_mesh(grid: SdfGrid) -> TriMesh:
 
     A corner's weld key is its cell's `3 * base node` plus its edge's
     `edge_keys` entry. A table triangle names three distinct edges, so no
-    face repeats a vertex; faces of zero area (exact-zero nodes) are dropped.
+    face repeats a vertex; faces of zero area (exact-zero nodes) are dropped,
+    testing one `row_blocks` block of faces at a time.
     """
     values, valid = grid.values, grid.valid
     cell_ids, cases = classify_cells(values, valid)
@@ -135,9 +139,12 @@ def extract_mesh(grid: SdfGrid) -> TriMesh:
     pos[np.arange(ulin.size), uaxis] += t
     verts = grid.origin + pos * grid.spacing
 
-    p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    cr = np.cross(p1 - p0, p2 - p0)
-    faces = faces[np.einsum("ij,ij->i", cr, cr) > 0.0]
+    has_area = np.empty(faces.shape[0], dtype=bool)
+    for s, e in row_blocks(faces.shape[0]):
+        p0, p1, p2 = (np.take(verts, faces[s:e, c], axis=0) for c in range(3))
+        cr = np.cross(p1 - p0, p2 - p0)
+        has_area[s:e] = np.einsum("ij,ij->i", cr, cr) > 0.0
+    faces = faces[has_area]
     if faces.shape[0] == 0:
         raise NoSurface("every candidate triangle was degenerate")
     return TriMesh(*used_rows(verts, faces))

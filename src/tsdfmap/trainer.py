@@ -11,9 +11,12 @@ union of drawn rows once (corner rows and weights), and runs
 `iterations` rounds of predict / MSE / backward / Adam, each on its
 batch's slice of that record with the current features. Finally Fisher
 information accumulates over the union, each trained sample once, with
-the post-update weights. Within a frame the pool, the partition and the
-grid vertices do not change, so this gives bitwise the results of
-drawing and interpolating each batch on its own.
+the post-update weights: `spatial_gradient` reads the union's record in
+the decoder's `row_blocks`, so its intermediates follow one block, and
+the Fisher sums are scattered once over the whole union. Within a frame
+the pool, the partition and the grid vertices do not change, so this
+gives bitwise the results of drawing and interpolating each batch on its
+own.
 
 Everything is seeded per (global seed, frame, purpose), so runs are
 bitwise reproducible.

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from tsdfmap.decoder import BLOCK_ROWS, PARAM_NAMES, SdfDecoder, softplus
+from one_blas_thread import run_at_one_thread
+from tsdfmap.decoder import BLOCK_ROWS, PARAM_NAMES, SdfDecoder, row_blocks, softplus
 
 
 def manual_forward(dec, x):
@@ -77,6 +78,45 @@ def test_values_are_the_forward_values_bitwise(rng, n):
         want = dec.forward(x)[0]
     assert got.shape == (n,)
     assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1,
+                               2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 1])
+def test_row_blocks_cover_the_rows_in_order(n):
+    blocks = row_blocks(n)
+    assert [i for s, e in blocks for i in range(s, e)] == list(range(n))
+    assert all(e - s >= min(n, BLOCK_ROWS) for s, e in blocks)
+    assert all(e - s == BLOCK_ROWS for s, e in blocks[:-1])  # the last takes the remainder
+    assert (len(blocks) == 1) == (0 < n < 2 * BLOCK_ROWS)
+
+
+# splits that leave a short last block moved rows of the backward at 40,967
+# and 43,009 rows; the rest are seeded sizes above one block
+BLOCKED_SIZES = [40_967, 43_009,
+                 *np.random.default_rng(24).integers(BLOCK_ROWS + 1, 70_000, 20).tolist()]
+
+
+def decode_in_row_blocks_bitwise():
+    """`values`, and `hidden` then `backward` without parameter gradients,
+    give one call's bits when run over `row_blocks`."""
+    for n in BLOCKED_SIZES:
+        rng = np.random.default_rng(n)
+        dec = SdfDecoder(feature_dim=8, hidden_units=32, rng=rng)
+        dec.params["b1"][:] = rng.standard_normal(32)
+        dec.params["b2"][:] = rng.standard_normal(32)
+        x = 3.0 * rng.standard_normal((n, 8))
+        dout = rng.standard_normal(n)
+        blocks = row_blocks(n)
+        values = np.concatenate([dec.values(x[s:e]) for s, e in blocks])
+        dx = np.concatenate([dec.backward(dec.hidden(x[s:e]), dout[s:e],
+                                          with_param_grads=False)[1] for s, e in blocks])
+        want_dx = dec.backward(dec.hidden(x), dout, with_param_grads=False)[1]
+        assert np.array_equal(values.view(np.uint64), dec.values(x).view(np.uint64)), n
+        assert np.array_equal(dx.view(np.uint64), want_dx.view(np.uint64)), n
+
+
+def test_decoding_in_row_blocks_is_one_call_bitwise():
+    run_at_one_thread("test_decoder", "decode_in_row_blocks_bitwise")
 
 
 def test_forward_matches_manual(rng):

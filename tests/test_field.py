@@ -1,10 +1,16 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from grid_helpers import record_rows
-from tsdfmap.decoder import PARAM_NAMES, SdfDecoder
+from one_blas_thread import run_at_one_thread
+from tsdfmap.decoder import BLOCK_ROWS, PARAM_NAMES, SdfDecoder
+from tsdfmap.errors import UnallocatedQuery
 from tsdfmap.field import NeuralSdfField
-from tsdfmap.grid import FeatureGrid
+from tsdfmap.grid import CORNER_OFFSETS, FeatureGrid, cell_of, trilinear_weight_gradients
+from tsdfmap.hashmap import pack_coords
 
 
 def make_field(rng, feature_dim=4, hidden=6):
@@ -152,3 +158,77 @@ def test_spatial_gradient_of_linear_field_is_exact(rng):
     dfeat = (dec.forward(feats + h)[0] - dec.forward(feats - h)[0]) / (2 * h)
     expect = dfeat[:, None] * coef[None, :]
     np.testing.assert_allclose(field.spatial_gradient(pts), expect, atol=1e-5)
+
+
+def two_level_map(n, seed):
+    """A map at the mapper's level sizes and widths, allocated at its n query points."""
+    rng = np.random.default_rng(seed)
+    grid = FeatureGrid(voxel_sizes=(0.3, 0.45), feature_dim=8)
+    pts = rng.uniform(-1.5, 1.5, size=(n, 3))
+    grid.allocate(pts)
+    for lvl in grid.levels:
+        lvl.features[:] = 0.1 * rng.standard_normal(lvl.features.shape)
+    return NeuralSdfField(grid, SdfDecoder(feature_dim=8, hidden_units=32, rng=rng)), pts
+
+
+def one_call_gradient(field, pts, record=None):
+    """`spatial_gradient` as one interpolation and one decoder pass over all points."""
+    feats, record = field.grid.interpolate(pts, record)
+    _, dfeat = field.decoder.backward(field.decoder.hidden(feats), np.ones(len(pts)),
+                                      with_param_grads=False)
+    grad = np.zeros((len(pts), 3))
+    for li, lvl in enumerate(field.grid.levels):
+        s_c = np.einsum("ncd,nd->nc", field.grid.corner_features(record, li), dfeat)
+        dw = trilinear_weight_gradients(cell_of(pts, lvl.voxel_size)[1], lvl.voxel_size)
+        grad += np.einsum("nc,nca->na", s_c, dw)
+    return grad
+
+
+def blocked_reads_equal_one_call():
+    """`sdf` and `spatial_gradient` over several row blocks, with and without
+    a record, equal one call over all points bitwise."""
+    for n in (40_967, 3 * BLOCK_ROWS + 1):
+        field, pts = two_level_map(n, n)
+        record = field.grid.locate(pts)
+        want_sdf = field.decoder.values(field.grid.interpolate(pts)[0]).view(np.uint64)
+        want_grad = one_call_gradient(field, pts).view(np.uint64)
+        for rec in (None, record):
+            assert np.array_equal(field.sdf(pts, rec).view(np.uint64), want_sdf), n
+            assert np.array_equal(field.spatial_gradient(pts, rec).view(np.uint64), want_grad), n
+
+
+def test_blocked_reads_equal_one_call_bitwise():
+    run_at_one_thread("test_field", "blocked_reads_equal_one_call")
+
+
+def test_spatial_gradient_holds_one_block_of_intermediates():
+    field, pts = two_level_map(40_000, 5)
+    record = field.grid.locate(pts)
+    peaks = []
+    for gradient in (field.spatial_gradient, lambda p, r: one_call_gradient(field, p, r)):
+        tracemalloc.start()
+        try:
+            gradient(pts, record)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 4 KB a row of the largest block; one call holds about 2 KB a row of all 40 k
+    bound = 2 * BLOCK_ROWS * 4096
+    assert peaks[0] < bound < peaks[1]
+
+
+def test_a_blocked_read_names_the_point_one_call_would():
+    """The first level with a miss is named across blocks too, even when an
+    earlier block misses only at a later level."""
+    field, pts = two_level_map(3 * BLOCK_ROWS, 6)
+    level1_miss = np.array([2.5, 0.0, 0.0])  # outside the map; level 0 alone grows to it
+    lvl = field.grid.levels[0]
+    cell = cell_of(level1_miss[None], lvl.voxel_size)[0]
+    lvl.vertices.insert(pack_coords(cell + CORNER_OFFSETS))
+    lvl.ensure_rows(lvl.n_vertices)
+    far = np.array([9.0, 9.0, 9.0])
+    pts[10], pts[-10] = level1_miss, far
+    message = re.escape(f"point {far.tolist()} lies in an unallocated voxel at level 0")
+    for read in (field.sdf, field.spatial_gradient):
+        with pytest.raises(UnallocatedQuery, match=f"^{message}$"):
+            read(pts)

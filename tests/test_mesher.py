@@ -250,6 +250,21 @@ def test_weld_holds_no_per_corner_coordinates():
     assert peak < 450 * triangles
 
 
+def test_zero_area_filter_holds_one_block_of_corners():
+    grid = sphere_grid(0.03)
+    triangles = emit(classify_cells(grid.values, grid.valid)[1])[0].size
+    tracemalloc.start()
+    try:
+        extract_mesh(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three corner arrays, two differences and a cross product of every face
+    # at once peak at about 350 bytes a candidate triangle here; one
+    # `row_blocks` block of faces at a time at about 240
+    assert peak < 300 * triangles
+
+
 class StubField:
     """Analytic field with a restricted allocated region."""
 

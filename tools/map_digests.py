@@ -31,9 +31,9 @@ perfbench's detail line carries only the loss trace.
 import os
 
 # One BLAS thread, as perfbench/run.py pins it, before numpy loads. A
-# threaded GEMM splits the mesher's large decoder batches into per-thread
-# row blocks, which can move node values in the last bits, so unpinned the
-# mesh digest would follow the host's core count. Unpinned OpenBLAS
+# threaded BLAS splits each decoder call into per-thread row blocks, which
+# can move node values in the last bits, so unpinned the mesh digest could
+# follow the host's core count. Unpinned OpenBLAS
 # workers also double a mapping pass's CPU time for the same wall time.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
