@@ -102,6 +102,14 @@ def _read(data, name, dtype, shape):
     return arr
 
 
+def _read_count(data, name, least=0):
+    """Int64 scalar `name`, checked to be at least `least`."""
+    value = int(_read(data, name, np.int64, ()))
+    if value < least:
+        raise MalformedFile(f"checkpoint array {name!r} is {value}, expected at least {least}")
+    return value
+
+
 def _read_hash(data, name):
     keys = _read(data, name, np.int64, (None,))
     try:
@@ -114,9 +122,11 @@ def load_checkpoint(path) -> Mapper:
     """Rebuild a mapper from `save_checkpoint` output.
 
     Raises MalformedFile when the file is not a readable .npz archive
-    (empty, truncated, or an array that fails its CRC), or when an array
+    (empty, truncated, or an array that fails its CRC), when an array
     is missing or its shape or dtype disagrees with the embedded config
-    or with the arrays it pairs with.
+    or with the arrays it pairs with, when `config_json` is not a valid
+    `TrainConfig` as UTF-8 JSON, or when a counter is negative or
+    `pool_next_seq` is not above every stored pool `seq`.
     """
     try:
         data = np.load(path)
@@ -130,10 +140,15 @@ def load_checkpoint(path) -> Mapper:
             raise UnsupportedFormat(
                 f"checkpoint format version {version} (reader supports {FORMAT_VERSION})"
             )
-        config = json.loads(bytes(_read(data, "config_json", np.uint8, (None,))).decode())
-        mapper = Mapper(build_dataclass(TrainConfig, config))
-        mapper.frames_done = int(_read(data, "frames_done", np.int64, ()))
-        mapper.adam_steps = int(_read(data, "adam_step", np.int64, ()))
+        raw = bytes(_read(data, "config_json", np.uint8, (None,)))
+        try:  # JSON and Unicode decode errors are ValueErrors too
+            config = build_dataclass(TrainConfig, json.loads(raw.decode()))
+        except ValueError as exc:
+            raise MalformedFile(f"checkpoint array 'config_json' is not UTF-8 JSON of a "
+                                f"TrainConfig: {exc}") from None
+        mapper = Mapper(config)
+        mapper.frames_done = _read_count(data, "frames_done")
+        mapper.adam_steps = _read_count(data, "adam_step")
         for name in PARAM_NAMES:
             shape = mapper.decoder.params[name].shape
             for prefix, store in (("dec_", mapper.decoder.params),
@@ -155,5 +170,7 @@ def load_checkpoint(path) -> Mapper:
             column = _read(data, f"pool_{name}", dtype, (n, *shape))
             n = column.shape[0]
             setattr(mapper.pool, name, column)
-        mapper.pool._next_seq = int(_read(data, "pool_next_seq", np.int64, ()))
+        # new rows are numbered past every stored row
+        mapper.pool._next_seq = _read_count(data, "pool_next_seq",
+                                            int(mapper.pool.seq.max(initial=-1)) + 1)
     return mapper

@@ -6,6 +6,8 @@ vertex; a point query sums the trilinear interpolation of the eight
 enclosing corner features over all levels, so the aggregated feature
 keeps dimension ``feature_dim``. Features initialize to zero, which
 makes unseen regions decode to the decoder's zero-feature output.
+Points are read once: `locate` checks that their corners are allocated
+and keeps each point's in-cell fractions in the record every read takes.
 """
 
 from typing import NamedTuple
@@ -114,11 +116,7 @@ def trilinear_weights(frac):
     Built corner-major, as whole rows of n: weight 4*bx + 2*by + bz is
     (fx[bx] * fy[by]) * fz[bz]. The (n, 8) result is a view of that block.
     """
-    return corner_weights(*_axis_factors(frac))
-
-
-def corner_weights(fx, fy, fz):
-    """Per-axis factors 1 - t and t, each (2, n) -> (n, 8) corner weights."""
+    fx, fy, fz = _axis_factors(frac)
     w = (fx[:, None, None] * fy[None, :, None]) * fz[None, None, :]  # (2, 2, 2, n)
     return w.reshape(8, fx.shape[1]).T
 
@@ -142,16 +140,17 @@ def trilinear_weight_gradients(frac, voxel_size):
 
 
 class InterpRecord(NamedTuple):
-    """Per-level corner rows and weights retained for the backward pass.
+    """Per-level corner rows and in-cell fractions of located points.
 
     Rows are kept once per distinct cell: level l's point i has corner
     rows cells[l][cell_index[i, l]]. Every cell of a level is the cell of
-    at least one point.
+    at least one point, and every corner row is allocated. The reads take
+    their weights and weight gradients from `frac`.
     """
 
-    cells: tuple  # per level (m_l, 8) int64 corner rows, -1 if absent
+    cells: tuple  # per level (m_l, 8) int64 corner rows
     cell_index: np.ndarray  # (n, L) int64
-    weights: np.ndarray  # (n, L, 8) float64
+    frac: np.ndarray  # (n, L, 3) float64, each point's `cell_of` fractions per level
 
     def take(self, idx):
         """The record of points[idx], given the record of points.
@@ -161,7 +160,7 @@ class InterpRecord(NamedTuple):
         kept = [used_rows(rows, self.cell_index[idx, li]) for li, rows in enumerate(self.cells)]
         return InterpRecord(tuple(cells for cells, _ in kept),
                             np.stack([index for _, index in kept], axis=1),
-                            np.take(self.weights, idx, axis=0))
+                            np.take(self.frac, idx, axis=0))
 
 
 def used_rows(rows, index):
@@ -249,14 +248,25 @@ class FeatureGrid:
         return added, skipped
 
     def locate(self, points) -> InterpRecord:
-        """Each point's corner rows (-1 if absent) and weights per level."""
+        """Each point's corner rows and in-cell fractions per level.
+
+        Raises UnallocatedQuery if any point lies in a voxel with missing
+        corners at any level, naming the first such level's first such
+        point: unknown space is an error, not zero.
+        """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        found = [cell_rows(lvl.vertices, lvl.voxel_size, pts) for lvl in self.levels]
-        weights = np.empty((pts.shape[0], self.n_levels, 8))  # C order: take copies whole rows
-        for li, (_, _, frac) in enumerate(found):
-            weights[:, li] = trilinear_weights(frac)
-        return InterpRecord(tuple(cells for cells, _, _ in found),
-                            np.stack([inverse for _, inverse, _ in found], axis=1), weights)
+        frac = np.empty((pts.shape[0], self.n_levels, 3))  # C order: take copies whole rows
+        cells, index = [], []
+        for li, lvl in enumerate(self.levels):
+            rows, inverse, frac[:, li] = cell_rows(lvl.vertices, lvl.voxel_size, pts)
+            missing = (rows < 0).any(axis=1)  # (m_l,)
+            if missing.any():
+                bad = pts[np.argmax(missing[inverse])]
+                raise UnallocatedQuery(f"point {bad.tolist()} lies in an unallocated voxel "
+                                       f"at level {li}")
+            cells.append(rows)
+            index.append(inverse)
+        return InterpRecord(tuple(cells), np.stack(index, axis=1), frac)
 
     def corner_features(self, record: InterpRecord, li: int):
         """(n, 8, D) level-li corner features of each point in `record`.
@@ -267,38 +277,19 @@ class FeatureGrid:
         cell_feats = np.take(self.levels[li].features, record.cells[li], axis=0)
         return np.take(cell_feats, record.cell_index[:, li], axis=0)
 
-    def interpolate(self, points, record=None, with_corners=False):
-        """Aggregated features for a batch of points.
+    def interpolate(self, record: InterpRecord):
+        """Aggregated features of located points, and each level's corner features.
 
-        Returns (features (n, feature_dim), InterpRecord), and with
-        `with_corners` also the list of each level's `corner_features`.
-        Raises UnallocatedQuery as `require_allocated` does. Given the
-        record of these points from `locate`, only the current features
-        are gathered: a vertex keeps its row once allocated.
+        Returns (features (n, feature_dim), [corner_features(record, l) for
+        each level l]). Only the current features are gathered: a vertex
+        keeps its row once allocated, so a record stays valid while features
+        train.
         """
-        if record is None:
-            record = self.locate(points)
-        self.require_allocated(points, record)
         feats = np.zeros((record.cell_index.shape[0], self.feature_dim))
-        corners = []
-        for li in range(self.n_levels):
-            corner_feats = self.corner_features(record, li)
-            feats += np.einsum("nc,ncd->nd", record.weights[:, li], corner_feats)
-            if with_corners:
-                corners.append(corner_feats)
-        return (feats, record, corners) if with_corners else (feats, record)
-
-    def require_allocated(self, points, record: InterpRecord):
-        """Raise UnallocatedQuery if any of the points lies in a voxel with
-        missing corners at any level, naming the first such level's first
-        such point: unknown space is an error, not zero."""
-        for li, rows in enumerate(record.cells):
-            missing = (rows < 0).any(axis=1)  # (m_l,)
-            if missing.any():
-                first = np.argmax(missing[record.cell_index[:, li]])
-                bad = np.asarray(points, dtype=np.float64).reshape(-1, 3)[first]
-                raise UnallocatedQuery(f"point {bad.tolist()} lies in an unallocated voxel "
-                                       f"at level {li}")
+        corners = [self.corner_features(record, li) for li in range(self.n_levels)]
+        for li, corner_feats in enumerate(corners):
+            feats += np.einsum("nc,ncd->nd", trilinear_weights(record.frac[:, li]), corner_feats)
+        return feats, corners
 
     def locate_lattice(self, axes, nodes):
         """`voxels_allocated` and `locate` of lattice nodes given by linear index.
@@ -306,12 +297,13 @@ class FeatureGrid:
         Node (i, j, k) sits at (axes[0][i], axes[1][j], axes[2][k]) and has
         linear index (i * ny + j) * nz + k. Returns (ok, record): ok (n,) is
         `voxels_allocated` of the nodes' points, and record is the record of
-        the points of nodes[ok], each point's corner rows and weights bit for
-        bit those of `locate` (cells in key order). Cells and fractions come
-        per axis, from the same floats `cell_of` sees on the points. A node's
-        cell is numbered by the ranks of its axis cells within the chunk's
-        span, so marking those codes lists the distinct cells in key order
-        without a sort, and each is looked up once.
+        the points of nodes[ok], each point's corner rows and fractions bit
+        for bit those of `locate` (cells in key order). Cells and fractions
+        come per axis, from the same floats `cell_of` sees on the points, so
+        no node's coordinates are formed. A node's cell is numbered by the
+        ranks of its axis cells within the chunk's span, so marking those
+        codes lists the distinct cells in key order without a sort, and each
+        is looked up once.
         """
         ijk = np.unravel_index(nodes, tuple(len(a) for a in axes))
         span = [slice(i.min(), i.max() + 1) for i in ijk]
@@ -337,16 +329,16 @@ class FeatureGrid:
             rows = lvl.vertices.lookup(corner_keys(cell_keys(cells))).reshape(-1, 8)
             index = number[code]
             ok &= (rows >= 0).all(axis=1)[index]
-            found.append((rows, index, [np.stack([1.0 - f, f]) for f in frac]))  # per-axis factors
+            found.append((rows, index, frac))
         hit = np.flatnonzero(ok)
         hit_ijk = [i[hit] for i in ijk]
         kept = [used_rows(rows, index[hit]) for rows, index, _ in found]
-        weights = np.empty((hit.size, self.n_levels, 8))  # C order, as `locate` lays it out
-        for li, (_, _, factors) in enumerate(found):
-            hit_factors = (np.take(f, i, axis=1) for f, i in zip(factors, hit_ijk))
-            weights[:, li] = corner_weights(*hit_factors)
+        hit_frac = np.empty((hit.size, self.n_levels, 3))  # C order, as `locate` lays it out
+        for li, (_, _, frac) in enumerate(found):
+            for a, (f, i) in enumerate(zip(frac, hit_ijk)):
+                hit_frac[:, li, a] = f[i]
         return ok, InterpRecord(tuple(cells for cells, _ in kept),
-                                np.stack([index for _, index in kept], axis=1), weights)
+                                np.stack([index for _, index in kept], axis=1), hit_frac)
 
     def voxels_allocated(self, points):
         """Boolean mask: point lies in a fully allocated voxel at every level.

@@ -70,9 +70,9 @@ def eval_sdf_grid(field, bounds, spacing: float = 0.10, batch_size: int = 65536)
     transposed products give a short call's rows other bits), but not which
     nodes are valid. Only `values`, `valid`, one batch's record and one
     block's decoder arrays are held: nodes are located on the lattice by
-    index (`FeatureGrid.locate_lattice`), coordinates are formed only for
-    the valid nodes of a batch, and the decoder runs values-only, keeping
-    no training cache.
+    index (`FeatureGrid.locate_lattice`), so no node's coordinates are
+    formed, and the decoder reads that record values-only, keeping no
+    training cache.
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be a positive node count, got {batch_size}")
@@ -86,9 +86,7 @@ def eval_sdf_grid(field, bounds, spacing: float = 0.10, batch_size: int = 65536)
         ok, record = field.grid.locate_lattice(axes, nodes)
         valid[s : s + nodes.size] = ok
         if ok.any():
-            idx = nodes[ok]
-            points = np.stack([a[i] for a, i in zip(axes, np.unravel_index(idx, shape))], axis=1)
-            values[idx] = field.sdf(points, record=record)
+            values[nodes[ok]] = field.sdf(record)
     if not valid.any():
         raise EmptyMap("no grid node falls inside an allocated voxel")
     return SdfGrid(lo, float(spacing), values.reshape(shape), valid.reshape(shape))

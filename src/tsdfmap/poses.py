@@ -1,9 +1,11 @@
 """Pose files: one 3x4 row-major rigid transform (sensor->world) per line.
 
 Blank lines and '#' comments are skipped; a line holding nan or inf is
-malformed. Rotation blocks that drift from orthonormality by more than
-1e-3 are re-orthonormalized via SVD with a warning; smaller drift is
-left untouched.
+malformed, and so is a rotation block with a negative determinant (a
+reflection, which R·Rᵀ = I does not rule out: it would mirror the scans).
+Rotation blocks that drift from orthonormality by more than 1e-3 are
+re-orthonormalized via SVD with a warning; smaller drift is left
+untouched.
 """
 
 import warnings
@@ -43,6 +45,8 @@ def load_poses(path):
                 raise MalformedLine(lineno, "non-finite value (nan or inf)")
             pose = vals.reshape(3, 4)
             r = pose[:, :3]
+            if np.linalg.det(r) < 0:
+                raise MalformedLine(lineno, "rotation block is a reflection")
             err = np.abs(r @ r.T - np.eye(3)).max()
             if err > ORTHO_TOL:
                 warnings.warn(

@@ -7,7 +7,7 @@ at the sample positions, insert into the replay pool, prune the pool
 window, enforce bucket capacity, partition buckets by uncertainty and
 split the pool rows into uncertain and certain once. Replay then draws
 all `iterations` batches from the frame's batch stream, locates the
-union of drawn rows once (corner rows and weights), and runs
+union of drawn rows once (corner rows and in-cell fractions), and runs
 `iterations` rounds of predict / MSE / backward / Adam, each on its
 batch's slice of that record with the current features. Finally Fisher
 information accumulates over the union, each trained sample once, with
@@ -206,7 +206,7 @@ class Mapper:
         pos = np.take(self.pool.pos, rows, axis=0)
         union = self.grid.locate(pos)
         for batch, idx in zip(drawn, np.split(inv, len(drawn))):
-            _, cache = self.field.predict(np.take(pos, idx, axis=0), record=union.take(idx))
+            _, cache = self.field.predict(union.take(idx))
             loss, store = self.field.backward_mse(cache, self.pool.label[batch])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(
@@ -221,7 +221,7 @@ class Mapper:
 
         # Fisher sees each trained sample once, with the updated weights.
         report.fisher_rows = int(rows.size)
-        grads = self.field.spatial_gradient(pos, record=union)
+        grads = self.field.spatial_gradient(union)
         self.perturb.accumulate(pos, grads)
         report.stage_ms["fisher"] = 1e3 * (time.perf_counter() - t1)
 

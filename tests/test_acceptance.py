@@ -49,10 +49,10 @@ def _verdict(capsys, num, name, ok, detail=""):
 # ---------------------------------------------------------------- 1
 
 
-def _batch_loss(field, pts, labels, record):
-    # a perturbed weight or feature moves no corner row or weight, so the
+def _batch_loss(field, labels, record):
+    # a perturbed weight or feature moves no corner row or fraction, so the
     # analytic pass's record stands for a fresh lookup (test_grid pins them equal)
-    preds, _ = field.predict(pts, record)
+    preds, _ = field.predict(record)
     r = preds - labels
     return float(r @ r) / r.size
 
@@ -74,7 +74,7 @@ def test_01_gradients_match_finite_differences(capsys):
         for lvl in grid.levels:
             lvl.features[:] = 0.3 * rng.standard_normal(lvl.features.shape)
         labels = rng.standard_normal(pts.shape[0])
-        _, cache = field.predict(pts)
+        _, cache = field.predict(grid.locate(pts))
         _, store = field.backward_mse(cache, labels)
 
         for name in PARAM_NAMES:
@@ -83,9 +83,9 @@ def test_01_gradients_match_finite_differences(capsys):
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + h
-                fp = _batch_loss(field, pts, labels, cache.record)
+                fp = _batch_loss(field, labels, cache.record)
                 flat[i] = keep - h
-                fm = _batch_loss(field, pts, labels, cache.record)
+                fm = _batch_loss(field, labels, cache.record)
                 flat[i] = keep
                 fd = (fp - fm) / (2 * h)
                 worst = max(worst, abs(grad[i] - fd) / max(1.0, abs(grad[i]), abs(fd)))
@@ -97,9 +97,9 @@ def test_01_gradients_match_finite_differences(capsys):
                 for d in range(fdim):
                     keep = lvl.features[r, d]
                     lvl.features[r, d] = keep + h
-                    fp = _batch_loss(field, pts, labels, cache.record)
+                    fp = _batch_loss(field, labels, cache.record)
                     lvl.features[r, d] = keep - h
-                    fm = _batch_loss(field, pts, labels, cache.record)
+                    fm = _batch_loss(field, labels, cache.record)
                     lvl.features[r, d] = keep
                     fd = (fp - fm) / (2 * h)
                     worst = max(worst,

@@ -154,9 +154,10 @@ def test_save_to_a_file_object(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _saved_arrays(tmp_path):
+def _saved_arrays(tmp_path, frames=1):
     mapper = Mapper(cfg())
-    mapper.process_frame(make_scan(0))
+    for f in range(frames):
+        mapper.process_frame(make_scan(f))
     path = tmp_path / "ck.npz"
     save_checkpoint(path, mapper)
     return path, dict(np.load(path))
@@ -199,6 +200,35 @@ def test_pool_columns_must_agree_in_length_and_dtype(tmp_path):
     _rejects(path, {**data, "pool_label": data["pool_label"][:-1]}, "'pool_label'")
     _rejects(path, {**data, "pool_frame_id": data["pool_frame_id"].astype(np.int64)},
              "'pool_frame_id'")
+
+
+@pytest.mark.parametrize("name", ["frames_done", "adam_step", "pool_next_seq"])
+def test_negative_counter_rejected(tmp_path, name):
+    path, data = _saved_arrays(tmp_path, frames=0)  # an empty pool bounds no seq
+    _rejects(path, {**data, name: np.int64(-5)}, f"'{name}' is -5, expected at least 0$")
+
+
+def test_pool_next_seq_must_be_above_every_stored_seq(tmp_path):
+    path, data = _saved_arrays(tmp_path)
+    top = int(data["pool_seq"].max())
+    assert int(data["pool_next_seq"]) == top + 1
+    for bad in (top, top - 1):
+        _rejects(path, {**data, "pool_next_seq": np.int64(bad)},
+                 f"'pool_next_seq' is {bad}, expected at least {top + 1}$")
+
+
+@pytest.mark.parametrize("raw, match", [
+    (b"\xff\xfe{}", "can't decode byte"),  # not UTF-8
+    (b"{iterations: 4", "Expecting property name"),  # not JSON
+    (b'{"bogus": 1}', "unknown config key bogus"),
+    (b'{"iterations": 0}', "iterations must be >= 1"),
+    (b'{"pool": {"capacity": "many"}}', "pool.capacity: expected an integer"),
+    (b"[1, 2]", "expected a mapping"),
+])
+def test_bad_config_json_names_the_member(tmp_path, raw, match):
+    path, data = _saved_arrays(tmp_path)
+    _rejects(path, {**data, "config_json": np.frombuffer(raw, dtype=np.uint8)},
+             f"^checkpoint array 'config_json' is not UTF-8 JSON of a TrainConfig: .*{match}")
 
 
 def test_members_are_stored_not_deflated(tmp_path):

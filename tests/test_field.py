@@ -9,7 +9,8 @@ from one_blas_thread import run_at_one_thread
 from tsdfmap.decoder import BLOCK_ROWS, PARAM_NAMES, SdfDecoder
 from tsdfmap.errors import UnallocatedQuery
 from tsdfmap.field import NeuralSdfField
-from tsdfmap.grid import CORNER_OFFSETS, FeatureGrid, cell_of, trilinear_weight_gradients
+from tsdfmap.grid import (CORNER_OFFSETS, FeatureGrid, cell_of, trilinear_weight_gradients,
+                          trilinear_weights)
 from tsdfmap.hashmap import pack_coords
 
 
@@ -25,15 +26,16 @@ def make_field(rng, feature_dim=4, hidden=6):
 
 
 def total_loss(field, pts, labels):
-    preds, _ = field.predict(pts)
+    preds, _ = field.predict(field.grid.locate(pts))
     r = preds - labels
     return float(r @ r) / r.size
 
 
 def test_predict_composes_interpolate_and_decode(rng):
     field, pts = make_field(rng)
-    preds, cache = field.predict(pts)
-    feats, _ = field.grid.interpolate(pts)
+    record = field.grid.locate(pts)
+    preds, cache = field.predict(record)
+    feats, _ = field.grid.interpolate(record)
     expect, _ = field.decoder.forward(feats)
     np.testing.assert_array_equal(preds, expect)
     assert cache.preds is preds
@@ -41,15 +43,15 @@ def test_predict_composes_interpolate_and_decode(rng):
 
 def test_sdf_is_predict_without_the_cache_bitwise(rng):
     field, pts = make_field(rng, feature_dim=8, hidden=32)
-    preds, _ = field.predict(pts)
-    assert field.sdf(pts).tobytes() == preds.tobytes()
-    assert field.sdf(pts, record=field.grid.locate(pts)).tobytes() == preds.tobytes()
+    record = field.grid.locate(pts)
+    preds, _ = field.predict(record)
+    assert field.sdf(record).tobytes() == preds.tobytes()
 
 
 def test_backward_mse_loss_value(rng):
     field, pts = make_field(rng)
     labels = rng.standard_normal(pts.shape[0])
-    preds, cache = field.predict(pts)
+    preds, cache = field.predict(field.grid.locate(pts))
     loss, _ = field.backward_mse(cache, labels)
     assert loss == pytest.approx(np.mean((preds - labels) ** 2), abs=1e-15)
 
@@ -57,7 +59,7 @@ def test_backward_mse_loss_value(rng):
 def test_decoder_gradients_match_finite_differences(rng):
     field, pts = make_field(rng)
     labels = rng.standard_normal(pts.shape[0])
-    _, cache = field.predict(pts)
+    _, cache = field.predict(field.grid.locate(pts))
     _, store = field.backward_mse(cache, labels)
     h = 1e-6
     for name in PARAM_NAMES:
@@ -78,7 +80,7 @@ def test_decoder_gradients_match_finite_differences(rng):
 def test_feature_gradients_match_finite_differences(rng):
     field, pts = make_field(rng)
     labels = rng.standard_normal(pts.shape[0])
-    _, cache = field.predict(pts)
+    _, cache = field.predict(field.grid.locate(pts))
     _, store = field.backward_mse(cache, labels)
     h = 1e-6
     for li, lvl in enumerate(field.grid.levels):
@@ -102,7 +104,7 @@ def test_feature_gradients_match_finite_differences(rng):
 def test_gradient_rows_cover_all_touched_vertices(rng):
     field, pts = make_field(rng)
     labels = np.zeros(pts.shape[0])
-    _, cache = field.predict(pts)
+    _, cache = field.predict(field.grid.locate(pts))
     _, store = field.backward_mse(cache, labels)
     for li in range(2):
         rows = record_rows(field.grid.locate(pts))[:, li]
@@ -111,7 +113,7 @@ def test_gradient_rows_cover_all_touched_vertices(rng):
 
 def test_zero_residual_gives_zero_gradients(rng):
     field, pts = make_field(rng)
-    preds, cache = field.predict(pts)
+    preds, cache = field.predict(field.grid.locate(pts))
     loss, store = field.backward_mse(cache, preds.copy())
     assert loss == 0.0
     for name in PARAM_NAMES:
@@ -128,14 +130,14 @@ def test_spatial_gradient_matches_finite_differences(rng):
     for lvl in field.grid.levels:
         lvl.features[:] = 0.1 * np.random.default_rng(8).standard_normal(
             lvl.features.shape)
-    grad = field.spatial_gradient(probes)
+    grad = field.spatial_gradient(field.grid.locate(probes))
     h = 1e-6
     for a in range(3):
         dp = probes.copy()
         dm = probes.copy()
         dp[:, a] += h
         dm[:, a] -= h
-        fd = (field.predict(dp)[0] - field.predict(dm)[0]) / (2 * h)
+        fd = (field.sdf(field.grid.locate(dp)) - field.sdf(field.grid.locate(dm))) / (2 * h)
         np.testing.assert_allclose(grad[:, a], fd, rtol=0, atol=1e-6)
 
 
@@ -154,10 +156,11 @@ def test_spatial_gradient_of_linear_field_is_exact(rng):
 
     # chain rule: d dec/d feat at each point times the feature's spatial grad
     h = 1e-7
-    feats, _ = grid.interpolate(pts)
+    record = grid.locate(pts)
+    feats, _ = grid.interpolate(record)
     dfeat = (dec.forward(feats + h)[0] - dec.forward(feats - h)[0]) / (2 * h)
     expect = dfeat[:, None] * coef[None, :]
-    np.testing.assert_allclose(field.spatial_gradient(pts), expect, atol=1e-5)
+    np.testing.assert_allclose(field.spatial_gradient(record), expect, atol=1e-5)
 
 
 def two_level_map(n, seed):
@@ -171,44 +174,70 @@ def two_level_map(n, seed):
     return NeuralSdfField(grid, SdfDecoder(feature_dim=8, hidden_units=32, rng=rng)), pts
 
 
-def one_call_gradient(field, pts, record=None):
-    """`spatial_gradient` as one interpolation and one decoder pass over all points."""
-    feats, record = field.grid.interpolate(pts, record)
+def points_gradient(field, pts):
+    """`spatial_gradient` in one pass, with the weights and their gradients
+    taken from the coordinates by `cell_of`, as the points-based reads did;
+    only the corner rows come from `locate`."""
+    record = field.grid.locate(pts)
+    fracs = [cell_of(pts, lvl.voxel_size)[1] for lvl in field.grid.levels]
+    corners = [field.grid.corner_features(record, li) for li in range(field.grid.n_levels)]
+    feats = np.zeros((len(pts), field.grid.feature_dim))
+    for frac, corner_feats in zip(fracs, corners):
+        feats += np.einsum("nc,ncd->nd", trilinear_weights(frac), corner_feats)
     _, dfeat = field.decoder.backward(field.decoder.hidden(feats), np.ones(len(pts)),
                                       with_param_grads=False)
     grad = np.zeros((len(pts), 3))
-    for li, lvl in enumerate(field.grid.levels):
-        s_c = np.einsum("ncd,nd->nc", field.grid.corner_features(record, li), dfeat)
-        dw = trilinear_weight_gradients(cell_of(pts, lvl.voxel_size)[1], lvl.voxel_size)
-        grad += np.einsum("nc,nca->na", s_c, dw)
+    for lvl, frac, corner_feats in zip(field.grid.levels, fracs, corners):
+        s_c = np.einsum("ncd,nd->nc", corner_feats, dfeat)
+        grad += np.einsum("nc,nca->na", s_c, trilinear_weight_gradients(frac, lvl.voxel_size))
     return grad
 
 
 def blocked_reads_equal_one_call():
-    """`sdf` and `spatial_gradient` over several row blocks, with and without
-    a record, equal one call over all points bitwise."""
+    """`sdf` and `spatial_gradient` over several row blocks equal one call
+    over all points bitwise."""
     for n in (40_967, 3 * BLOCK_ROWS + 1):
         field, pts = two_level_map(n, n)
         record = field.grid.locate(pts)
-        want_sdf = field.decoder.values(field.grid.interpolate(pts)[0]).view(np.uint64)
-        want_grad = one_call_gradient(field, pts).view(np.uint64)
-        for rec in (None, record):
-            assert np.array_equal(field.sdf(pts, rec).view(np.uint64), want_sdf), n
-            assert np.array_equal(field.spatial_gradient(pts, rec).view(np.uint64), want_grad), n
+        want_sdf = field.decoder.values(field.grid.interpolate(record)[0]).view(np.uint64)
+        assert np.array_equal(field.sdf(record).view(np.uint64), want_sdf), n
+        want_grad = points_gradient(field, pts).view(np.uint64)
+        assert np.array_equal(field.spatial_gradient(record).view(np.uint64), want_grad), n
 
 
 def test_blocked_reads_equal_one_call_bitwise():
     run_at_one_thread("test_field", "blocked_reads_equal_one_call")
 
 
+def record_gradients_equal_the_points_form():
+    """Records from `locate`, `take` and `locate_lattice` give the gradient
+    of the coordinates' own fractions, bit for bit."""
+    field, pts = two_level_map(3000, 9)
+    idx = np.random.default_rng(9).integers(0, len(pts), size=2500)  # repeats rows
+    record = field.grid.locate(pts)
+    for got, points in ((record, pts), (record.take(idx), pts[idx])):
+        assert np.array_equal(field.spatial_gradient(got).view(np.uint64),
+                              points_gradient(field, points).view(np.uint64))
+    axes = [np.linspace(-1.9, 1.7, 23), np.linspace(-1.6, 1.8, 19), np.linspace(-1.7, 1.9, 21)]
+    ok, lattice = field.grid.locate_lattice(axes, np.arange(23 * 19 * 21))
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)[ok]
+    assert 0 < len(nodes) < len(ok)
+    assert np.array_equal(field.spatial_gradient(lattice).view(np.uint64),
+                          points_gradient(field, nodes).view(np.uint64))
+
+
+def test_spatial_gradient_of_a_record_equals_the_points_form_bitwise():
+    run_at_one_thread("test_field", "record_gradients_equal_the_points_form")
+
+
 def test_spatial_gradient_holds_one_block_of_intermediates():
     field, pts = two_level_map(40_000, 5)
     record = field.grid.locate(pts)
     peaks = []
-    for gradient in (field.spatial_gradient, lambda p, r: one_call_gradient(field, p, r)):
+    for gradient in (lambda: field.spatial_gradient(record), lambda: points_gradient(field, pts)):
         tracemalloc.start()
         try:
-            gradient(pts, record)
+            gradient()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -218,8 +247,9 @@ def test_spatial_gradient_holds_one_block_of_intermediates():
 
 
 def test_a_blocked_read_names_the_point_one_call_would():
-    """The first level with a miss is named across blocks too, even when an
-    earlier block misses only at a later level."""
+    """`locate` checks every point before a read cuts rows into blocks, and
+    names the first level with a miss, even when an earlier block misses
+    only at a later level."""
     field, pts = two_level_map(3 * BLOCK_ROWS, 6)
     level1_miss = np.array([2.5, 0.0, 0.0])  # outside the map; level 0 alone grows to it
     lvl = field.grid.levels[0]
@@ -229,6 +259,5 @@ def test_a_blocked_read_names_the_point_one_call_would():
     far = np.array([9.0, 9.0, 9.0])
     pts[10], pts[-10] = level1_miss, far
     message = re.escape(f"point {far.tolist()} lies in an unallocated voxel at level 0")
-    for read in (field.sdf, field.spatial_gradient):
-        with pytest.raises(UnallocatedQuery, match=f"^{message}$"):
-            read(pts)
+    with pytest.raises(UnallocatedQuery, match=f"^{message}$"):
+        field.grid.locate(pts)

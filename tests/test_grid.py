@@ -14,6 +14,7 @@ from tsdfmap.grid import (
     FeatureGrid,
     cell_keys,
     cell_of,
+    cell_rows,
     corner_keys,
     distinct_cells,
     sorted_distinct,
@@ -158,9 +159,9 @@ def test_interpolation_matches_manual(rng):
     g.allocate(pts)
     for lvl in g.levels:
         lvl.features[:] = rng.standard_normal(lvl.features.shape)
-    feats, rec = g.interpolate(pts)
-    manual = np.zeros_like(feats)
     loc = g.locate(pts)
+    feats, _ = g.interpolate(loc)
+    manual = np.zeros_like(feats)
     for li, lvl in enumerate(g.levels):
         rows, frac = record_rows(loc)[:, li], cell_of(pts, lvl.voxel_size)[1]
         w = trilinear_weights(frac)
@@ -179,7 +180,7 @@ def test_interpolation_is_exact_on_trilinear_functions(rng):
     lvl = g.levels[0]
     coords = unpack_key(lvl.vertices.keys).astype(np.float64)
     lvl.features[:, 0] = coords @ coef
-    feats, _ = g.interpolate(pts)
+    feats, _ = g.interpolate(g.locate(pts))
     np.testing.assert_allclose(feats[:, 0], pts @ coef, atol=1e-12)
 
 
@@ -189,9 +190,9 @@ def test_features_sum_over_levels(rng):
     g.allocate(pts)
     for lvl in g.levels:
         lvl.features[:] = rng.standard_normal(lvl.features.shape)
-    total, _ = g.interpolate(pts)
-    parts = []
     loc = g.locate(pts)
+    total, _ = g.interpolate(loc)
+    parts = []
     for li, lvl in enumerate(g.levels):
         rows, frac = record_rows(loc)[:, li], cell_of(pts, lvl.voxel_size)[1]
         w = trilinear_weights(frac)
@@ -203,7 +204,7 @@ def test_unallocated_query_raises():
     g = FeatureGrid()
     g.allocate(np.zeros((1, 3)))
     with pytest.raises(UnallocatedQuery):
-        g.interpolate(np.array([[50.0, 50.0, 50.0]]))
+        g.locate(np.array([[50.0, 50.0, 50.0]]))
 
 
 def test_voxels_allocated_mask(rng):
@@ -229,11 +230,14 @@ def test_interpolate_with_a_taken_record_matches_a_fresh_one(rng):
     grid.allocate(pts)
     for lvl in grid.levels:
         lvl.features[:] = rng.standard_normal(lvl.features.shape)
-    _, rec = grid.interpolate(pts)
+    rec = grid.locate(pts)
     idx = rng.integers(0, 200, size=300)  # repeats rows, as batch draws do
-    want, want_rec = grid.interpolate(pts[idx])
-    got, got_rec = grid.interpolate(pts[idx], record=rec.take(idx))
+    want_rec, got_rec = grid.locate(pts[idx]), rec.take(idx)
+    want, want_corners = grid.interpolate(want_rec)
+    got, got_corners = grid.interpolate(got_rec)
     assert np.array_equal(got, want)
+    for a, b in zip(got_corners, want_corners):
+        assert np.array_equal(a, b)
     assert_same_record(got_rec, want_rec)
 
 
@@ -242,7 +246,7 @@ def assert_same_record(got, want):
     for a, b in zip(got.cells, want.cells):
         assert np.array_equal(a, b)
     assert np.array_equal(got.cell_index, want.cell_index)
-    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.frac.view(np.uint64), want.frac.view(np.uint64))
 
 
 def per_point_rows(vertices, voxel_size, pts):
@@ -285,16 +289,20 @@ def test_distinct_cells_broadcast_back_to_each_point(rng):
 
 def test_locate_matches_per_point_lookup(shared_cell_grid):
     grid, inside, outside = shared_cell_grid
+    rec = grid.locate(inside)
+    assert rec.frac.flags.c_contiguous  # so take copies each point's fractions as one row
     pts = np.vstack([inside[:50], outside, inside[50:]])
-    rec = grid.locate(pts)
-    assert rec.weights.flags.c_contiguous  # so take copies each point's weights as one row
     for li, lvl in enumerate(grid.levels):
-        rows, frac = record_rows(rec)[:, li], cell_of(pts, lvl.voxel_size)[1]
+        frac = cell_of(inside, lvl.voxel_size)[1]
+        assert np.array_equal(record_rows(rec)[:, li], level_rows(grid, inside, li))
+        assert np.array_equal(rec.frac[:, li].view(np.uint64), frac.view(np.uint64))
+        # outside points keep their -1 rows in the lookup `locate` makes
+        rows, inverse, _ = cell_rows(lvl.vertices, lvl.voxel_size, pts)
         want = level_rows(grid, pts, li)
-        assert np.array_equal(rows, want)
-        assert np.array_equal(rec.weights[:, li], trilinear_weights(frac))
-        assert (want[50:54] == -1).any(axis=1).all()  # outside points keep their -1 rows
+        assert np.array_equal(rows[inverse], want)
+        assert (want[50:54] == -1).any(axis=1).all()
         assert (want[:50] >= 0).all()
+    assert not grid.voxels_allocated(outside).any()
     assert (level_rows(grid, outside[3:], 0) >= 0).any()  # a partly allocated cell
 
 
@@ -311,23 +319,22 @@ def test_voxels_allocated_matches_per_point_lookup(shared_cell_grid):
 
 def test_fresh_interpolate_matches_per_point_lookup(shared_cell_grid):
     grid, inside, _ = shared_cell_grid
-    feats, rec = grid.interpolate(inside)
+    rec = grid.locate(inside)
+    feats, corners = grid.interpolate(rec)
     want = np.zeros((inside.shape[0], grid.feature_dim))
     for li, lvl in enumerate(grid.levels):
         rows = level_rows(grid, inside, li)
         frac = cell_of(inside, lvl.voxel_size)[1]
-        w = trilinear_weights(frac)
-        want += np.einsum("nc,ncd->nd", w, lvl.features[rows])
+        want += np.einsum("nc,ncd->nd", trilinear_weights(frac), lvl.features[rows])
         assert np.array_equal(record_rows(rec)[:, li], rows)
-        assert np.array_equal(rec.weights[:, li], w)
+        assert np.array_equal(corners[li], lvl.features[rows])
     assert np.array_equal(feats, want)
 
 
 def test_taken_record_matches_locating_the_subset(shared_cell_grid, rng):
-    grid, inside, outside = shared_cell_grid
-    pts = np.vstack([inside, outside])
+    grid, pts, _ = shared_cell_grid
     union = grid.locate(pts)
-    for idx in (rng.integers(0, inside.shape[0], size=120),  # repeats, some cells left out
+    for idx in (rng.integers(0, pts.shape[0], size=120),  # repeats, some cells left out
                 np.array([3, 3, 3]), np.arange(pts.shape[0])[::-1]):
         taken, fresh = union.take(idx), grid.locate(pts[idx])
         assert_same_record(taken, fresh)
@@ -336,17 +343,36 @@ def test_taken_record_matches_locating_the_subset(shared_cell_grid, rng):
             assert np.array_equal(np.unique(taken.cell_index[:, li]),
                                   np.arange(taken.cells[li].shape[0]))
             assert np.array_equal(record_rows(taken)[:, li], level_rows(grid, pts[idx], li))
-    idx = rng.integers(0, inside.shape[0], size=120)
-    got, _ = grid.interpolate(inside[idx], record=grid.locate(inside).take(idx))
-    want, _ = grid.interpolate(inside[idx])
+    idx = rng.integers(0, pts.shape[0], size=120)
+    got, _ = grid.interpolate(union.take(idx))
+    want, _ = grid.interpolate(grid.locate(pts[idx]))
     assert np.array_equal(got, want)
+
+
+def test_taken_and_lattice_records_carry_locates_fractions_bitwise(shared_cell_grid, rng):
+    grid, pts, _ = shared_cell_grid
+    union = grid.locate(pts)
+    idx = rng.integers(0, pts.shape[0], size=300)
+    taken = union.take(idx)
+    for want in (grid.locate(pts[idx]).frac, union.frac[idx]):
+        assert np.array_equal(taken.frac.view(np.uint64), want.view(np.uint64))
+    # a lattice straddling the map's edge: its fractions come per axis, never from a node
+    axes = [np.linspace(-0.93, 0.81, 29), np.linspace(-0.77, 0.95, 31), np.linspace(-0.88, 0.7, 27)]
+    ok, lattice = grid.locate_lattice(axes, np.arange(29 * 31 * 27))
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    assert 0 < ok.sum() < ok.size
+    want = grid.locate(nodes[ok]).frac
+    assert np.array_equal(lattice.frac.view(np.uint64), want.view(np.uint64))
+    for li, lvl in enumerate(grid.levels):
+        frac = cell_of(nodes[ok], lvl.voxel_size)[1]
+        assert np.array_equal(lattice.frac[:, li].view(np.uint64), frac.view(np.uint64))
 
 
 def test_unallocated_query_names_the_first_bad_point(shared_cell_grid):
     grid, inside, outside = shared_cell_grid
     pts = np.vstack([inside[:20], outside[1:], inside[20:40], outside[:1]])
     with pytest.raises(UnallocatedQuery, match=re.escape(f"point {outside[1].tolist()} ")):
-        grid.interpolate(pts)
+        grid.locate(pts)
 
 
 def test_query_sigma_matches_per_point_lookup(shared_cell_grid, rng):
@@ -382,7 +408,7 @@ def test_cell_whose_far_corner_does_not_pack_is_rejected():
     grid = FeatureGrid(voxel_sizes=(1.0,), feature_dim=2)
     grid.allocate(np.zeros((1, 3)))
     calls = [lambda: grid.allocate(edge), lambda: grid.locate(edge),
-             lambda: grid.interpolate(edge), lambda: grid.voxels_allocated(edge),
+             lambda: grid.voxels_allocated(edge),
              lambda: PerturbField(grid_size=1.0).accumulate(edge, np.ones((1, 3))),
              lambda: PerturbField(grid_size=1.0).query_sigma(edge)]
     for call in calls:
@@ -405,7 +431,4 @@ def test_unallocated_query_names_the_first_level_with_a_miss():
                             ([far, ok, level1_miss], far, 0)):
         message = re.escape(f"point {bad} lies in an unallocated voxel at level {level}")
         with pytest.raises(UnallocatedQuery, match=f"^{message}$"):
-            grid.interpolate(np.array(pts))
-        rec = grid.locate(np.array(pts))
-        with pytest.raises(UnallocatedQuery, match=f"^{message}$"):
-            grid.interpolate(np.array(pts), record=rec)
+            grid.locate(np.array(pts))

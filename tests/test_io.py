@@ -251,6 +251,14 @@ def test_rotation_within_tolerance_is_kept(tmp_path):
     np.testing.assert_array_equal(pose[:, :3], r)
 
 
+def test_reflected_rotation_is_malformed(tmp_path):
+    # R R^T = I holds for this block, so only its determinant tells it from a rotation
+    path = tmp_path / "poses.txt"
+    path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 0 0 1 0 0 0 0 -1 0\n")
+    with pytest.raises(MalformedLine, match="^line 2: rotation block is a reflection$"):
+        load_poses(path)
+
+
 def test_save_load_roundtrip(tmp_path, rng):
     # random rotations via QR
     poses = []

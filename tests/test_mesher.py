@@ -273,14 +273,15 @@ class StubField:
         self.box = np.asarray(box, dtype=np.float64)
         self.grid = self  # mesher reads allocation through field.grid
 
-    def sdf(self, pts, record=None):
-        return self.fn(np.asarray(pts))
+    def sdf(self, record):
+        return self.fn(record)
 
     def locate_lattice(self, axes, nodes):
-        """The nodes inside the box; no record, since `sdf` needs none."""
+        """The nodes inside the box; their coordinates stand for the record."""
         ijk = np.unravel_index(nodes, tuple(len(a) for a in axes))
         p = np.stack([a[i] for a, i in zip(axes, ijk)], axis=1)
-        return ((p >= self.box[0]) & (p <= self.box[1])).all(axis=1), None
+        ok = ((p >= self.box[0]) & (p <= self.box[1])).all(axis=1)
+        return ok, p[ok]
 
     def bounds(self):
         return self.box[0], self.box[1]
@@ -331,7 +332,7 @@ def dense_sdf_grid(field, bounds, spacing, batch_size=65536):
         ok = field.grid.voxels_allocated(chunk)
         valid[s : s + batch_size] = ok
         if ok.any():
-            preds, _ = field.predict(chunk[ok])
+            preds, _ = field.predict(field.grid.locate(chunk[ok]))
             values[s + np.flatnonzero(ok)] = preds
     shape = tuple(dims)
     return SdfGrid(lo, float(spacing), values.reshape(shape), valid.reshape(shape))
@@ -410,8 +411,8 @@ def test_locate_lattice_is_locate_of_the_valid_nodes(lattice_field):
         assert np.array_equal(np.unique(record.cell_index[:, li]),
                               np.arange(record.cells[li].shape[0]))
         assert record.cells[li].shape == want.cells[li].shape
-    assert np.array_equal(record.weights.view(np.uint64), want.weights.view(np.uint64))
-    assert record.weights.flags.c_contiguous
+    assert np.array_equal(record.frac.view(np.uint64), want.frac.view(np.uint64))
+    assert record.frac.flags.c_contiguous
 
 
 def test_eval_sdf_grid_holds_no_box_of_coordinates(lattice_field):

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -138,7 +141,7 @@ class PerIterationMapper(Mapper):
         drawn = []
         for _ in range(cfg.iterations):
             rows = draw_batch(self.pool, partition, cfg.batch_size, cfg.n_uncertain, rng_b)
-            _, cache = self.field.predict(self.pool.pos[rows])
+            _, cache = self.field.predict(self.grid.locate(self.pool.pos[rows]))
             loss, store = self.field.backward_mse(cache, self.pool.label[rows])
             self.adam_steps += 1
             adam_step(store, self.grid, self.decoder, cfg.adam, self.adam_steps)
@@ -146,7 +149,7 @@ class PerIterationMapper(Mapper):
             drawn.append(rows)
         rows = np.unique(np.concatenate(drawn))
         report.fisher_rows = int(rows.size)
-        grads = self.field.spatial_gradient(self.pool.pos[rows])
+        grads = self.field.spatial_gradient(self.grid.locate(self.pool.pos[rows]))
         self.perturb.accumulate(self.pool.pos[rows], grads)
 
 
@@ -272,3 +275,22 @@ def test_config_validation():
     for sizes in ((), (0.3, 0.0), (0.3, -0.45)):
         with pytest.raises(ValueError):
             TrainConfig(voxel_sizes=sizes)
+
+
+def test_traced_frame_counts_each_interpolated_row_once(rng):
+    """perfbench's `grid.interpolate.points` probe reads `interpolate(...)[0].shape[0]`,
+    so it counts rows only while the features lead the returned tuple: a bare
+    (n, feature_dim) array would count feature_dim per call."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import tracing
+
+    cfg = small_cfg()
+    mapper = Mapper(cfg)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer), tracer.record():
+        report = mapper.process_frame(Scan(np.array([0.0, 0.0, 2.0]), plane_cloud(rng, 400), 0))
+    points = tracing.span_metrics(tracer)["grid.interpolate.points"][0]
+    assert report.fisher_rows > cfg.feature_dim
+    assert points == cfg.iterations * cfg.batch_size + report.fisher_rows
