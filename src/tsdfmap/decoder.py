@@ -97,16 +97,16 @@ class SdfDecoder:
         self.adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def hidden(self, feats):
-        """(n, feature_dim) features -> cache up to z2, with a2 None.
-
-        Enough for `backward` without parameter gradients.
-        """
+        """(n, feature_dim) features -> (x, z1, a1, z2), the forward pass up
+        to the last hidden layer's pre-activation."""
         p = self.params
         x = np.asarray(feats, dtype=np.float64)
-        z1 = x @ p["w1"] + p["b1"]
+        z1 = x @ p["w1"]
+        z1 += p["b1"]
         a1 = softplus(z1)
-        z2 = a1 @ p["w2"] + p["b2"]
-        return DecoderCache(x, z1, a1, z2, None)
+        z2 = a1 @ p["w2"]
+        z2 += p["b2"]
+        return x, z1, a1, z2
 
     def values(self, feats):
         """(n, feature_dim) features -> (n,) sdf, without the training cache.
@@ -124,25 +124,19 @@ class SdfDecoder:
 
     def forward(self, feats):
         """(n, feature_dim) features -> ((n,) sdf, cache)."""
-        cache = self.hidden(feats)
-        a2 = softplus(cache.z2)
+        x, z1, a1, z2 = self.hidden(feats)
+        a2 = softplus(z2)
         s = (a2 @ self.params["w3"])[:, 0] + self.params["b3"][0]
-        return s, cache._replace(a2=a2)
+        return s, DecoderCache(x, z1, a1, z2, a2)
 
-    def backward(self, cache, dout, with_param_grads: bool = True):
+    def backward(self, cache, dout):
         """Backprop d(loss)/d(sdf) through the MLP.
 
-        Returns (param_grads_or_None, d(loss)/d(features) (n, feature_dim)).
+        Returns (param_grads, d(loss)/d(features) (n, feature_dim)). The
+        cache is consumed: its z1 and z2 are overwritten with dz1 and dz2.
         """
-        p = self.params
         ds = np.asarray(dout, dtype=np.float64)[:, None]  # (n, 1)
-        da2 = ds @ p["w3"].T
-        dz2 = da2 * expit(cache.z2)
-        da1 = dz2 @ p["w2"].T
-        dz1 = da1 * expit(cache.z1)
-        dx = dz1 @ p["w1"].T
-        if not with_param_grads:
-            return None, dx
+        dz1, dz2, dx = self._backprop_hidden(cache.z1, cache.z2, ds @ self.params["w3"].T)
         grads = {
             "w1": cache.x.T @ dz1,
             "b1": dz1.sum(axis=0),
@@ -152,3 +146,17 @@ class SdfDecoder:
             "b3": ds.sum(axis=0),
         }
         return grads, dx
+
+    def input_gradient(self, feats):
+        """d(sdf)/d(features), bitwise `backward(forward(feats)[1], ones)[1]`: ones @ w3.T
+        is w3's row, so the chain takes that row broadcast; only z1 and z2 outlive `hidden`."""
+        z1, z2 = self.hidden(feats)[1::2]
+        return self._backprop_hidden(z1, z2, self.params["w3"].T)[2]
+
+    def _backprop_hidden(self, z1, z2, da2):
+        """d(loss)/d(a2), (n, h) or one (1, h) row -> (dz1, dz2, dx), in z1's and z2's buffers."""
+        dz2 = expit(z2, out=z2)
+        dz2 *= da2
+        dz1 = expit(z1, out=z1)
+        dz1 *= dz2 @ self.params["w2"].T
+        return dz1, dz2, dz1 @ self.params["w1"].T

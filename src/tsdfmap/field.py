@@ -48,7 +48,7 @@ class NeuralSdfField:
         return out
 
     def backward_mse(self, cache: FieldCache, labels):
-        """MSE loss and its gradients w.r.t. decoder params and grid rows."""
+        """MSE loss and its gradients w.r.t. decoder params and grid rows; consumes `cache`."""
         labels = np.asarray(labels, dtype=np.float64)
         n = cache.preds.shape[0]
         resid = cache.preds - labels
@@ -71,10 +71,7 @@ class NeuralSdfField:
         return loss, store
 
     def spatial_gradient(self, record):
-        """Analytic d(sdf)/d(position) (n, 3) of located points.
-
-        The decoder runs only up to its last hidden layer.
-        """
+        """Analytic d(sdf)/d(position) (n, 3) of located points."""
         grad = np.empty((len(record.frac), 3))
         for s, e, rec in _blocks(record):
             grad[s:e] = self._block_gradient(rec)
@@ -82,9 +79,7 @@ class NeuralSdfField:
 
     def _block_gradient(self, record):
         feats, corners = self.grid.interpolate(record)
-        _, dfeat = self.decoder.backward(
-            self.decoder.hidden(feats), np.ones(feats.shape[0]), with_param_grads=False
-        )
+        dfeat = self.decoder.input_gradient(feats)
         grad = np.zeros((feats.shape[0], 3))
         for li, (lvl, corner_feats) in enumerate(zip(self.grid.levels, corners)):
             # scalar contribution of each corner to the decoder input grad

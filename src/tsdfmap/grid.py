@@ -300,8 +300,8 @@ class FeatureGrid:
         the points of nodes[ok], each point's corner rows and fractions bit
         for bit those of `locate` (cells in key order). Cells and fractions
         come per axis, from the same floats `cell_of` sees on the points, so
-        no node's coordinates are formed. A node's cell is numbered by the
-        ranks of its axis cells within the chunk's span, so marking those
+        no node's coordinates are formed. A node's cell is numbered by its
+        offset from the lowest cell of the batch's span, so marking those
         codes lists the distinct cells in key order without a sort, and each
         is looked up once.
         """
@@ -311,21 +311,17 @@ class FeatureGrid:
         found = []
         for lvl in self.levels:
             base, frac = zip(*(cell_of(a, lvl.voxel_size) for a in axes))
-            distinct, rank = zip(*(np.unique(b, return_inverse=True) for b in base))
-            lows = [r[s].min() for r, s in zip(rank, span)]
-            shape = tuple(int(r[s].max() - low) + 1 for r, s, low in zip(rank, span, lows))
+            low = np.array([b[s].min() for b, s in zip(base, span)])
+            shape = tuple(int(b[s].max() - lo) + 1 for b, s, lo in zip(base, span, low))
             strides = (shape[1] * shape[2], shape[2], 1)
-            gx, gy, gz = ((r - low) * st for r, low, st in zip(rank, lows, strides))
-            code = gx[ijk[0]]
-            code += gy[ijk[1]]
-            code += gz[ijk[2]]
+            gx, gy, gz = ((b - lo) * st for b, lo, st in zip(base, low, strides))
+            code = gx[ijk[0]] + gy[ijk[1]] + gz[ijk[2]]
             mark = np.zeros(np.prod(shape), dtype=bool)
             mark[code] = True
             present = np.flatnonzero(mark)  # ascending code is ascending key
             number = np.empty(mark.size, dtype=np.int64)
             number[present] = np.arange(present.size)
-            cells = np.stack([d[r + low] for d, r, low
-                              in zip(distinct, np.unravel_index(present, shape), lows)], axis=1)
+            cells = np.stack(np.unravel_index(present, shape), axis=1) + low
             rows = lvl.vertices.lookup(corner_keys(cell_keys(cells))).reshape(-1, 8)
             index = number[code]
             ok &= (rows >= 0).all(axis=1)[index]

@@ -2,7 +2,8 @@
 
 Blank lines and '#' comments are skipped; a line holding nan or inf is
 malformed, and so is a rotation block with a negative determinant (a
-reflection, which R·Rᵀ = I does not rule out: it would mirror the scans).
+reflection, which R·Rᵀ = I does not rule out: it would mirror the scans)
+or of rank below 3 (a singular block has no unique nearest rotation).
 Rotation blocks that drift from orthonormality by more than 1e-3 are
 re-orthonormalized via SVD with a warning; smaller drift is left
 untouched.
@@ -45,6 +46,8 @@ def load_poses(path):
                 raise MalformedLine(lineno, "non-finite value (nan or inf)")
             pose = vals.reshape(3, 4)
             r = pose[:, :3]
+            if np.linalg.matrix_rank(r) < 3:
+                raise MalformedLine(lineno, "rotation block is singular")
             if np.linalg.det(r) < 0:
                 raise MalformedLine(lineno, "rotation block is a reflection")
             err = np.abs(r @ r.T - np.eye(3)).max()

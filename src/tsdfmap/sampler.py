@@ -17,6 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyScan
+from .grid import cell_of
 
 # eigenvalue ratio below which a PCA neighborhood counts as degenerate
 # (collinear or coincident points: the normal direction is ambiguous)
@@ -82,7 +83,7 @@ class SampleBatch:
 def voxel_downsample(points, voxel_size):
     """Keep the first point per voxel (deterministic decimation)."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    cells = np.floor(pts / voxel_size).astype(np.int64)
+    cells = cell_of(pts, voxel_size)[0]
     # lexicographic unique over rows, keeping first occurrence
     _, first = np.unique(cells, axis=0, return_index=True)
     return pts[np.sort(first)]

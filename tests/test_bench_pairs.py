@@ -119,6 +119,28 @@ def test_stage_medians_follow_the_wall_medians(monkeypatch, capsys):
     assert "wall time" not in out  # no run reported a wall block
 
 
+def test_stage_shares_cancel_a_drift_that_slows_every_stage(monkeypatch, capsys):
+    assert bench_pairs.parse_run(run_output(1.5, 37.7))["desk-orbit"]["stage_share"] == {}
+    got = bench_pairs.parse_run(run_output(1.0, 5.0, stages={"sample": 100.0, "fisher": 300.0}))
+    assert got["street-drive"]["stage_share"] == {"sample": 25.0, "fisher": 75.0}
+    # the change runs on a host 20% slower in every stage, and fisher is 40 ms
+    # cheaper in one run: raw medians move, the shares' medians do not
+    stages = {"old": [{"sample": 100.0, "fisher": 300.0}] * 3,
+              "new": [{"sample": 120.0, "fisher": 360.0}, {"sample": 120.0, "fisher": 320.0},
+                      {"sample": 120.0, "fisher": 360.0}]}
+
+    def fake_run(checkout, args):
+        return bench_pairs.parse_run(run_output(1.0, 5.0, stages=stages[checkout].pop(0)))
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    bench_pairs.main(["old", "new", "--pairs", "3"])
+    out = capsys.readouterr().out
+    assert "street-drive  fisher                    300            360   +20.0%" in out
+    assert "workload      stage share %     base median  change median   median" in out
+    assert "street-drive  sample                     25             25    +0.0%" in out
+    assert "street-drive  fisher                     75             75    +0.0%" in out
+
+
 def test_quartiles_are_medians_of_the_halves():
     assert bench_pairs.quartiles([4, 1, 3, 2]) == (1.5, 2.5, 3.5)
     assert bench_pairs.quartiles([5, 1, 4, 2, 3]) == (1.5, 3, 4.5)

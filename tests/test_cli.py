@@ -310,6 +310,18 @@ def test_map_rejects_a_non_finite_pose(workdir, sim_dir, capsys):
     assert not (workdir / "nan_run").exists()
 
 
+def test_map_rejects_a_singular_pose(workdir, sim_dir, capsys):
+    lines = (sim_dir / "poses.txt").read_text().splitlines()
+    lines[2] = "1 1 0 0 1 1 0 0 0 0 0 0"
+    bad = workdir / "singular_poses.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["map", "--scans", str(sim_dir), "--poses", str(bad),
+               "--out", str(workdir / "singular_run")])
+    assert rc == 1
+    assert "line 3: rotation block is singular" in capsys.readouterr().err
+    assert not (workdir / "singular_run").exists()
+
+
 def test_map_rejects_a_negative_mesh_every(workdir, sim_dir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["map", "--scans", str(sim_dir), "--poses", str(sim_dir / "poses.txt"),

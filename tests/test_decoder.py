@@ -97,22 +97,19 @@ BLOCKED_SIZES = [40_967, 43_009,
 
 
 def decode_in_row_blocks_bitwise():
-    """`values`, and `hidden` then `backward` without parameter gradients,
-    give one call's bits when run over `row_blocks`."""
+    """`values` and `input_gradient` give one call's bits when run over
+    `row_blocks`."""
     for n in BLOCKED_SIZES:
         rng = np.random.default_rng(n)
         dec = SdfDecoder(feature_dim=8, hidden_units=32, rng=rng)
         dec.params["b1"][:] = rng.standard_normal(32)
         dec.params["b2"][:] = rng.standard_normal(32)
         x = 3.0 * rng.standard_normal((n, 8))
-        dout = rng.standard_normal(n)
         blocks = row_blocks(n)
         values = np.concatenate([dec.values(x[s:e]) for s, e in blocks])
-        dx = np.concatenate([dec.backward(dec.hidden(x[s:e]), dout[s:e],
-                                          with_param_grads=False)[1] for s, e in blocks])
-        want_dx = dec.backward(dec.hidden(x), dout, with_param_grads=False)[1]
+        dx = np.concatenate([dec.input_gradient(x[s:e]) for s, e in blocks])
         assert np.array_equal(values.view(np.uint64), dec.values(x).view(np.uint64)), n
-        assert np.array_equal(dx.view(np.uint64), want_dx.view(np.uint64)), n
+        assert np.array_equal(dx.view(np.uint64), dec.input_gradient(x).view(np.uint64)), n
 
 
 def test_decoding_in_row_blocks_is_one_call_bitwise():
@@ -196,13 +193,15 @@ def test_input_gradients_match_finite_differences(rng):
     np.testing.assert_allclose(dx, fd, rtol=0, atol=1e-7)
 
 
-def test_backward_can_skip_param_grads(rng):
+def test_input_gradient_is_backward_at_unit_dout_bitwise(rng):
     dec = SdfDecoder(rng=rng)
-    x = rng.standard_normal((4, 8))
-    _, cache = dec.forward(x)
-    grads, dx = dec.backward(cache, np.ones(4), with_param_grads=False)
-    assert grads is None
+    dec.params["b1"][:] = rng.standard_normal(32)
+    dec.params["b2"][:] = rng.standard_normal(32)
+    x = 3.0 * rng.standard_normal((1000, 8))
+    dx = dec.input_gradient(x)
+    want = dec.backward(dec.forward(x)[1], np.ones(len(x)))[1]
     assert dx.shape == x.shape
+    assert np.array_equal(dx.view(np.uint64), want.view(np.uint64))
 
 
 def test_softplus_derivative_is_sigmoid(rng):

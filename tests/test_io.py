@@ -259,6 +259,16 @@ def test_reflected_rotation_is_malformed(tmp_path):
         load_poses(path)
 
 
+# a zero determinant passes the reflection check, and SVD would pick arbitrary
+# singular vectors for the missing directions
+@pytest.mark.parametrize("block", ["0 0 0 1 0 0 0 2 0 0 0 3", "1 1 0 0 1 1 0 0 0 0 0 0"])
+def test_singular_rotation_is_malformed(tmp_path, block):
+    path = tmp_path / "poses.txt"
+    path.write_text(f"1 0 0 0 0 1 0 0 0 0 1 0\n{block}\n")
+    with pytest.raises(MalformedLine, match="^line 2: rotation block is singular$"):
+        load_poses(path)
+
+
 def test_save_load_roundtrip(tmp_path, rng):
     # random rotations via QR
     poses = []
