@@ -62,8 +62,7 @@ def adam_step(grads: GradientStore, grid, decoder, cfg: AdamConfig, step: int):
     for lvl, rows, g in zip(grid.levels, grads.level_rows, grads.level_grads):
         if rows.size == 0:
             continue
-        feat, adam_m, adam_v = lvl.buffers()
         adam_update_rows(
-            feat, adam_m, adam_v, g, rows,
+            lvl.features, lvl.adam_m, lvl.adam_v, g, rows,
             cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, bc1, bc2,
         )

@@ -2,7 +2,9 @@
 
 The mapping settings are the trainer's own `TrainConfig` fields at the
 top level of the file; `RunConfig` adds only the `mesh`, `eval` and
-`sim` sections, so every setting is declared once. Unknown keys are
+`sim` sections. Each section's dataclass sits beside the code that reads
+it, and a library default names a config rather than repeat one of its
+numbers, so every setting is declared once. Unknown keys are
 rejected (typos should fail loudly, not silently run defaults), value
 ranges are checked while parsing, every omitted field takes its
 documented default, and serializing a parsed config materializes all
@@ -16,19 +18,10 @@ from typing import get_type_hints
 
 import yaml
 
+from .mesher import MeshConfig
 from .metrics import EvalConfig
 from .sim import LidarModel
 from .trainer import TrainConfig
-
-
-@dataclass
-class MeshConfig:
-    spacing: float = 0.10
-    ascii: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.spacing) and self.spacing > 0):
-            raise ValueError("spacing must be positive and finite")
 
 
 @dataclass

@@ -74,9 +74,7 @@ class DecoderCache(NamedTuple):
 
 
 class SdfDecoder:
-    def __init__(self, feature_dim: int = 8, hidden_units: int = 32, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, feature_dim: int, hidden_units: int, rng):
         self.feature_dim = int(feature_dim)
         self.hidden_units = int(hidden_units)
 

@@ -200,18 +200,16 @@ class GridLevel:
     def adam_v(self):
         return self._adam_v[: self.n_vertices]
 
-    def buffers(self):
-        """Full capacity buffers for in-place row kernels."""
-        return self._feat, self._adam_m, self._adam_v
-
     def ensure_rows(self, n: int):
-        self._feat, self._adam_m, self._adam_v = (grow_rows(b, n) for b in self.buffers())
+        self._feat = grow_rows(self._feat, n)
+        self._adam_m = grow_rows(self._adam_m, n)
+        self._adam_v = grow_rows(self._adam_v, n)
 
 
 class FeatureGrid:
     """L-level sparse corner-feature grid over world space."""
 
-    def __init__(self, voxel_sizes=(0.3, 0.45), feature_dim: int = 8):
+    def __init__(self, voxel_sizes, feature_dim: int):
         if len(voxel_sizes) < 1:
             raise ValueError("need at least one level")
         self.levels = [GridLevel(s, feature_dim) for s in voxel_sizes]

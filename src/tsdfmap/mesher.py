@@ -8,6 +8,7 @@ triangles from the classic 256-case table. Triangle winding puts normals
 on the positive-value side, i.e. outward for a signed distance field.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,19 @@ from .errors import EmptyMap, NoSurface
 from .grid import used_rows
 from .kernels.march import EDGE_AXIS, EDGE_BASE, classify_cells, emit
 from .plyio import load_ply, write_mesh_ply
+
+# grid nodes that `eval_sdf_grid` locates and decodes at a time
+NODE_BATCH = 65536
+
+
+@dataclass
+class MeshConfig:
+    spacing: float = 0.10
+    ascii: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError("spacing must be positive and finite")
 
 
 @dataclass
@@ -57,12 +71,12 @@ def _node_grid(bounds, spacing):
     return lo, dims, axes
 
 
-def eval_sdf_grid(field, bounds, spacing: float = 0.10, batch_size: int = 65536) -> SdfGrid:
+def eval_sdf_grid(field, bounds, spacing: float) -> SdfGrid:
     """Sample a neural field on a uniform node grid over bounds.
 
     Nodes whose enclosing voxels are unallocated at any level get
     valid=False and NaN values. Raises EmptyMap when nothing is valid.
-    Nodes are taken batch_size at a time in linear order, and `NeuralSdfField.sdf`
+    Nodes are taken NODE_BATCH at a time in linear order, and `NeuralSdfField.sdf`
     decodes each batch's valid nodes in `decoder.row_blocks`, whose last
     block takes the remainder: that gives the bits of one decoder call over
     the batch. Another batch size, or blocks that leave a short last one,
@@ -74,15 +88,13 @@ def eval_sdf_grid(field, bounds, spacing: float = 0.10, batch_size: int = 65536)
     formed, and the decoder reads that record values-only, keeping no
     training cache.
     """
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be a positive node count, got {batch_size}")
     lo, dims, axes = _node_grid(bounds, spacing)
     shape = tuple(dims)
     n = int(np.prod(dims))
     valid = np.zeros(n, dtype=bool)
     values = np.full(n, np.nan)
-    for s in range(0, n, batch_size):
-        nodes = np.arange(s, min(s + batch_size, n))
+    for s in range(0, n, NODE_BATCH):
+        nodes = np.arange(s, min(s + NODE_BATCH, n))
         ok, record = field.grid.locate_lattice(axes, nodes)
         valid[s : s + nodes.size] = ok
         if ok.any():
@@ -92,7 +104,7 @@ def eval_sdf_grid(field, bounds, spacing: float = 0.10, batch_size: int = 65536)
     return SdfGrid(lo, float(spacing), values.reshape(shape), valid.reshape(shape))
 
 
-def sdf_grid_from_function(fn, bounds, spacing: float = 0.10) -> SdfGrid:
+def sdf_grid_from_function(fn, bounds, spacing: float) -> SdfGrid:
     """SdfGrid from an analytic SDF callable over (n, 3) points."""
     lo, dims, axes = _node_grid(bounds, spacing)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -156,7 +168,7 @@ def map_bounds(field):
     return b
 
 
-def extract_map_mesh(field, spacing: float = 0.10) -> TriMesh:
+def extract_map_mesh(field, spacing: float = MeshConfig.spacing) -> TriMesh:
     """Mesh the learned field over its allocated extent."""
     return extract_mesh(eval_sdf_grid(field, map_bounds(field), spacing))
 

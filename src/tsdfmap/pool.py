@@ -59,7 +59,7 @@ _COLUMNS = (
 class ReplayPool:
     """Columnar sample store; rows stay in insertion order."""
 
-    def __init__(self, voxel_size: float = 0.45, cfg: PoolConfig = None):
+    def __init__(self, voxel_size: float, cfg: PoolConfig = None):
         self.voxel_size = float(voxel_size)
         self.cfg = cfg if cfg is not None else PoolConfig()
         for name, dtype, shape in _COLUMNS:

@@ -121,7 +121,7 @@ def _neighbour_covariance(pts, idx):
     return cov
 
 
-def estimate_normals(scan: Scan, k: int = 20):
+def estimate_normals(scan: Scan, k: int):
     """PCA normals over k nearest neighbors, oriented toward the sensor.
 
     Returns (normals (n, 3), degenerate (n,) bool). Degenerate
@@ -154,7 +154,7 @@ def estimate_normals(scan: Scan, k: int = 20):
     return normals, degenerate
 
 
-def compute_incidence(rays, normals, cos_eps: float = 1e-3):
+def compute_incidence(rays, normals, cos_eps: float):
     """cos(theta) between ray and surface normal, clamped to [cos_eps, 1]."""
     rays = np.asarray(rays, dtype=np.float64).reshape(-1, 3)
     normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)

@@ -182,13 +182,12 @@ def ground_truth_mesh(scene: Scene, bounds, spacing: float = 0.05) -> TriMesh:
     return extract_mesh(grid)  # raises NoSurface for empty level sets
 
 
-def orbit_poses(n_frames: int, radius: float, height: float, center=(0.0, 0.0, 0.0)):
-    """Identity-rotation poses on a horizontal circle (world-frame rig)."""
-    center = np.asarray(center, dtype=np.float64)
+def orbit_poses(n_frames: int, radius: float, height: float):
+    """Identity-rotation poses on a horizontal circle about the z axis (world-frame rig)."""
     poses = []
     for k in range(n_frames):
         phi = 2.0 * np.pi * k / max(n_frames, 1)
-        t = center + np.array([radius * np.cos(phi), radius * np.sin(phi), height])
+        t = np.array([radius * np.cos(phi), radius * np.sin(phi), height])
         pose = np.zeros((3, 4))
         pose[:, :3] = np.eye(3)
         pose[:, 3] = t

@@ -42,7 +42,7 @@ class UncertaintyConfig:
 class PerturbField:
     """Per-vertex 3-component Fisher accumulators on a coarse lattice."""
 
-    def __init__(self, grid_size: float = 0.45, gamma: float = 1.0):
+    def __init__(self, grid_size: float, gamma: float):
         self.grid_size = float(grid_size)
         self.gamma = float(gamma)
         self.vertices = VoxelHash()

@@ -131,7 +131,7 @@ def test_02_projective_label_bias_law(capsys):
                    40.0, 1e-9, 256)
     assert np.all(t >= 0)
     scan = Scan(origin=origin, points=origin + t[:, None] * dirs, frame_id=0)
-    normals, _ = estimate_normals(scan)
+    normals, _ = estimate_normals(scan, k=20)
     batch = generate_samples(scan, normals, SamplerConfig(), np.random.default_rng(0))
 
     trunc = SamplerConfig().trunc_dist
@@ -208,7 +208,7 @@ def test_04_replay_memory_plateaus(capsys):
                        elevation_min_deg=-40.0, elevation_max_deg=40.0, seed=5)
     pose = np.hstack([np.eye(3), [[0.0], [0.0], [1.5]]])
     scan, _ = simulate_scan(pose, model, scene, frame_id=0)
-    normals, _ = estimate_normals(scan)
+    normals, _ = estimate_normals(scan, k=20)
     batch = generate_samples(scan, normals, SamplerConfig(), np.random.default_rng(99))
 
     tau = 32

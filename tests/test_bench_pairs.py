@@ -190,6 +190,18 @@ def test_main_parses_run_arguments_after_the_separator(monkeypatch, capsys):
     assert "desk-orbit" in out and "2/2" in out
 
 
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_fewer_than_one_pair_is_rejected(monkeypatch, capsys, pairs):
+    def fake_run(checkout, args):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["old", "new", "--pairs", pairs])
+    assert exc.value.code == 2
+    assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err
+
+
 def test_digests_same_on_both_sides(monkeypatch, capsys):
     pairs = [(bench_pairs.parse_run(run_output(1.0, 5.0)),
               bench_pairs.parse_run(run_output(1.1, 5.0))) for _ in range(3)]

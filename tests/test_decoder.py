@@ -125,7 +125,7 @@ def test_forward_matches_manual(rng):
 
 
 def test_zero_features_give_bias_only_output(rng):
-    dec = SdfDecoder(rng=rng)
+    dec = SdfDecoder(feature_dim=8, hidden_units=32, rng=rng)
     out, _ = dec.forward(np.zeros((3, 8)))
     # biases start at zero: softplus(0)=log 2 propagates through
     a1 = np.full(32, np.log(2.0))
@@ -146,8 +146,8 @@ def test_init_shapes_and_ranges(rng):
 
 
 def test_init_is_seed_deterministic():
-    a = SdfDecoder(rng=np.random.default_rng(5))
-    b = SdfDecoder(rng=np.random.default_rng(5))
+    a = SdfDecoder(feature_dim=8, hidden_units=32, rng=np.random.default_rng(5))
+    b = SdfDecoder(feature_dim=8, hidden_units=32, rng=np.random.default_rng(5))
     for n in PARAM_NAMES:
         assert np.array_equal(a.params[n], b.params[n])
 
@@ -194,7 +194,7 @@ def test_input_gradients_match_finite_differences(rng):
 
 
 def test_input_gradient_is_backward_at_unit_dout_bitwise(rng):
-    dec = SdfDecoder(rng=rng)
+    dec = SdfDecoder(feature_dim=8, hidden_units=32, rng=rng)
     dec.params["b1"][:] = rng.standard_normal(32)
     dec.params["b2"][:] = rng.standard_normal(32)
     x = 3.0 * rng.standard_normal((1000, 8))

@@ -118,7 +118,7 @@ def test_weights_sum_to_one_and_nonnegative(frac):
 
 
 def test_allocate_is_idempotent(rng):
-    g = FeatureGrid()
+    g = FeatureGrid(voxel_sizes=(0.3, 0.45), feature_dim=8)
     pts = rng.uniform(-1, 1, size=(200, 3))
     added, skipped = g.allocate(pts)
     assert added > 0 and skipped == 0
@@ -137,7 +137,7 @@ def test_sorted_distinct_equals_np_unique(rng):
 
 
 def test_allocate_inserts_each_corner_once_in_key_order(rng):
-    g = FeatureGrid(voxel_sizes=(0.3,))
+    g = FeatureGrid(voxel_sizes=(0.3,), feature_dim=8)
     pts = rng.uniform(-1, 1, size=(300, 3))
     g.allocate(pts)
     keys = np.unique(corner_keys(distinct_cells(pts, 0.3)[0]))
@@ -146,7 +146,7 @@ def test_allocate_inserts_each_corner_once_in_key_order(rng):
 
 
 def test_allocate_skips_nonfinite():
-    g = FeatureGrid()
+    g = FeatureGrid(voxel_sizes=(0.3, 0.45), feature_dim=8)
     pts = np.array([[0.0, 0.0, 0.0], [np.nan, 0, 0], [0, np.inf, 0]])
     added, skipped = g.allocate(pts)
     assert skipped == 2
@@ -201,14 +201,14 @@ def test_features_sum_over_levels(rng):
 
 
 def test_unallocated_query_raises():
-    g = FeatureGrid()
+    g = FeatureGrid(voxel_sizes=(0.3, 0.45), feature_dim=8)
     g.allocate(np.zeros((1, 3)))
     with pytest.raises(UnallocatedQuery):
         g.locate(np.array([[50.0, 50.0, 50.0]]))
 
 
 def test_voxels_allocated_mask(rng):
-    g = FeatureGrid()
+    g = FeatureGrid(voxel_sizes=(0.3, 0.45), feature_dim=8)
     inside = rng.uniform(0.01, 0.29, size=(20, 3))  # one coarse voxel's interior
     g.allocate(inside)
     probe = np.vstack([inside[:3], [[40.0, 0, 0]]])
@@ -217,7 +217,7 @@ def test_voxels_allocated_mask(rng):
 
 
 def test_bounds_cover_allocations():
-    g = FeatureGrid()
+    g = FeatureGrid(voxel_sizes=(0.3, 0.45), feature_dim=8)
     pts = np.array([[0.0, 0.0, 0.0], [2.0, -1.0, 3.0]])
     g.allocate(pts)
     lo, hi = g.bounds()
@@ -409,8 +409,8 @@ def test_cell_whose_far_corner_does_not_pack_is_rejected():
     grid.allocate(np.zeros((1, 3)))
     calls = [lambda: grid.allocate(edge), lambda: grid.locate(edge),
              lambda: grid.voxels_allocated(edge),
-             lambda: PerturbField(grid_size=1.0).accumulate(edge, np.ones((1, 3))),
-             lambda: PerturbField(grid_size=1.0).query_sigma(edge)]
+             lambda: PerturbField(grid_size=1.0, gamma=1.0).accumulate(edge, np.ones((1, 3))),
+             lambda: PerturbField(grid_size=1.0, gamma=1.0).query_sigma(edge)]
     for call in calls:
         with pytest.raises(ValueError, match="^grid coordinate outside packable range$"):
             call()

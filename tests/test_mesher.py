@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tsdfmap import mesher
+from tsdfmap.config import RunConfig
 from tsdfmap.decoder import SdfDecoder
 from tsdfmap.errors import EmptyMap, NoSurface
 from tsdfmap.field import NeuralSdfField
@@ -16,6 +18,7 @@ from tsdfmap.mesher import (
     _node_grid,
     edge_keys,
     eval_sdf_grid,
+    extract_map_mesh,
     extract_mesh,
     load_mesh,
     sdf_grid_from_function,
@@ -304,15 +307,16 @@ def test_eval_sdf_grid_empty_map():
         eval_sdf_grid(f, ((-1, -1, -1), (1, 1, 1)), spacing=0.5)
 
 
-def test_eval_sdf_grid_batch_size_keeps_the_mask_and_the_values(rng):
+def test_eval_sdf_grid_batch_size_keeps_the_mask_and_the_values(rng, monkeypatch):
     grid = FeatureGrid(voxel_sizes=(0.3, 0.45), feature_dim=4)
     field = NeuralSdfField(grid, SdfDecoder(feature_dim=4, hidden_units=16, rng=rng))
     grid.allocate(rng.uniform(-1.0, 1.0, size=(200, 3)))
     for lvl in grid.levels:
         lvl.features[:] = rng.standard_normal(lvl.features.shape)
     bounds = ((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5))
-    small = eval_sdf_grid(field, bounds, spacing=0.05, batch_size=1000)
     default = eval_sdf_grid(field, bounds, spacing=0.05)
+    monkeypatch.setattr(mesher, "NODE_BATCH", 1000)
+    small = eval_sdf_grid(field, bounds, spacing=0.05)
     assert 1000 < default.valid.sum() < default.valid.size
     np.testing.assert_array_equal(small.valid, default.valid)
     # the batch size may move a value in its last bits, no more
@@ -320,7 +324,18 @@ def test_eval_sdf_grid_batch_size_keeps_the_mask_and_the_values(rng):
                                rtol=0, atol=1e-12)
 
 
-def dense_sdf_grid(field, bounds, spacing, batch_size=65536):
+def test_map_mesh_default_spacing_is_the_run_configs():
+    """`extract_map_mesh`'s default and `tsdfmap mesh`'s are one value."""
+    f = StubField(sphere_sdf((0.02, -0.01, 0.03), 0.5), ((-0.8, -0.8, -0.8), (0.8, 0.8, 0.8)))
+    default = extract_map_mesh(f)
+    configured = extract_map_mesh(f, spacing=RunConfig().mesh.spacing)
+    assert np.array_equal(default.vertices, configured.vertices)
+    assert np.array_equal(default.faces, configured.faces)
+    # another spacing gives another mesh, so the comparison can fail
+    assert extract_map_mesh(f, spacing=0.07).n_vertices != default.n_vertices
+
+
+def dense_sdf_grid(field, bounds, spacing, batch_size):
     """The mesher's former dense path: every node's coordinates, then
     `voxels_allocated` and a fresh `predict` per batch."""
     lo, dims, axes = _node_grid(bounds, spacing)
@@ -374,16 +389,18 @@ def assert_same_sdf_grid(got, want):
     (((0.65, -0.13, -0.11), (1.45, 0.37, 0.33)), 0.05, 7),  # the level-0-only cell
 ])
 def test_eval_sdf_grid_equals_the_dense_path_bitwise(lattice_field, bounds, spacing,
-                                                     batch_size):
+                                                     batch_size, monkeypatch):
     want = dense_sdf_grid(lattice_field, bounds, spacing, batch_size)
-    got = eval_sdf_grid(lattice_field, bounds, spacing, batch_size=batch_size)
+    monkeypatch.setattr(mesher, "NODE_BATCH", batch_size)
+    got = eval_sdf_grid(lattice_field, bounds, spacing)
     assert 0 < want.valid.sum() < want.valid.size
     assert_same_sdf_grid(got, want)
 
 
-def test_lattice_nodes_valid_at_level_0_only_stay_invalid(lattice_field):
+def test_lattice_nodes_valid_at_level_0_only_stay_invalid(lattice_field, monkeypatch):
     bounds = ((0.65, -0.13, -0.11), (1.45, 0.37, 0.33))
-    got = eval_sdf_grid(lattice_field, bounds, spacing=0.05, batch_size=7)
+    monkeypatch.setattr(mesher, "NODE_BATCH", 7)
+    got = eval_sdf_grid(lattice_field, bounds, spacing=0.05)
     lo, dims, axes = _node_grid(bounds, 0.05)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     per_level = []
@@ -429,7 +446,7 @@ def test_eval_sdf_grid_holds_no_box_of_coordinates(lattice_field):
     assert peak < 24 * nodes
 
 
-def test_eval_sdf_grid_holds_no_decoder_cache():
+def test_eval_sdf_grid_holds_no_decoder_cache(monkeypatch):
     rng = np.random.default_rng(3)
     grid = FeatureGrid(voxel_sizes=(0.3, 0.45), feature_dim=4)
     ax = np.arange(-1.0, 1.01, 0.1)
@@ -438,10 +455,10 @@ def test_eval_sdf_grid_holds_no_decoder_cache():
         lvl.features[:] = rng.standard_normal(lvl.features.shape)
     dec = SdfDecoder(feature_dim=4, hidden_units=128, rng=rng)
     batch = 16384
+    monkeypatch.setattr(mesher, "NODE_BATCH", batch)
     tracemalloc.start()
     try:
-        got = eval_sdf_grid(NeuralSdfField(grid, dec), ((-0.9,) * 3, (0.9,) * 3), spacing=0.05,
-                            batch_size=batch)
+        got = eval_sdf_grid(NeuralSdfField(grid, dec), ((-0.9,) * 3, (0.9,) * 3), spacing=0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -449,13 +466,6 @@ def test_eval_sdf_grid_holds_no_decoder_cache():
     # a full batch's forward cache (x, z1, a1, z2, a2) alone would take this
     cache_bytes = batch * 8 * (dec.feature_dim + 4 * dec.hidden_units)
     assert peak - got.values.nbytes - got.valid.nbytes < cache_bytes
-
-
-@pytest.mark.parametrize("batch_size", [0, -5])
-def test_bad_batch_size_is_named(batch_size):
-    f = StubField(sphere_sdf((0, 0, 0), 0.5), ((-0.8, -0.8, -0.8), (0.8, 0.8, 0.8)))
-    with pytest.raises(ValueError, match="batch_size must be a positive node count"):
-        eval_sdf_grid(f, f.bounds(), spacing=0.2, batch_size=batch_size)
 
 
 @pytest.mark.parametrize("spacing", [0.0, -0.1, float("nan"), float("inf")])

@@ -59,17 +59,17 @@ def test_insert_scores_each_sample_with_the_pool_config(rng):
 def test_sampled_rays_score_positive(rng):
     pts = np.column_stack([rng.uniform(-4, 4, 200), rng.uniform(-4, 4, 200), np.zeros(200)])
     scan = Scan(origin=np.array([0.0, 0.0, 3.0]), points=pts, frame_id=0)
-    normals, _ = estimate_normals(scan)
-    pool = ReplayPool()
+    normals, _ = estimate_normals(scan, k=20)
+    pool = ReplayPool(0.45)
     pool.insert(generate_samples(scan, normals, SamplerConfig(), rng), frame_id=0)
     assert pool.n > 0 and (pool.mse > 0).all()
 
 
 def test_zero_capacity_is_rejected():
     with pytest.raises(ValueError, match="capacity must be at least 1"):
-        ReplayPool(cfg=PoolConfig(capacity=0))
+        ReplayPool(0.45, PoolConfig(capacity=0))
     with pytest.raises(TypeError):
-        ReplayPool(capacity=0)  # the settings come whole, as a checked PoolConfig
+        ReplayPool(0.45, capacity=0)  # the settings come whole, as a checked PoolConfig
 
 
 def test_bucket_keys_follow_the_floor_convention():
@@ -90,7 +90,7 @@ def test_insert_outside_the_lattice_leaves_the_pool_unchanged(rng):
 
 
 def test_insert_appends_in_order(rng):
-    pool = ReplayPool()
+    pool = ReplayPool(0.45)
     pool.insert(rand_batch(rng, 10), frame_id=0)
     pool.insert(rand_batch(rng, 5), frame_id=1)
     assert pool.n == 15
@@ -99,7 +99,7 @@ def test_insert_appends_in_order(rng):
 
 
 def test_prune_window_strict_boundary():
-    pool = ReplayPool(cfg=PoolConfig(prune_radius=50.0))
+    pool = ReplayPool(0.45, PoolConfig(prune_radius=50.0))
     pos = np.array([[49.99, 0, 0], [50.0, 0, 0], [50.01, 0, 0]])
     pool.insert(make_batch(pos), frame_id=0)
     evicted = pool.prune_window(np.zeros(3))
@@ -131,7 +131,7 @@ def test_prune_window_equals_the_norm_form_bitwise(rng):
     sphere = o + r * u / np.linalg.norm(u, axis=1, keepdims=True)  # within ulps of r
     pos = np.vstack([edge, *ulps, sphere, rng.uniform(-10, 10, (500, 3))])
     for radius in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)):
-        pool = ReplayPool(cfg=PoolConfig(prune_radius=radius))
+        pool = ReplayPool(0.45, PoolConfig(prune_radius=radius))
         pool.insert(make_batch(pos, ray_len=rng.random(len(pos))), frame_id=0)
         before = columns(pool)
         keep = np.linalg.norm(pool.pos - o, axis=1) < radius
@@ -141,7 +141,7 @@ def test_prune_window_equals_the_norm_form_bitwise(rng):
 
 
 def test_prune_window_is_idempotent(rng):
-    pool = ReplayPool(cfg=PoolConfig(prune_radius=5.0))
+    pool = ReplayPool(0.45, PoolConfig(prune_radius=5.0))
     pool.insert(rand_batch(rng, 200, extent=8.0), frame_id=0)
     pool.prune_window(np.zeros(3))
     n = pool.n

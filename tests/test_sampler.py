@@ -33,7 +33,7 @@ def sphere_scan(rng, n=2000, radius=2.0):
 def test_empty_scan_raises():
     scan = Scan(origin=np.zeros(3), points=np.zeros((0, 3)), frame_id=0)
     with pytest.raises(EmptyScan):
-        estimate_normals(scan)
+        estimate_normals(scan, k=20)
 
 
 def test_plane_normals_are_exact(rng):
@@ -70,7 +70,7 @@ def test_collinear_points_fall_back_to_ray_direction():
 def test_tiny_scan_uses_fallback_normals():
     pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     scan = Scan(origin=np.zeros(3), points=pts, frame_id=0)
-    normals, degenerate = estimate_normals(scan)
+    normals, degenerate = estimate_normals(scan, k=20)
     assert degenerate.all()
     np.testing.assert_allclose(normals, -pts, atol=1e-12)
 
@@ -159,10 +159,10 @@ def test_incidence_clamped(rng):
     rays = rng.standard_normal((50, 3))
     normals = rng.standard_normal((50, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    cos = compute_incidence(rays, normals)
+    cos = compute_incidence(rays, normals, 1e-3)
     assert (cos >= 1e-3).all() and (cos <= 1.0).all()
     # orthogonal pair pins to the floor
-    c = compute_incidence(np.array([[1.0, 0, 0]]), np.array([[0.0, 1, 0]]))
+    c = compute_incidence(np.array([[1.0, 0, 0]]), np.array([[0.0, 1, 0]]), 1e-3)
     assert c[0] == pytest.approx(1e-3)
 
 
@@ -232,7 +232,7 @@ def test_free_space_skipped_for_short_rays(rng):
     pts = np.array([[0.5, 0.0, 0.0], [0.0, 0.55, 0.0], [0.0, 0.0, 0.52]])
     scan = Scan(origin=np.zeros(3), points=pts, frame_id=0)
     cfg = SamplerConfig()
-    normals, _ = estimate_normals(scan)
+    normals, _ = estimate_normals(scan, k=20)
     batch = generate_samples(scan, normals, cfg, np.random.default_rng(0))
     n = pts.shape[0]
     assert len(batch) == n * (1 + cfg.n_front + cfg.n_behind)
@@ -268,7 +268,7 @@ def test_measured_bias_law_on_plane(rng):
 def test_generate_is_seed_deterministic(rng):
     scan = plane_scan(rng, n=30)
     cfg = SamplerConfig()
-    normals, _ = estimate_normals(scan)
+    normals, _ = estimate_normals(scan, k=20)
     a = generate_samples(scan, normals, cfg, np.random.default_rng(42))
     b = generate_samples(scan, normals, cfg, np.random.default_rng(42))
     assert np.array_equal(a.pos, b.pos)

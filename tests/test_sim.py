@@ -182,17 +182,17 @@ def test_simulation_is_frame_seeded():
 
 
 def test_orbit_poses_geometry():
-    poses = orbit_poses(8, radius=3.0, height=1.5, center=(1.0, 0.0, 0.0))
+    poses = orbit_poses(8, radius=3.0, height=1.5)
     assert len(poses) == 8
     for pose in poses:
         np.testing.assert_array_equal(pose[:, :3], np.eye(3))
         t = pose[:, 3]
-        assert np.hypot(t[0] - 1.0, t[1]) == pytest.approx(3.0)
+        assert np.hypot(t[0], t[1]) == pytest.approx(3.0)
         assert t[2] == pytest.approx(1.5)
-    # evenly spaced azimuths
+    # evenly spaced azimuths about the z axis
     t0, t2 = poses[0][:, 3], poses[2][:, 3]
-    np.testing.assert_allclose(t0, [4.0, 0.0, 1.5], atol=1e-12)
-    np.testing.assert_allclose(t2, [1.0, 3.0, 1.5], atol=1e-12)
+    np.testing.assert_allclose(t0, [3.0, 0.0, 1.5], atol=1e-12)
+    np.testing.assert_allclose(t2, [0.0, 3.0, 1.5], atol=1e-12)
 
 
 def test_scene_from_dicts():

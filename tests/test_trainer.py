@@ -9,7 +9,7 @@ from tsdfmap.errors import NonFiniteLoss
 from tsdfmap.pool import PoolConfig
 from tsdfmap.sampler import SamplerConfig, Scan, voxel_downsample
 from tsdfmap.trainer import _TAG_BATCH, Mapper, TrainConfig
-from tsdfmap.uncertainty import draw_batch
+from tsdfmap.uncertainty import UncertaintyConfig, draw_batch
 
 
 def small_cfg(**kw):
@@ -259,10 +259,21 @@ def test_capacity_postcondition(rng):
 
 
 def test_pool_and_perturb_share_coarsest_lattice():
-    cfg = TrainConfig(voxel_sizes=(0.2, 0.6),
-                      pool=PoolConfig(capacity=99, prune_radius=12.0))
+    """Every part the Mapper builds takes its settings from the one config."""
+    cfg = TrainConfig(voxel_sizes=(0.25, 0.7, 0.4), feature_dim=5, hidden_units=12,
+                      pool=PoolConfig(capacity=99, prune_radius=12.0),
+                      uncertainty=UncertaintyConfig(gamma=2.5))
     mapper = Mapper(cfg)
-    assert mapper.pool.voxel_size == mapper.perturb.grid_size == 0.6
+    assert [lvl.voxel_size for lvl in mapper.grid.levels] == [0.25, 0.7, 0.4]
+    assert [lvl.feature_dim for lvl in mapper.grid.levels] == [5, 5, 5]
+    assert [lvl.features.shape[1] for lvl in mapper.grid.levels] == [5, 5, 5]
+    assert mapper.grid.feature_dim == 5
+    dec = mapper.decoder
+    assert (dec.feature_dim, dec.hidden_units) == (5, 12)
+    assert {name: p.shape for name, p in dec.params.items()} == {
+        "w1": (5, 12), "b1": (12,), "w2": (12, 12), "b2": (12,), "w3": (12, 1), "b3": (1,)}
+    assert mapper.pool.voxel_size == mapper.perturb.grid_size == 0.7
+    assert mapper.perturb.gamma == 2.5
     assert mapper.pool.cfg == cfg.pool
     assert mapper.pool.capacity == 99
 

@@ -46,10 +46,10 @@ def test_accumulate_is_additive(rng):
     pos = rng.uniform(-1, 1, size=(30, 3))
     g1 = rng.standard_normal((30, 3))
     g2 = rng.standard_normal((30, 3))
-    a = PerturbField()
+    a = PerturbField(0.45, 1.0)
     a.accumulate(pos, g1)
     a.accumulate(pos, g2)
-    b = PerturbField()
+    b = PerturbField(0.45, 1.0)
     b.accumulate(np.vstack([pos, pos]), np.vstack([g1, g2]))
     for key in a.vertices.keys:
         ra = a.vertices.lookup(np.array([key]))[0]
@@ -58,7 +58,7 @@ def test_accumulate_is_additive(rng):
 
 
 def test_vertex_variance_formula():
-    pf = PerturbField(gamma=2.0)
+    pf = PerturbField(grid_size=0.45, gamma=2.0)
     # sample exactly at a lattice point: all weight on one corner
     pf.accumulate(np.array([[0.0, 0.0, 0.0]]), np.array([[1.0, 2.0, 0.0]]))
     row = pf.vertices.lookup(pack_coords(np.array([[0, 0, 0]])))[0]
@@ -68,7 +68,7 @@ def test_vertex_variance_formula():
 
 
 def test_variance_bounded_by_prior(rng):
-    pf = PerturbField(gamma=1.5)
+    pf = PerturbField(grid_size=0.45, gamma=1.5)
     pf.accumulate(rng.uniform(-1, 1, (40, 3)), rng.standard_normal((40, 3)))
     var = pf.vertex_variance()
     assert (var > 0).all()
@@ -76,10 +76,10 @@ def test_variance_bounded_by_prior(rng):
 
 
 def test_query_sigma_prior_only():
-    pf = PerturbField(gamma=1.0)
+    pf = PerturbField(grid_size=0.45, gamma=1.0)
     sigma = pf.query_sigma(np.array([[3.0, -2.0, 7.0]]))
     assert sigma[0] == pytest.approx(np.sqrt(3.0), abs=1e-12)
-    pf2 = PerturbField(gamma=2.0)
+    pf2 = PerturbField(grid_size=0.45, gamma=2.0)
     # each component carries gamma^2 prior variance
     assert pf2.query_sigma(np.zeros((1, 3)))[0] == pytest.approx(
         np.sqrt(3.0) * 4.0, abs=1e-12)
@@ -106,7 +106,7 @@ def test_query_sigma_interpolates_variance(rng):
 
 
 def test_sigma_decreases_with_supervision(rng):
-    pf = PerturbField(grid_size=0.45)
+    pf = PerturbField(grid_size=0.45, gamma=1.0)
     probe = np.array([[0.2, 0.2, 0.2]])
     s0 = pf.query_sigma(probe)[0]
     history = [s0]
@@ -143,8 +143,8 @@ def isin_rows(pool, uncertain):
 
 
 def test_partition_empty_pool_raises():
-    pool = ReplayPool()
-    pf = PerturbField()
+    pool = ReplayPool(0.45)
+    pf = PerturbField(0.45, 1.0)
     with pytest.raises(EmptyPool):
         partition_voxels(pool, pf, 0.98)
 
@@ -152,7 +152,7 @@ def test_partition_empty_pool_raises():
 def test_partition_all_equal_sigma_is_all_certain(rng):
     # no supervision anywhere: every bucket has prior sigma, hi == lo
     pool = pool_with(rng.uniform(-1, 1, (30, 3)))
-    pf = PerturbField()
+    pf = PerturbField(0.45, 1.0)
     part = partition_voxels(pool, pf, threshold=0.98)
     assert part.uncertain.size == 0
     assert part.certain.size == pool.bucket_sizes()[0].size
@@ -161,7 +161,7 @@ def test_partition_all_equal_sigma_is_all_certain(rng):
 
 def test_partition_single_bucket_is_certain():
     pool = pool_with([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]])
-    pf = PerturbField()
+    pf = PerturbField(0.45, 1.0)
     part = partition_voxels(pool, pf, 0.98)
     assert part.uncertain.size == 0 and part.certain.size == 1
 
@@ -171,7 +171,7 @@ def test_partition_splits_at_normalized_threshold(rng):
     a = rng.uniform(0.0, 0.4, (25, 3))
     b = rng.uniform(4.0, 4.4, (25, 3))
     pool = pool_with(np.vstack([a, b]))
-    pf = PerturbField(grid_size=0.45)
+    pf = PerturbField(grid_size=0.45, gamma=1.0)
     for _ in range(10):
         pf.accumulate(a, np.ones((25, 3)))
     part = partition_voxels(pool, pf, threshold=0.98)
@@ -186,7 +186,7 @@ def test_partition_splits_at_normalized_threshold(rng):
 
 def test_partition_keys_cover_pool():
     pool = pool_with([[0.1, 0.1, 0.1], [5.0, 5.0, 5.0], [9.0, 0.0, 0.0]])
-    pf = PerturbField()
+    pf = PerturbField(0.45, 1.0)
     part = partition_voxels(pool, pf, 0.98)
     keys = pool.bucket_sizes()[0]
     assert np.array_equal(np.sort(np.concatenate([part.uncertain, part.certain])), keys)
@@ -200,7 +200,7 @@ def two_cluster_pool(rng, n_a=60, n_b=40):
     a = rng.uniform(0.0, 0.4, (n_a, 3))
     b = rng.uniform(4.0, 4.4, (n_b, 3))
     pool = pool_with(np.vstack([a, b]))
-    pf = PerturbField(grid_size=0.45)
+    pf = PerturbField(grid_size=0.45, gamma=1.0)
     for _ in range(10):
         pf.accumulate(a, np.ones((n_a, 3)))
     part = partition_voxels(pool, pf, threshold=0.98)
@@ -212,7 +212,7 @@ def test_partition_rows_match_an_isin_reference(rng):
     mixed = two_cluster_pool(rng)
     # equal sigma everywhere: every row is certain
     pool = pool_with(rng.uniform(-1, 1, (30, 3)))
-    all_certain = (pool, partition_voxels(pool, PerturbField(), 0.98))
+    all_certain = (pool, partition_voxels(pool, PerturbField(0.45, 1.0), 0.98))
     assert all_certain[1].uncertain.size == 0
     for pool, part in (mixed, all_certain):
         unc_rows, cer_rows = isin_rows(pool, part.uncertain)
@@ -238,7 +238,7 @@ def test_draw_batch_caps_at_available_uncertain(rng):
     assert rows.shape == (32,)
     # uncertain side empty: a single bucket is certain, every row is drawn from it
     pool = pool_with([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]])
-    part = partition_voxels(pool, PerturbField(), 0.98)
+    part = partition_voxels(pool, PerturbField(0.45, 1.0), 0.98)
     assert part.uncertain.size == 0
     rows = draw_batch(pool, part, 16, 4, np.random.default_rng(5))
     expected = part.certain_rows[np.random.default_rng(5).integers(0, 2, size=16)]
@@ -275,7 +275,7 @@ def test_draw_batch_deterministic_under_seed(rng):
 
 
 def test_draw_batch_empty_pool_raises():
-    pool = ReplayPool()
+    pool = ReplayPool(0.45)
     with pytest.raises(EmptyPool):
         draw_batch(pool, None, 8, 2, np.random.default_rng(0))
 

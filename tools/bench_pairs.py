@@ -262,6 +262,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     cut = argv.index("--") if "--" in argv else len(argv)
     args = ap.parse_args(argv[:cut])
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, got {args.pairs}")
     run_args = argv[cut + 1:]  # for perfbench/run.py
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     pairs = []

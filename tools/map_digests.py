@@ -86,6 +86,8 @@ def main(argv=None):
                     help="map only the first N scans of each workload")
     ap.add_argument("--workload", default="all", help="one workload name, or all")
     args = ap.parse_args(argv)
+    if args.frames is not None and args.frames < 1:
+        ap.error(f"--frames must be at least 1, got {args.frames}")
     root = args.checkout.resolve()
     # the checkout's program and benchmark, ahead of any other copy on the path
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
