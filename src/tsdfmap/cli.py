@@ -27,7 +27,7 @@ from .mesher import extract_map_mesh, load_mesh, write_mesh
 from .metrics import evaluate, write_eval_csv, write_eval_json
 from .plyio import SCAN_SUFFIXES, load_scan, write_points_ply
 from .poses import load_poses, save_poses
-from .sim import orbit_poses, scene_from_dicts, simulate_scan
+from .sim import orbit_poses, simulate_scan
 from .trainer import Mapper
 
 
@@ -151,7 +151,7 @@ def cmd_sim(args) -> int:
     s = cfg.sim
     if not s.scene:
         raise MappingError("sim config has an empty scene (add sphere/box/plane/room entries)")
-    scene = scene_from_dicts(s.scene)
+    scene = s.build_scene()
     model = s.lidar(cfg.seed)
     poses = orbit_poses(s.n_frames, s.orbit_radius, s.orbit_height)
     out = Path(args.out)

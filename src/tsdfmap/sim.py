@@ -26,16 +26,35 @@ TRACE_EPS = 1e-5
 TRACE_MAX_STEPS = 256
 
 
+def _check_point(value, name):
+    try:
+        p = np.asarray(value, dtype=np.float64)
+        if p.shape == (3,) and np.isfinite(p).all():
+            return p
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be 3 finite numbers")
+
+
 @dataclass
 class Sphere:
     center: tuple
     radius: float
 
+    def __post_init__(self):
+        _check_point(self.center, "center")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be positive and finite")
+
 
 @dataclass
 class Box:
-    vmin: tuple
-    vmax: tuple
+    min: tuple
+    max: tuple
+
+    def __post_init__(self):
+        if not (_check_point(self.min, "min") < _check_point(self.max, "max")).all():
+            raise ValueError("min must be below max on every axis")
 
 
 @dataclass
@@ -44,6 +63,12 @@ class Plane:
 
     normal: tuple
     offset: float
+
+    def __post_init__(self):
+        if not np.linalg.norm(_check_point(self.normal, "normal")) > 0:
+            raise ValueError("normal must be nonzero")
+        if not np.isfinite(self.offset):
+            raise ValueError("offset must be finite")
 
 
 class Scene:
@@ -55,21 +80,13 @@ class Scene:
         self.params = np.zeros((len(self.primitives), 6))
         for i, prim in enumerate(self.primitives):
             if isinstance(prim, Sphere):
-                self.types[i] = PRIM_SPHERE
-                self.params[i, :3] = prim.center
-                self.params[i, 3] = prim.radius
+                self.types[i], self.params[i, :4] = PRIM_SPHERE, (*prim.center, prim.radius)
             elif isinstance(prim, Box):
-                self.types[i] = PRIM_BOX
-                self.params[i, :3] = prim.vmin
-                self.params[i, 3:6] = prim.vmax
+                self.types[i], self.params[i] = PRIM_BOX, (*prim.min, *prim.max)
             elif isinstance(prim, Plane):
-                n = np.asarray(prim.normal, dtype=np.float64)
-                norm = np.linalg.norm(n)
-                if not norm > 0:
-                    raise ValueError("plane normal must be nonzero")
+                norm = np.linalg.norm(prim.normal)
                 self.types[i] = PRIM_PLANE
-                self.params[i, :3] = n / norm
-                self.params[i, 3] = prim.offset / norm
+                self.params[i, :4] = (*np.divide(prim.normal, norm), prim.offset / norm)
             else:
                 raise TypeError(f"unknown primitive {type(prim).__name__}")
 
@@ -90,28 +107,20 @@ class Scene:
 
 def room(vmin, vmax):
     """Six inward-facing planes enclosing an axis-aligned room."""
-    vmin = np.asarray(vmin, dtype=np.float64)
-    vmax = np.asarray(vmax, dtype=np.float64)
-    planes = []
-    for a in range(3):
-        lo = np.zeros(3)
-        lo[a] = 1.0
-        planes.append(Plane(tuple(lo), vmin[a]))
-        hi = np.zeros(3)
-        hi[a] = -1.0
-        planes.append(Plane(tuple(hi), -vmax[a]))
-    return planes
+    return [wall for a, axis in enumerate(np.eye(3))  # 0.0 - axis keeps off-axis entries +0.0
+            for wall in (Plane(tuple(axis), vmin[a]), Plane(tuple(0.0 - axis), -vmax[a]))]
 
 
 @dataclass
-class LidarModel:
+class RayModel:
+    """The sensor's azimuth/elevation raster, range limit and range noise."""
+
     azimuth_count: int = 256
     elevation_count: int = 32
-    elevation_min_deg: float = -15.0
-    elevation_max_deg: float = 15.0
+    elevation_min_deg: float = -45.0
+    elevation_max_deg: float = 45.0
     max_range: float = 30.0
     beta: float = 0.0  # range noise std = beta * range
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.azimuth_count, self.elevation_count) < 1:
@@ -130,7 +139,12 @@ class LidarModel:
             raise ValueError("beta must be finite")
 
 
-def ray_directions(model: LidarModel):
+@dataclass
+class LidarModel(RayModel):
+    seed: int = 0  # of the range noise stream
+
+
+def ray_directions(model: RayModel):
     """Sensor-frame unit directions, elevation-major then azimuth."""
     el = np.deg2rad(
         np.linspace(model.elevation_min_deg, model.elevation_max_deg, model.elevation_count)
@@ -193,24 +207,3 @@ def orbit_poses(n_frames: int, radius: float, height: float):
         pose[:, 3] = t
         poses.append(pose)
     return poses
-
-
-def scene_from_dicts(items):
-    """Build a Scene from config-style primitive dicts."""
-    prims = []
-    for i, it in enumerate(items):
-        kind = it.get("type")
-        try:
-            if kind == "sphere":
-                prims.append(Sphere(tuple(it["center"]), float(it["radius"])))
-            elif kind == "box":
-                prims.append(Box(tuple(it["min"]), tuple(it["max"])))
-            elif kind == "plane":
-                prims.append(Plane(tuple(it["normal"]), float(it["offset"])))
-            elif kind == "room":
-                prims.extend(room(it["min"], it["max"]))
-            else:
-                raise ValueError(f"primitive {i}: unknown type {kind!r}")
-        except KeyError as e:
-            raise ValueError(f"primitive {i} ({kind}): missing field {e}") from None
-    return Scene(prims)

@@ -20,13 +20,14 @@ DECLARED = [
 
 
 def run_output(fps, mb, failed=0, correct=True, digest="ab" * 32, quality=None, wall=None,
-               block=None, stages=None):
+               block=None, stages=None, host_speed=None):
     """Two workloads, as `run.py --workload all` prints them; no digest if None.
 
     quality: (chamfer_l1_cm, f1_pct) to report as well, or None.
     wall: the detail line's `wall` block of raw wall times, or None for none.
     block: the detail line's `quality` block, or None for none.
     stages: the detail line's `stage_ms_per_sequence`, or None for none.
+    host_speed: the detail line's gauge reading, or None for none.
     """
     lines = []
     for workload in ("desk-orbit", "street-drive"):
@@ -39,6 +40,8 @@ def run_output(fps, mb, failed=0, correct=True, digest="ab" * 32, quality=None, 
             detail["quality"] = block
         if stages is not None:
             detail["stage_ms_per_sequence"] = stages
+        if host_speed is not None:
+            detail["host_speed"] = host_speed
         metrics = {"frames_per_s": {"value": fps, "unit": "1/s"},
                    "map_mb": {"value": mb, "unit": "MB"}}
         if quality is not None:
@@ -86,6 +89,28 @@ def test_wall_medians_sit_beside_the_scaled_table(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "wall time" in out
     assert "street-drive  frames_per_s                1           1.25   +25.0%" in out
+
+
+def test_host_speed_medians_follow_the_wall_medians(monkeypatch, capsys):
+    assert bench_pairs.parse_run(run_output(1.5, 37.7))["desk-orbit"]["gauge"] == {}
+    got = bench_pairs.parse_run(run_output(1.5, 37.7, host_speed=0.75))
+    assert got["street-drive"]["gauge"] == {"host_speed": 0.75}
+    # the change ran faster in wall time, but on a host the gauge read as faster too
+    runs = {"old": [(1.0, 0.6), (1.0, 0.62), (1.1, 0.58)],
+            "new": [(1.25, 0.76), (1.2, 0.75), (1.3, 0.8)]}
+
+    def fake_run(checkout, args):
+        fps, speed = runs[checkout].pop(0)
+        return bench_pairs.parse_run(run_output(1.0, 5.0, wall={"frames_per_s": fps},
+                                                host_speed=speed))
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    bench_pairs.main(["old", "new", "--pairs", "3"])
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("workload      host speed        base median  change median   median")
+    assert out[at - 1] == "street-drive  frames_per_s                1           1.25   +25.0%"
+    assert out[at + 1] == "desk-orbit    host_speed                0.6           0.76   +26.7%"
+    assert out[at + 2] == "street-drive  host_speed                0.6           0.76   +26.7%"
 
 
 def test_stage_medians_follow_the_wall_medians(monkeypatch, capsys):

@@ -339,6 +339,35 @@ def test_unknown_config_key_fails(workdir, capsys):
     assert "sedd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("{type: sphere, center: [0, 0, 1], raduis: 1}", "unknown config key sim.scene[0].raduis"),
+    ("sphere", "config section sim.scene[0]: expected a mapping"),
+    ("{type: sphere, center: 5, radius: 1}", "config key sim.scene[0].center: expected a list"),
+    ("{type: sphere, center: [0, 0], radius: 1}",
+     "config section sim.scene[0]: center must be 3 finite numbers"),
+])
+def test_sim_names_a_bad_scene_entry_on_one_line(workdir, capsys, entry, message):
+    bad = workdir / "bad_scene.yaml"
+    bad.write_text(f"sim:\n  n_frames: 1\n  scene:\n    - {entry}\n")
+    assert main(["sim", "--config", str(bad), "--out", str(workdir / "bad_scene_run")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "bad_scene_run").exists()
+
+
+@pytest.mark.parametrize("command", ["sim", "map", "eval"])
+def test_malformed_yaml_fails_on_one_line_naming_the_file(workdir, sim_dir, capsys, command):
+    bad = workdir / "malformed.yaml"
+    bad.write_text("sim:\n  scene: [\n")
+    argv = {"sim": ["sim", "--out", str(workdir / "malformed_run")],
+            "map": ["map", "--scans", str(sim_dir), "--poses", str(sim_dir / "poses.txt"),
+                    "--out", str(workdir / "malformed_run")],
+            "eval": ["eval", str(sim_dir / "frame_00000.ply"), str(sim_dir / "frame_00000.ply")]}
+    assert main([*argv[command], "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {bad}: malformed YAML: ")
+    assert err.count("\n") == 1
+
+
 def test_missing_scan_dir_fails(workdir, capsys):
     rc = main(["map", "--scans", str(workdir / "nope"), "--poses",
                str(workdir / "nope.txt"), "--out", str(workdir / "y")])

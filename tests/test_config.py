@@ -6,11 +6,13 @@ import yaml
 
 from tsdfmap.config import (
     RunConfig,
+    SimConfig,
     build_dataclass,
     config_to_dict,
     dump_config,
     load_config,
 )
+from tsdfmap.sim import LidarModel, Plane, Sphere
 from tsdfmap.trainer import TrainConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -193,3 +195,69 @@ def test_readme_quick_start_config_parses(tmp_path):
     cfg = load_config(path)
     assert cfg.batch_size == 4096
     assert cfg.sim.scene
+
+
+def test_lidar_model_defaults_are_the_sim_configs():
+    assert LidarModel() == SimConfig().lidar()
+    assert SimConfig(beta=0.01).lidar(seed=4) == LidarModel(beta=0.01, seed=4)
+
+
+def test_sim_scene_entries_build_the_scene():
+    cfg = build_dataclass(RunConfig, {"sim": {"scene": [
+        {"type": "sphere", "center": [0, 0, 1], "radius": 2},
+        {"type": "room", "min": [-3, -3, 0], "max": [3, 3, 4]},
+        {"type": "box", "min": [1, 1, 0], "max": [2, 2, 1]},
+        {"type": "plane", "normal": [0, 0, 2], "offset": 1},
+    ]}})
+    scene = cfg.sim.build_scene()
+    assert len(scene.primitives) == 1 + 6 + 1 + 1
+    assert scene.primitives[0] == Sphere((0, 0, 1), 2.0)
+    assert scene.primitives[-1] == Plane((0, 0, 2), 1.0)
+    # inside the sphere; then nearest the plane z = 0.5 (box, walls and sphere are farther)
+    assert scene.sdf([[0.0, 0.0, 1.0], [2.5, 2.5, 0.4]]) == pytest.approx([-2.0, -0.1])
+    # entries serialize as written, so a dumped config reproduces the scene
+    assert config_to_dict(cfg)["sim"]["scene"][1] == {
+        "type": "room", "min": [-3, -3, 0], "max": [3, 3, 4]}
+
+
+@pytest.mark.parametrize("entry, match", [
+    ({"type": "sphere", "center": [0, 0, 0], "raduis": 1},
+     r"^unknown config key sim\.scene\[1\]\.raduis$"),
+    ({"type": "sphere", "center": [0, 0, 0], "radius": -1},
+     r"^config section sim\.scene\[1\]: radius must be positive and finite$"),
+    ({"type": "box", "min": [0, 0, 0], "max": [1, -1, 1]},
+     r"^config section sim\.scene\[1\]: min must be below max on every axis$"),
+    ({"type": "room", "min": [0, 0, 3], "max": [4, 4, 3]},
+     r"^config section sim\.scene\[1\]: min must be below max on every axis$"),
+    ({"type": "sphere"}, r"^missing config key sim\.scene\[1\]\.center$"),
+    ({"type": "sphere", "center": [0, 0, 0]}, r"^missing config key sim\.scene\[1\]\.radius$"),
+    ("sphere", r"^config section sim\.scene\[1\]: expected a mapping$"),
+    ({"type": "sphere", "center": 5, "radius": 1},
+     r"^config key sim\.scene\[1\]\.center: expected a list$"),
+    ({"type": "sphere", "center": [0, 0], "radius": 1},
+     r"^config section sim\.scene\[1\]: center must be 3 finite numbers$"),
+    ({"type": "sphere", "center": ["a", 0, 0], "radius": 1},
+     r"^config section sim\.scene\[1\]: center must be 3 finite numbers$"),
+    ({"type": "plane", "normal": [0, 0, 0], "offset": 1},
+     r"^config section sim\.scene\[1\]: normal must be nonzero$"),
+    ({"type": "torus"},
+     r"^config key sim\.scene\[1\]\.type: 'torus' is not one of sphere, box, plane, room$"),
+    ({"center": [0, 0, 0], "radius": 1}, r"^config key sim\.scene\[1\]\.type: None is not"),
+    ({"type": ["sphere"]}, r"^config key sim\.scene\[1\]\.type: \['sphere'\] is not"),
+])
+def test_bad_scene_entries_fail_at_parse_time_naming_the_entry(entry, match):
+    ok = {"type": "sphere", "center": [0, 0, 0], "radius": 1}
+    with pytest.raises(ValueError, match=match):
+        build_dataclass(RunConfig, {"sim": {"scene": [ok, entry]}})
+
+
+@pytest.mark.parametrize("text", [b"seed: [1\n", b"sim:\n  n_frames: 1\n bad: 2\n", b"a: b: c\n",
+                                  b"seed: 1\n\x00\n", b"seed: 1\n\xff\n"])
+def test_malformed_yaml_names_the_file(tmp_path, text):
+    path = tmp_path / "broken.yaml"
+    path.write_bytes(text)
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    message = str(err.value)
+    assert message.startswith(f"config file {path}: malformed YAML: ")
+    assert "\n" not in message

@@ -10,7 +10,6 @@ from tsdfmap.sim import (
     orbit_poses,
     ray_directions,
     room,
-    scene_from_dicts,
     simulate_scan,
 )
 
@@ -195,16 +194,18 @@ def test_orbit_poses_geometry():
     np.testing.assert_allclose(t2, [0.0, 3.0, 1.5], atol=1e-12)
 
 
-def test_scene_from_dicts():
-    scene = scene_from_dicts([
-        {"type": "sphere", "center": [0, 0, 1], "radius": 2.0},
-        {"type": "room", "min": [-3, -3, 0], "max": [3, 3, 4]},
-    ])
-    assert scene.sdf(np.zeros((1, 3))).shape == (1,)
-    with pytest.raises(ValueError, match="unknown type"):
-        scene_from_dicts([{"type": "torus"}])
-    with pytest.raises(ValueError, match="missing field"):
-        scene_from_dicts([{"type": "sphere", "center": [0, 0, 0]}])
+def test_primitives_check_their_values():
+    for make, match in (
+        (lambda: Sphere((0, 0, 0), -1.0), "radius must be positive and finite"),
+        (lambda: Sphere((0, 0, np.nan), 1.0), "center must be 3 finite numbers"),
+        (lambda: Sphere((0, 0), 1.0), "center must be 3 finite numbers"),
+        (lambda: Box((0, 0, 0), (1, -1, 1)), "min must be below max on every axis"),
+        (lambda: Box((0, 0, 0), (1, 0, 1)), "min must be below max on every axis"),
+        (lambda: Plane((0, 0, 0), 1.0), "normal must be nonzero"),
+        (lambda: Plane((0, 0, 1), np.inf), "offset must be finite"),
+    ):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            make()
 
 
 def test_model_validation():

@@ -26,13 +26,16 @@ bitwise-identical evaluation is checked the same way.
 run.py scales its end-to-end times by a host-speed gauge. That scale can
 swing between workloads of one run, so after the table it also prints,
 per workload, each side's median of the raw wall times in the detail
-line's `wall` block and the change of that median. The same follows for
-the detail line's `stage_ms_per_sequence` (ms per mapped sequence in
-each frame stage: sample, allocate, pool, partition, optimize, fisher),
-so a change can show which stages moved and which stayed flat. Raw stage
-times carry the host's drift, so it also prints each stage's share of
-its run's summed stage time, as a median per side: a ratio within one
-run cancels a drift that slows every stage alike.
+line's `wall` block and the change of that median, and the same for the
+detail line's `host_speed`, the gauge reading itself: a gain that the
+raw wall times show but the scaled table does not is a gauge reading
+that moved. The same follows for the detail line's
+`stage_ms_per_sequence` (ms per mapped sequence in each frame stage:
+sample, allocate, pool, partition, optimize, fisher), so a change can
+show which stages moved and which stayed flat. Raw stage times carry
+the host's drift, so it also prints each stage's share of its run's
+summed stage time, as a median per side: a ratio within one run cancels
+a drift that slows every stage alike.
 
 If a run exits non-zero, it prints that run's pair, side, exit code and
 the tail of its stderr, then the summary of the pairs already finished,
@@ -57,6 +60,7 @@ def parse_run(stdout):
     Each workload prints a `detail {...}` line whose provenance block
     names it, then its one-line JSON result. The detail line's
     `loss_trace_sha256` (None if absent), `wall` block ({} if absent),
+    `host_speed` (as the `gauge` block {"host_speed": ...}, {} if absent),
     `stage_ms_per_sequence` (as `stage_ms`, {} if absent) and `quality`
     block (None if absent) are kept in the result, with each stage's
     percentage of the summed stage times as `stage_share`.
@@ -69,6 +73,8 @@ def parse_run(stdout):
             result = json.loads(line)
             result["loss_trace_sha256"] = detail.get("loss_trace_sha256")
             result["wall"] = detail.get("wall", {})
+            speed = detail.get("host_speed")
+            result["gauge"] = {} if speed is None else {"host_speed": speed}
             result["stage_ms"] = detail.get("stage_ms_per_sequence", {})
             total = sum(result["stage_ms"].values())
             result["stage_share"] = {k: 100.0 * v / total
@@ -157,7 +163,8 @@ def quality_differences(pairs):
 def block_medians(pairs, block):
     """[(workload, name, base median, change median, % change)] of a result's block.
 
-    block: "wall" (raw wall times), "stage_ms" (ms per sequence in each
+    block: "wall" (raw wall times), "gauge" (the host-speed reading that
+    scales the end-to-end times), "stage_ms" (ms per sequence in each
     frame stage) or "stage_share" (each stage's % of its run's summed
     stage time). One row per name in the block that every run of both
     sides reports.
@@ -223,8 +230,8 @@ def report(pairs, spec):
         print(f"{r['workload']:<13} {r['metric']:<16} {fmt(r['base']):>30} "
               f"{fmt(r['change']):>30} {r['delta_pct']:>+7.1f}% "
               f"{r['wins']:>3}/{r['pairs']:<2}  {'yes' if r['clear'] else 'no'}")
-    for heading, block in (("wall time", "wall"), ("stage ms/seq", "stage_ms"),
-                           ("stage share %", "stage_share")):
+    for heading, block in (("wall time", "wall"), ("host speed", "gauge"),
+                           ("stage ms/seq", "stage_ms"), ("stage share %", "stage_share")):
         rows = block_medians(pairs, block)
         if rows:
             print(f"{'workload':<13} {heading:<16} {'base median':>12} {'change median':>14} "
