@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -42,11 +43,19 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
+def _natural_key(path: Path):
+    """Digit runs compare as integers (frame_2 before frame_10), the name breaks ties."""
+    parts = re.split(r"(\d+)", path.name)
+    return [int(p) if i % 2 else p for i, p in enumerate(parts)], path.name
+
+
 def _scan_paths(scans_dir) -> list:
+    """The directory's scans in natural name order, the order poses pair with."""
     root = Path(scans_dir)
     if not root.is_dir():
         raise MappingError(f"scan directory not found: {root}")
-    paths = sorted(p for p in root.iterdir() if p.suffix.lower() in SCAN_SUFFIXES)
+    paths = sorted((p for p in root.iterdir() if p.suffix.lower() in SCAN_SUFFIXES),
+                   key=_natural_key)
     if not paths:
         raise MappingError(f"no {'/'.join(SCAN_SUFFIXES)} scans in {root}")
     return paths

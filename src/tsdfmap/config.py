@@ -77,6 +77,9 @@ def _coerce(value, hint, path):
     if hint in (tuple, list):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"config key {path}: expected a list")
+        for i, v in enumerate(value):
+            if isinstance(v, bool):
+                raise ConfigError(f"config key {path}[{i}]: true/false is not a list element")
         return hint(value)
     return value
 

@@ -9,10 +9,6 @@ class UnallocatedQuery(MappingError):
     """A field query touched a voxel with missing corner vertices."""
 
 
-class EmptyScan(MappingError):
-    """A frame arrived with zero usable points."""
-
-
 class EmptyPool(MappingError):
     """A batch was requested from an empty replay pool."""
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyScan
 from .grid import cell_of
 
 # eigenvalue ratio below which a PCA neighborhood counts as degenerate
@@ -125,19 +124,15 @@ def estimate_normals(scan: Scan, k: int):
     """PCA normals over k nearest neighbors, oriented toward the sensor.
 
     Returns (normals (n, 3), degenerate (n,) bool). Degenerate
-    neighborhoods (collinear/coincident) fall back to the reversed ray
-    direction and are flagged.
+    neighborhoods (collinear/coincident) and scans of fewer than 3 points
+    fall back to the reversed ray direction and are flagged. The scan is
+    gated (`Mapper._gate`), so every point has a ray.
     """
     pts = scan.points
     n = pts.shape[0]
-    if n == 0:
-        raise EmptyScan("cannot estimate normals on an empty scan")
     to_sensor = scan.origin[None, :] - pts
-    rng_len = np.linalg.norm(to_sensor, axis=1)
-    fallback = to_sensor / np.maximum(rng_len, 1e-300)[:, None]
-
     if n < 3:
-        return fallback.copy(), np.ones(n, dtype=bool)
+        return to_sensor / np.linalg.norm(to_sensor, axis=1)[:, None], np.ones(n, dtype=bool)
 
     k_eff = min(k, n)
     tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)  # quicker to build
@@ -150,37 +145,26 @@ def estimate_normals(scan: Scan, k: int):
     # face the sensor: n . (o - p) >= 0
     flip = np.einsum("ni,ni->n", normals, to_sensor) < 0
     normals[flip] *= -1.0
-    normals[degenerate] = fallback[degenerate]
+    back = to_sensor[degenerate]
+    normals[degenerate] = back / np.linalg.norm(back, axis=1)[:, None]
     return normals, degenerate
 
 
-def compute_incidence(rays, normals, cos_eps: float):
-    """cos(theta) between ray and surface normal, clamped to [cos_eps, 1]."""
-    rays = np.asarray(rays, dtype=np.float64).reshape(-1, 3)
-    normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
-    ray_len = np.linalg.norm(rays, axis=1)
-    cos = np.abs(np.einsum("ni,ni->n", normals, rays)) / np.maximum(ray_len, 1e-300)
-    return np.clip(cos, cos_eps, 1.0)
-
-
 def generate_samples(scan: Scan, normals, cfg: SamplerConfig, rng) -> SampleBatch:
-    """Emit supervision samples for every ray of a scan.
+    """Emit supervision samples for every ray of a gated scan.
 
-    Sample order is fixed (surface block, then front, behind, free-space
-    blocks, each ray-major), so a seeded rng reproduces batches exactly.
+    `Mapper._gate` admits only finite, packable returns off the sensor
+    origin, so every point has a ray of positive length; an empty scan
+    gives an empty batch. Each sample's incidence cosine is
+    |normal . ray| / |ray| clamped to [cos_eps, 1]. Sample order is fixed
+    (surface block, then front, behind, free-space blocks, each
+    ray-major), so a seeded rng reproduces batches exactly.
     """
-    pts = scan.points
-    if pts.shape[0] == 0:
-        raise EmptyScan(f"frame {scan.frame_id} has no points")
-    rays = pts - scan.origin[None, :]
+    rays = scan.points - scan.origin[None, :]
     ray_len = np.linalg.norm(rays, axis=1)
-    ok = ray_len > 0
-    if not ok.all():
-        pts, rays, ray_len = pts[ok], rays[ok], ray_len[ok]
-        normals = np.asarray(normals)[ok]
-    n = pts.shape[0]
     dirs = rays / ray_len[:, None]
-    cos = compute_incidence(rays, normals, cfg.cos_eps)
+    cos = np.clip(np.abs(np.einsum("ni,ni->n", normals, rays)) / ray_len, cfg.cos_eps, 1.0)
+    n = rays.shape[0]
     dt = cfg.trunc_dist
 
     depth_blocks = [ray_len[:, None]]  # surface

@@ -1,22 +1,23 @@
 """Per-frame training orchestration.
 
-Frame pipeline, in order: drop and count returns that are non-finite,
-whose samples would leave the packable grid range, or that lie at the
-sensor origin, estimate normals, generate samples, allocate grid voxels
-at the sample positions, insert into the replay pool, prune the pool
-window, enforce bucket capacity, partition buckets by uncertainty and
-split the pool rows into uncertain and certain once. Replay then draws
-all `iterations` batches from the frame's batch stream, locates the
-union of drawn rows once (corner rows and in-cell fractions), and runs
-`iterations` rounds of predict / MSE / backward / Adam, each on its
-batch's slice of that record with the current features. Finally Fisher
-information accumulates over the union, each trained sample once, with
-the post-update weights: `spatial_gradient` reads the union's record in
-the decoder's `row_blocks`, so its intermediates follow one block, and
-the Fisher sums are scattered once over the whole union. Within a frame
-the pool, the partition and the grid vertices do not change, so this
-gives bitwise the results of drawing and interpolating each batch on its
-own.
+Frame pipeline, in order: the frame gate, the one owner of admission,
+drops and counts returns that are non-finite, whose samples would leave
+the packable grid range, or that lie at the sensor origin, and skips a
+frame with none left; then estimate normals, generate samples, allocate
+grid voxels at the sample positions, insert into the replay pool, prune
+the pool window, enforce bucket capacity, partition buckets by
+uncertainty and split the pool rows into uncertain and certain once.
+Replay then draws all `iterations` batches from the frame's batch
+stream, locates the union of drawn rows once (corner rows and in-cell
+fractions), and runs `iterations` rounds of predict / MSE / backward /
+Adam, each on its batch's slice of that record with the current
+features. Finally Fisher information accumulates over the union, each
+trained sample once, with the post-update weights: `spatial_gradient`
+reads the union's record in the decoder's `row_blocks`, so its
+intermediates follow one block, and the Fisher sums are scattered once
+over the whole union. Within a frame the pool, the partition and the
+grid vertices do not change, so this gives bitwise the results of
+drawing and interpolating each batch on its own.
 
 Everything is seeded per (global seed, frame, purpose), so runs are
 bitwise reproducible.
@@ -122,21 +123,21 @@ class Mapper:
         return np.random.default_rng(np.random.SeedSequence([self.cfg.seed, *words]))
 
     def _gate(self, scan: Scan, report: FrameReport) -> Scan:
-        """Drop non-finite returns, returns whose samples would not pack, and
-        returns at the sensor origin.
+        """Admit a frame's returns: the one place its admission rules are stated.
 
-        A sample lies on the ray or at most trunc_dist past its return, so
-        each coordinate stays within max(|origin|, |return|) + trunc_dist;
-        that bound must keep the finest level's corner cells packable. A
-        return at the origin has no ray, so it yields no samples and no
-        normal of its own.
+        A return is kept only if it is finite, its samples would pack, and
+        it lies off the sensor origin (no ray: no samples, no normal of its
+        own); `process_frame` skips a frame with none left. A sample lies on
+        the ray or at most trunc_dist past its return, so each coordinate
+        stays within max(|origin|, |return|) + trunc_dist; that bound must
+        keep the finest level's corner cells packable.
         """
         finite = np.isfinite(scan.points).all(axis=1)
         pts = scan.points[finite]
         limit = CELL_LIMIT * min(self.cfg.voxel_sizes)
         reach = np.maximum(np.abs(scan.origin), np.abs(pts)) + self.cfg.sampler.trunc_dist
         in_range = (reach < limit).all(axis=1)
-        ranged = np.linalg.norm(pts - scan.origin, axis=1) > 0  # generate_samples' test
+        ranged = np.linalg.norm(pts - scan.origin, axis=1) > 0
         report.nonfinite_points = int((~finite).sum())
         report.out_of_range_points = int((~in_range).sum())
         report.zero_range_points = int((in_range & ~ranged).sum())

@@ -251,6 +251,27 @@ def test_map_drops_and_reports_returns_at_the_sensor_origin(workdir, sim_dir, ca
             "200 at the sensor origin") in capsys.readouterr().err
 
 
+def test_map_pairs_unpadded_scan_names_with_poses_in_natural_order(workdir, sim_dir, capsys):
+    """frame_2 is frame 0 and frame_10 frame 1, though "frame_10" < "frame_2" as strings."""
+    scans = workdir / "unpadded_scans"
+    scans.mkdir()
+    pts = load_ply(sorted(sim_dir.glob("frame_*.ply"))[0])["points"]
+    np.column_stack([pts, np.zeros(len(pts))]).astype("<f4").tofile(scans / "frame_2.bin")
+    np.column_stack([pts[:100], np.zeros(100)]).astype("<f4").tofile(scans / "frame_10.bin")
+    near = (sim_dir / "poses.txt").read_text().splitlines()[0]
+    far = "1 0 0 1e7 0 1 0 0 0 0 1 0"  # every return out of the grid's range
+    (scans / "poses.txt").write_text(f"{near}\n{far}\n")
+    out = workdir / "unpadded_run"
+    rc = main(["map", "--scans", str(scans), "--poses", str(scans / "poses.txt"),
+               "--config", str(workdir / "run.yaml"), "--out", str(out)])
+    assert rc == 0
+    reports = [json.loads(l) for l in (out / "reports.jsonl").read_text().splitlines()]
+    assert [r["out_of_range_points"] for r in reports] == [0, 100]
+    err = capsys.readouterr().err
+    assert "frame_10.bin: dropped 0 non-finite and 100 out-of-range points" in err
+    assert [p.name for p in _scan_paths(scans)] == ["frame_2.bin", "frame_10.bin"]
+
+
 def test_map_skips_a_frame_that_leaves_the_pool_empty(workdir, sim_dir):
     """Returns at the sensor origin (a missing-return marker) give no samples."""
     scans = workdir / "zero_scans"

@@ -99,6 +99,17 @@ def test_bool_not_accepted_as_int():
         build_dataclass(RunConfig, {"seed": True})
 
 
+def test_bool_not_accepted_in_a_number_list():
+    with pytest.raises(ValueError, match=r"^config key voxel_sizes\[0\]: true/false is not"):
+        build_dataclass(RunConfig, {"voxel_sizes": [True, 0.45]})
+
+
+def test_bool_not_accepted_in_a_scene_coordinate():
+    entry = {"type": "sphere", "center": [0, 0, 0], "radius": 1}
+    with pytest.raises(ValueError, match=r"^config key sim\.scene\[1\]\.center\[0\]: true/false"):
+        build_dataclass(RunConfig, {"sim": {"scene": [entry, {**entry, "center": [True, 0, 3]}]}})
+
+
 def test_int_accepted_as_float():
     cfg = build_dataclass(RunConfig, {"pool": {"prune_radius": 10}})
     assert cfg.pool.prune_radius == 10.0

@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from tsdfmap.errors import EmptyScan
 from tsdfmap.sampler import (
     SamplerConfig,
     Scan,
     _neighbour_covariance,
-    compute_incidence,
     estimate_normals,
     generate_samples,
     voxel_downsample,
@@ -28,12 +26,6 @@ def sphere_scan(rng, n=2000, radius=2.0):
     # sensor outside, keep the visible hemisphere
     v = v[v[:, 0] > 0.15]
     return Scan(origin=np.array([10.0, 0.0, 0.0]), points=radius * v, frame_id=0)
-
-
-def test_empty_scan_raises():
-    scan = Scan(origin=np.zeros(3), points=np.zeros((0, 3)), frame_id=0)
-    with pytest.raises(EmptyScan):
-        estimate_normals(scan, k=20)
 
 
 def test_plane_normals_are_exact(rng):
@@ -59,12 +51,12 @@ def test_sphere_normals_match_analytic(rng):
 
 def test_collinear_points_fall_back_to_ray_direction():
     t = np.linspace(0.0, 1.0, 30)
-    pts = np.column_stack([t, np.zeros_like(t), np.zeros_like(t)]) + [5.0, 0, 0]
-    scan = Scan(origin=np.zeros(3), points=pts, frame_id=0)
+    pts = np.column_stack([t, 0.5 * t, np.full_like(t, 2.0)]) + [5.0, -1.0, 0.0]
+    scan = Scan(origin=np.array([0.3, -0.2, 5.0]), points=pts, frame_id=0)
     normals, degenerate = estimate_normals(scan, k=10)
     assert degenerate.all()
-    rays = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    np.testing.assert_allclose(normals, -rays, atol=1e-12)
+    ray = pts - scan.origin
+    assert np.array_equal(bits(normals), bits(-(ray / np.linalg.norm(ray, axis=1)[:, None])))
 
 
 def test_tiny_scan_uses_fallback_normals():
@@ -73,6 +65,20 @@ def test_tiny_scan_uses_fallback_normals():
     normals, degenerate = estimate_normals(scan, k=20)
     assert degenerate.all()
     np.testing.assert_allclose(normals, -pts, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_scans_of_fewer_than_three_points_fall_back_without_raising(n):
+    pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])[:n]
+    scan = Scan(origin=np.zeros(3), points=pts)
+    normals, degenerate = estimate_normals(scan, k=20)
+    assert normals.shape == (n, 3) and degenerate.shape == (n,) and degenerate.all()
+    cfg = SamplerConfig()
+    batch = generate_samples(scan, normals, cfg, np.random.default_rng(0))
+    assert batch.pos.shape == (len(batch), 3)
+    assert len(batch) == n * (1 + cfg.n_front + cfg.n_behind + cfg.n_free)
+    for column in (batch.label, batch.ray_len, batch.cos_inc):
+        assert column.shape == (len(batch),)
 
 
 def gathered_covariance(pts, idx):
@@ -156,14 +162,17 @@ def test_estimate_normals_equals_the_gathered_form_bitwise(rng):
 
 
 def test_incidence_clamped(rng):
-    rays = rng.standard_normal((50, 3))
+    scan = plane_scan(rng, n=50)
+    cfg = SamplerConfig()
     normals = rng.standard_normal((50, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    cos = compute_incidence(rays, normals, 1e-3)
-    assert (cos >= 1e-3).all() and (cos <= 1.0).all()
-    # orthogonal pair pins to the floor
-    c = compute_incidence(np.array([[1.0, 0, 0]]), np.array([[0.0, 1, 0]]), 1e-3)
-    assert c[0] == pytest.approx(1e-3)
+    # a normal orthogonal to its ray pins to the floor
+    ray = scan.points[0] - scan.origin
+    normals[0] = np.cross(ray, [1.0, 0.0, 0.0])
+    normals[0] /= np.linalg.norm(normals[0])
+    batch = generate_samples(scan, normals, cfg, np.random.default_rng(0))
+    assert (batch.cos_inc >= cfg.cos_eps).all() and (batch.cos_inc <= 1.0).all()
+    assert batch.cos_inc[0] == pytest.approx(cfg.cos_eps)
 
 
 def make_batch(rng, scan, cfg=None):
@@ -273,18 +282,6 @@ def test_generate_is_seed_deterministic(rng):
     b = generate_samples(scan, normals, cfg, np.random.default_rng(42))
     assert np.array_equal(a.pos, b.pos)
     assert np.array_equal(a.label, b.label)
-
-
-def test_zero_length_rays_dropped():
-    pts = np.array([[0.0, 0.0, 3.0], [1.0, 1.0, 3.0], [2.0, -1.0, 3.0],
-                    [0.5, 0.5, 3.0], [1.5, 0.0, 3.0]])
-    scan = Scan(origin=pts[0].copy(), points=pts, frame_id=0)
-    cfg = SamplerConfig(normal_k=4)
-    normals, _ = estimate_normals(scan, k=4)
-    batch = generate_samples(scan, normals, cfg, np.random.default_rng(0))
-    kept = pts.shape[0] - 1
-    assert (batch.label[:kept] == 0).all()
-    assert not np.any(np.all(np.isclose(batch.pos[:kept], pts[0]), axis=1))
 
 
 def test_voxel_downsample_keeps_one_per_voxel(rng):
