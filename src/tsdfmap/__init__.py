@@ -6,7 +6,7 @@ the optimization budget with uncertainty-guided batch construction, and
 extracts/evaluates triangle meshes.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .config import RunConfig, load_config  # noqa: E402
 from .mesher import TriMesh, extract_map_mesh, load_mesh, write_mesh  # noqa: E402

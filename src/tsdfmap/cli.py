@@ -3,9 +3,11 @@
 Flag precedence: command-line flags override config-file values, which
 override defaults. Every `map` run writes a manifest.json holding the
 fully resolved config, seed, package version and runtime (library
-versions, CPU count, BLAS thread variables), so any run can be reproduced
-bit-for-bit from its output directory alone, its meshes at the same BLAS
-thread count only (a threaded product can move their last bits).
+versions, numpy's SIMD dispatch target for exp and log1p, CPU count, BLAS
+thread variables), so any run can be reproduced bit-for-bit from its
+output directory alone: on the same dispatch target (its exp sets the
+losses' last bits), and its meshes at the same BLAS thread count only (a
+threaded product can move their last bits).
 """
 
 import argparse
@@ -61,6 +63,18 @@ def _scan_paths(scans_dir) -> list:
     return paths
 
 
+def _numpy_dispatch():
+    """{"exp": target, "log1p": target}, the SIMD targets numpy runs its float64
+    exp and log1p on, whose last bits softplus and the decoder's sigmoid take;
+    None on numpy < 2.0, which does not report them."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    info = opt_func_info(func_name="^(exp|log1p)$")
+    return {f: info.get(f, {}).get("dd", {}).get("current") for f in ("exp", "log1p")}
+
+
 def _write_manifest(out_dir: Path, cfg: RunConfig, extra: dict):
     manifest = {
         "version": __version__,
@@ -69,6 +83,7 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, extra: dict):
         "runtime": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "numpy_dispatch": _numpy_dispatch(),
             "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
             **{var: os.environ.get(var)  # the BLAS thread settings, None if unset

@@ -11,12 +11,19 @@ block of rows at a time. Like `np.logaddexp(0, x)` it is within one ulp
 of the exact value; the two forms differ in a few percent of entries, by
 at most 8.9e-16, so losses differ from those of the logaddexp form in
 the last bits.
+
+The backward pass takes softplus' derivative, the sigmoid, as
+1 / (1 + e^-x): `scipy.special.expit`'s own formula, but on numpy's
+vectorized exp, in place in the pre-activation's buffer, where expit
+runs a scalar libm loop about three times slower. Where numpy's exp
+dispatches to a SIMD target with its own exp (X86_V4) it differs from
+expit in about 2% of entries, by at most 3 ulp and 2.2e-16; where its
+exp is libm's (X86_V3) the two agree bitwise.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -61,6 +68,22 @@ def softplus(x, out=None):
         np.log1p(ob, out=ob)
         ob += pos
     return out
+
+
+def _expit(x):
+    """The sigmoid 1 / (1 + e^-x) of a float64 array, written over x and returned.
+
+    Past |x| of about 708 numpy flags an underflow (e^-x or the
+    reciprocal going subnormal) or an overflow (e^-x past the largest
+    double, the sigmoid then 0), where `scipy.special.expit` flags
+    nothing, so both are ignored.
+    """
+    np.negative(x, out=x)
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(x, out=x)
+        x += 1.0
+        np.reciprocal(x, out=x)
+    return x
 
 
 class DecoderCache(NamedTuple):
@@ -153,8 +176,8 @@ class SdfDecoder:
 
     def _backprop_hidden(self, z1, z2, da2):
         """d(loss)/d(a2), (n, h) or one (1, h) row -> (dz1, dz2, dx), in z1's and z2's buffers."""
-        dz2 = expit(z2, out=z2)
+        dz2 = _expit(z2)
         dz2 *= da2
-        dz1 = expit(z1, out=z1)
+        dz1 = _expit(z1)
         dz1 *= dz2 @ self.params["w2"].T
         return dz1, dz2, dz1 @ self.params["w1"].T

@@ -28,8 +28,12 @@ class PoolConfig:
             raise ValueError("capacity must be at least 1")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
+        if not self.alpha < np.inf:
+            raise ValueError("alpha must be finite")
         if not self.prune_radius > 0:
             raise ValueError("prune_radius must be positive")
+        if not self.prune_radius < np.inf:
+            raise ValueError("prune_radius must be finite")
 
 
 def reliability_mse(ray_len, cos_incidence, cfg: PoolConfig):

@@ -58,8 +58,8 @@ class SamplerConfig:
             raise ValueError("min_range must be positive")
         if not self.min_range < np.inf:
             raise ValueError("min_range must be finite")
-        if self.normal_k < 1:
-            raise ValueError("normal_k must be >= 1")
+        if self.normal_k < 3:  # k counts the point itself; a plane needs 3 points
+            raise ValueError("normal_k must be >= 3")
         if not 0 < self.cos_eps <= 1:
             raise ValueError("cos_eps must lie in (0, 1]")
         if not 0 <= self.downsample_voxel < np.inf:
@@ -126,8 +126,11 @@ def estimate_normals(scan: Scan, k: int):
     Returns (normals (n, 3), degenerate (n,) bool). Degenerate
     neighborhoods (collinear/coincident) and scans of fewer than 3 points
     fall back to the reversed ray direction and are flagged. The scan is
-    gated (`Mapper._gate`), so every point has a ray.
+    gated (`Mapper._gate`), so every point has a ray. k counts the point
+    itself and must be at least 3: fewer points span no plane.
     """
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
     pts = scan.points
     n = pts.shape[0]
     to_sensor = scan.origin[None, :] - pts

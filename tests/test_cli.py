@@ -1,12 +1,13 @@
 import json
 import os
 import platform
+import sys
 
 import numpy as np
 import pytest
 
 from tsdfmap.checkpoint import save_checkpoint
-from tsdfmap.cli import _scan_paths, main
+from tsdfmap.cli import _numpy_dispatch, _scan_paths, main
 from tsdfmap.config import load_config
 from tsdfmap.plyio import load_ply, load_scan, write_mesh_ply, write_points_ply
 from tsdfmap.poses import load_poses
@@ -39,6 +40,15 @@ sim:
       center: [0.0, 0.0, 1.2]
       radius: 0.8
 """
+
+
+def float64_dispatch():
+    """numpy's current target for float64 exp and log1p, None before numpy 2.0."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    return {f: opt_func_info(func_name=f"^{f}$")[f]["dd"]["current"] for f in ("exp", "log1p")}
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +107,16 @@ def test_map_outputs(map_dir):
     assert runtime["numpy"] == np.__version__
     assert runtime["python"] == platform.python_version()
     blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    assert set(runtime) == {"python", "numpy", "scipy", "cpu_count", *blas}
+    assert set(runtime) == {"python", "numpy", "numpy_dispatch", "scipy", "cpu_count", *blas}
     assert all(runtime[var] == os.environ.get(var) for var in blas)
     assert runtime["cpu_count"] == os.cpu_count()
+    assert runtime["numpy_dispatch"] == float64_dispatch()
     assert all(r["fisher_rows"] > 0 for r in reports)
+
+
+def test_numpy_dispatch_is_null_where_numpy_cannot_report_it(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)  # as on numpy < 2.0
+    assert _numpy_dispatch() is None
 
 
 def test_map_checkpoint_equals_a_map_cloud_loop(workdir, sim_dir, map_dir):
@@ -358,6 +374,16 @@ def test_unknown_config_key_fails(workdir, capsys):
     rc = main(["sim", "--config", str(bad), "--out", str(workdir / "x")])
     assert rc == 1
     assert "sedd" in capsys.readouterr().err
+
+
+def test_map_rejects_normal_k_below_3_naming_the_key(workdir, sim_dir, capsys):
+    bad = workdir / "normal_k.yaml"
+    bad.write_text("sampler:\n  normal_k: 1\n")
+    rc = main(["map", "--scans", str(sim_dir), "--poses", str(sim_dir / "poses.txt"),
+               "--out", str(workdir / "normal_k_run"), "--config", str(bad)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: config section sampler: normal_k must be >= 3\n"
+    assert not (workdir / "normal_k_run").exists()
 
 
 @pytest.mark.parametrize("entry, message", [

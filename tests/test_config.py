@@ -143,12 +143,18 @@ def test_validation_happens_at_parse_time():
         ({"sampler": {"trunc_dist": 0}}, "^config section sampler: trunc_dist must be positive$"),
         ({"pool": {"prune_radius": 0}}, "^config section pool: prune_radius must be positive$"),
         ({"pool": {"alpha": -1}}, "^config section pool: alpha must be positive$"),
+        ({"pool": {"alpha": float("inf")}}, "^config section pool: alpha must be finite$"),
+        ({"pool": {"alpha": float("nan")}}, "^config section pool: alpha must be positive$"),
+        ({"pool": {"prune_radius": float("inf")}},
+         "^config section pool: prune_radius must be finite$"),
         ({"voxel_sizes": []}, "^voxel_sizes must be"),
         ({"voxel_sizes": [0.3, float("inf")]}, "^voxel_sizes must be .* positive finite"),
         ({"batch_size": 0, "n_uncertain": 0}, "^batch_size must be >= 1$"),
         ({"feature_dim": 0}, "^feature_dim and hidden_units must be >= 1$"),
         ({"hidden_units": 0}, "^feature_dim and hidden_units must be >= 1$"),
-        ({"sampler": {"normal_k": 0}}, "^config section sampler: normal_k must be >= 1$"),
+        ({"sampler": {"normal_k": 0}}, "^config section sampler: normal_k must be >= 3$"),
+        ({"sampler": {"normal_k": 1}}, "^config section sampler: normal_k must be >= 3$"),
+        ({"sampler": {"normal_k": 2}}, "^config section sampler: normal_k must be >= 3$"),
         ({"sampler": {"cos_eps": 0}}, r"^config section sampler: cos_eps must lie in \(0, 1\]$"),
         ({"sampler": {"cos_eps": 1.5}}, r"^config section sampler: cos_eps must lie in \(0, 1\]$"),
         ({"sampler": {"downsample_voxel": -0.1}},

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import expit
 
 from one_blas_thread import run_at_one_thread
-from tsdfmap.decoder import BLOCK_ROWS, PARAM_NAMES, SdfDecoder, row_blocks, softplus
+from tsdfmap.decoder import BLOCK_ROWS, PARAM_NAMES, SdfDecoder, _expit, row_blocks, softplus
 
 
 def manual_forward(dec, x):
@@ -27,6 +27,30 @@ def test_softplus_matches_logaddexp_within_2_ulp():
     x = np.linspace(-40.0, 40.0, 100001)
     ref = np.logaddexp(0.0, x)
     assert (np.abs(softplus(x) - ref) <= 2 * np.spacing(ref)).all()
+
+
+def test_expit_is_within_3_ulp_of_scipys():
+    x = np.linspace(-40.0, 40.0, 60001)
+    got, ref = _expit(x.copy()), expit(x)
+    assert (np.abs(got.view(np.int64) - ref.view(np.int64)) <= 3).all()
+    assert np.abs(got - ref).max() <= 2.3e-16
+
+
+def test_expit_equals_scipys_at_the_extremes_and_raises_nothing():
+    x = np.array([708.5, -708.5, 745.0, -745.0, 800.0, -800.0, 0.0, -0.0,
+                  np.inf, -np.inf, np.nan])
+    with np.errstate(all="raise"):
+        got, ref = _expit(x.copy()), expit(x)
+    assert np.isnan(got[-1])
+    assert np.array_equal(got[:-1].view(np.uint64), ref[:-1].view(np.uint64))
+
+
+def test_expit_writes_over_its_argument(rng):
+    x = rng.standard_normal((50, 32))
+    want = expit(x)
+    got = _expit(x)
+    assert got is x
+    np.testing.assert_allclose(x, want, rtol=0, atol=2.3e-16)
 
 
 def five_temporary_softplus(x):

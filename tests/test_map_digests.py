@@ -4,7 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import tsdfmap
+from tsdfmap.cli import _numpy_dispatch
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -13,9 +17,12 @@ def test_two_runs_on_a_desk_prefix_print_the_same_digests():
     cmd = [sys.executable, str(ROOT / "tools" / "map_digests.py"), str(ROOT), "--seed", "1",
            "--frames", "2", "--workload", "desk-orbit"]
     runs = [subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT) for _ in range(2)]
+    dispatch = _numpy_dispatch() or {"exp": "unknown", "log1p": "unknown"}  # must agree with the manifest
     for run in runs:
         assert run.returncode == 0, run.stderr
-    lines = runs[0].stdout.splitlines()
+    header, *lines = runs[0].stdout.splitlines()
+    assert header == (f"tsdfmap {tsdfmap.__version__}  numpy {np.__version__}  "
+                      f"exp {dispatch['exp']}  log1p {dispatch['log1p']}")
     assert [line.split()[5] for line in lines] == ["loss_trace", "fisher", "level0", "level1",
                                                    "pool", "decoder", "mesh", "eval"]
     assert all(line.startswith("desk-orbit    seed 1  frames 2 ") for line in lines)

@@ -161,6 +161,12 @@ def test_estimate_normals_equals_the_gathered_form_bitwise(rng):
     assert {"collinear", "coincident"} <= degenerate_seen
 
 
+@pytest.mark.parametrize("k", [2, 1, 0])
+def test_estimate_normals_rejects_k_below_3(rng, k):
+    with pytest.raises(ValueError, match=f"^k must be >= 3, got {k}$"):
+        estimate_normals(plane_scan(rng, n=50), k=k)
+
+
 def test_incidence_clamped(rng):
     scan = plane_scan(rng, n=50)
     cfg = SamplerConfig()

@@ -8,8 +8,15 @@ perfbench/) and the input seed:
 
 For each workload, the checkout's own perfbench set-up makes the scans
 and the TrainConfig, and the checkout's own `workloads.map_sequence`
-maps the first N scans (all of them by default) frame by frame. Then
-it prints one line per digest:
+maps the first N scans (all of them by default) frame by frame. It
+first prints one line naming what made the digests:
+
+    tsdfmap <checkout's version>  numpy <version>  exp <target>  log1p <target>
+
+where each target is the SIMD target numpy runs that float64 function
+on (softplus and the decoder's sigmoid take their last bits from it;
+"unknown" on numpy < 2.0), so listings from different versions or hosts
+are not mixed up. Then it prints one line per digest:
 
     loss_trace   the per-iteration losses, as `Sequence.loss_sha256` computes it
     fisher       the Fisher rows, then the Fisher field's vertex keys
@@ -54,6 +61,18 @@ def sha256(*arrays):
     return digest.hexdigest()
 
 
+def dispatch_targets():
+    """numpy's SIMD target for its float64 exp and log1p, "unknown" where it
+    cannot say (numpy < 2.0). Read here rather than from the checkout, which
+    may predate `tsdfmap.cli`'s copy of this lookup."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return {"exp": "unknown", "log1p": "unknown"}
+    info = opt_func_info(func_name="^(exp|log1p)$")
+    return {f: info.get(f, {}).get("dd", {}).get("current", "unknown") for f in ("exp", "log1p")}
+
+
 def map_digests(workloads, mesher, pool_columns, param_names, name, seed, frames):
     """[(label, hex digest)] of one workload's map after `frames` scans (None: all)."""
     bench = workloads.Bench()
@@ -92,13 +111,16 @@ def main(argv=None):
     # the checkout's program and benchmark, ahead of any other copy on the path
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    from tsdfmap import mesher
+    from tsdfmap import __version__, mesher
     from tsdfmap.decoder import PARAM_NAMES
     from tsdfmap.pool import _COLUMNS
 
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
     if not set(names) <= set(workloads.WORKLOADS):
         ap.error(f"unknown workload {args.workload!r}; choose from {sorted(workloads.WORKLOADS)}")
+    targets = dispatch_targets()
+    print(f"tsdfmap {__version__}  numpy {np.__version__}  "
+          f"exp {targets['exp']}  log1p {targets['log1p']}", flush=True)
     for name in names:
         frames = "all" if args.frames is None else args.frames
         for label, digest in map_digests(workloads, mesher, _COLUMNS, PARAM_NAMES, name,
